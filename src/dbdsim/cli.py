@@ -27,16 +27,11 @@ from . import __version__
 from . import grid as grid_mod
 from . import interferometer as itf
 from . import multilevel, strategies, tls
-from .exceptions import (BoundViolation, ConfigError, EmptyState,
-                         IntegratorFailure, NoExtremaFound, OutOfZone,
-                         PoleProximity, ResolutionError, SpectralOverflow)
+from .exceptions import (NUMERICAL_ERRORS, BoundViolation, ConfigError,
+                         NoExtremaFound)
 from .io import ResultTable, ScenarioConfig
 from .units import (ConstantDetuning, GaussianWavePacket, PolarizationError,
                     PulseEnvelope)
-
-_NUMERICAL = (PoleProximity, IntegratorFailure, ResolutionError,
-              SpectralOverflow, EmptyState, OutOfZone, NoExtremaFound)
-
 
 # --- config -> domain objects ----------------------------------------
 
@@ -77,7 +72,7 @@ def _mz_from_config(cfg):
         detection=detection, n_max=cfg.get_int("n_max", 2),
         rtol=cfg.get_float("rtol", 1e-9),
         n_nodes=cfg.get_int("n_nodes", 64), ideal_pulses=ideal)
-    return name, mz, _t_grid_from(cfg, g)
+    return name, mz
 
 
 def _t_grid_from(cfg, g):
@@ -255,14 +250,17 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
 # --- tscan -----------------------------------------------------------
 
 def _cmd_tscan(cfg, args, seed, workers):
-    name, mz, t_grid = _mz_from_config(cfg)
-    scan = itf.t_scan(mz, t_grid)
+    name, mz = _mz_from_config(cfg)
+    scan = itf.t_scan(mz, _t_grid_from(cfg, mz.g))
     table = ResultTable(("T", "P1", "P2", "P3", "P_sum"))
     for i, T in enumerate(scan.t_grid):
         table.append((T, scan.p1[i], scan.p2[i], scan.p3[i],
                       scan.p_sum[i]))
     _provenance(table, "tscan", cfg, seed)
     extra = {"strategy": name, "detection": mz.detection}
+    for fit in scan.surrogates:
+        extra.update({f"{fit.pulse}_nodes": fit.nodes,
+                      f"{fit.pulse}_tail": fit.tail})
     try:
         res = itf.extract_contrast(scan)
         extra.update(contrast=res.contrast, t_max=res.t_max,
@@ -340,7 +338,7 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
 # --- fluctuation -----------------------------------------------------
 
 def _cmd_fluctuation(cfg, args, seed, workers):
-    name, mz, t_grid = _mz_from_config(cfg)
+    name, mz = _mz_from_config(cfg)
     sigma_r = cfg.get_float("sigma_r")
     if sigma_r < 0:
         raise ConfigError("sigma_r: must be non-negative")
@@ -348,7 +346,8 @@ def _cmd_fluctuation(cfg, args, seed, workers):
     if n_shots < 2:
         raise ConfigError("n_shots: need at least two shots")
     result = itf.fluctuation_robustness(mz, sigma_r, n_shots=n_shots,
-                                        seed=seed, t_grid=t_grid)
+                                        seed=seed,
+                                        t_grid=_t_grid_from(cfg, mz.g))
     table = ResultTable(("shot", "contrast"))
     for i, c in enumerate(result.contrasts):
         table.append((i, c))
@@ -457,7 +456,7 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
             table.append((off, mv, ov, abs(mv - ov)))
         diffs = [abs(m - o) for m, o in zip(model_ports, oracle_ports)]
     else:
-        name, mz, _ = _mz_from_config(cfg)
+        name, mz = _mz_from_config(cfg)
         n_t = cfg.get_int("t.points", 20)
         if cfg.has("t.min"):
             t_grid = _t_grid_from(cfg, mz.g)
@@ -539,7 +538,7 @@ def main(argv=None):
         return 2
     # several numerical guards subclass ValueError, so they must be
     # picked off before the config-error family
-    except _NUMERICAL as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

@@ -35,3 +35,9 @@ class NoExtremaFound(RuntimeError):
 
 class ConfigError(ValueError):
     """A scenario configuration failed validation."""
+
+
+# Numerical trouble, as opposed to bad input: the CLI maps these to exit
+# code 3, and efficiency_landscape records them as failed cells.
+NUMERICAL_ERRORS = (PoleProximity, IntegratorFailure, ResolutionError,
+                    SpectralOverflow, EmptyState, OutOfZone, NoExtremaFound)

@@ -22,16 +22,22 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import fft
 from scipy.optimize import curve_fit
 
 from . import grid as grid_mod
-from .exceptions import NoExtremaFound, OutOfZone
+from .exceptions import IntegratorFailure, NoExtremaFound, OutOfZone
 from .multilevel import propagate_unitaries
 from .strategies import StrategySpec
 from .units import GaussianWavePacket
 
 PORT_OFFSETS = np.array([0.0, 2.0, -2.0, 4.0, -4.0])
 RESOLVED_PAIRS = ((0, 0), (1, 2), (2, 1), (3, 4), (4, 3))
+
+# Polynomial degrees of the per-scan pulse surrogates: the first try,
+# and the cap past which refinement gives up (doubling in between).
+_FIRST_DEGREE = 64
+_MAX_DEGREE = 512
 
 
 def port_offsets(n_max):
@@ -69,7 +75,6 @@ class MzConfig:
     n_max: int = 2
     rtol: float = 1e-9
     n_nodes: int = 64
-    p_bin: float = 1e-3
     ideal_pulses: bool = False
 
     def __post_init__(self):
@@ -87,14 +92,33 @@ class MzConfig:
 
 
 @dataclass(frozen=True)
+class SurrogateFit:
+    """How one per-scan pulse surrogate converged.
+
+    nodes is the number of Chebyshev points solved; tail is the largest
+    Chebyshev coefficient, over all matrix elements, in the top eighth
+    of the final degree range.
+    """
+
+    pulse: str  # splitter | mirror
+    nodes: int
+    tail: float
+
+
+@dataclass(frozen=True)
 class FringeScan:
-    """Port populations over an interrogation-time grid."""
+    """Port populations over an interrogation-time grid.
+
+    surrogates holds the SurrogateFit of each solved pulse (empty for
+    ideal pulses and for the grid oracle).
+    """
 
     t_grid: np.ndarray
     p1: np.ndarray  # central port
     p2: np.ndarray  # +2 hbar k_L port
     p3: np.ndarray  # -2 hbar k_L port
     config: MzConfig
+    surrogates: tuple = ()
 
     @property
     def p_sum(self):
@@ -289,23 +313,82 @@ def port_populations(config, T=None, p=None):
     return (float(scan.p1[0]), float(scan.p2[0]), float(scan.p3[0]))
 
 
-def _binned_matrices(p_values, pulse, epsilon, n_max, rtol, p_bin):
-    """Pulse matrices for binned quasi-momenta; returns per-value lookup."""
-    binned = np.round(np.asarray(p_values) / p_bin) * p_bin
-    uniq, inverse = np.unique(binned, return_inverse=True)
-    mats = propagate_unitaries(uniq, pulse[0], pulse[1], epsilon,
-                               n_max=n_max, rtol=rtol, atol=rtol * 1e-2,
-                               basis="bare")
-    return mats[inverse]
+def _chebyshev_tail(values):
+    """Largest coefficient in the top eighth of the degree range.
+
+    values holds samples at the n+1 Chebyshev points of the second kind;
+    a type-1 DCT of each real and imaginary matrix-element column gives
+    n times its Chebyshev coefficients.
+    """
+    n = values.shape[0] - 1
+    cols = np.ascontiguousarray(values).reshape(n + 1, -1).view(float)
+    coef = fft.dct(cols, type=1, axis=0) / n
+    return float(np.max(np.abs(coef[n - n // 8:])))
+
+
+def _barycentric(nodes, values, p):
+    """Evaluate the interpolant through (nodes, values) at momenta p.
+
+    Barycentric formula for Chebyshev points of the second kind;
+    momenta that coincide with a node take its value exactly.
+    """
+    n = nodes.size - 1
+    w = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    diff = p[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    c = w / diff
+    rows = hit.any(axis=1)
+    c[rows] = 0.0
+    c[rows, hit[rows].argmax(axis=1)] = 1.0
+    c /= c.sum(axis=1, keepdims=True)
+    flat = np.ascontiguousarray(values).reshape(n + 1, -1).view(float)
+    return (c @ flat).view(complex).reshape((p.size,) + values.shape[1:])
+
+
+def _surrogate_matrices(p, pulse, label, config):
+    """Pulse matrices at momenta p from a Chebyshev surrogate in p.
+
+    The pulse is solved in one batch at the Chebyshev points spanning
+    [min p, max p], doubling the degree from _FIRST_DEGREE until the
+    coefficient tail drops to config.rtol, so the interpolation error
+    stays below the solver tolerance.  Past _MAX_DEGREE it raises
+    IntegratorFailure rather than return a coarser answer.
+    """
+    lo, hi = float(p.min()), float(p.max())
+    degree = _FIRST_DEGREE
+    while True:
+        x = np.cos(np.pi * np.arange(degree + 1) / degree)
+        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        values = propagate_unitaries(
+            nodes, pulse[0], pulse[1], config.epsilon, n_max=config.n_max,
+            rtol=config.rtol, atol=config.rtol * 1e-2, basis="bare")
+        tail = _chebyshev_tail(values)
+        if tail <= config.rtol:
+            break
+        if 2 * degree > _MAX_DEGREE:
+            raise IntegratorFailure(
+                f"{label} surrogate on p in [{lo:.6g}, {hi:.6g}] did not "
+                f"converge: Chebyshev tail {tail:.3g} > rtol "
+                f"{config.rtol:.3g} at {degree + 1} nodes")
+        degree *= 2
+    fit = SurrogateFit(label, degree + 1, tail)
+    return _barycentric(nodes, values, p), fit
 
 
 def t_scan(config, t_grid):
     """Fringe signals over an ascending grid of interrogation times.
 
-    The first splitter is evaluated once at the quadrature nodes; mirror
-    and final splitter depend on shifted quasi-momenta, so their
-    matrices are shared across the scan through momentum bins of width
-    p_bin (free-propagation phases always use exact momenta).
+    Pulse matrices come from two Chebyshev surrogates in momentum, built
+    afresh for each call: one splitter surrogate serves the first
+    splitter at the quadrature nodes p and the final one at p + gT, and
+    one mirror surrogate serves p + gT/2.  Each is refined until its
+    interpolation error is held below config.rtol, the solver tolerance
+    (see _surrogate_matrices), and its node count and final tail are
+    recorded in FringeScan.surrogates.  Free-propagation phases always
+    use exact momenta.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
@@ -318,6 +401,7 @@ def t_scan(config, t_grid):
     resolved = config.detection == "resolved"
 
     if config.ideal_pulses:
+        fits = ()
         b1 = np.broadcast_to(ideal_bs_matrix(), (n, 5, 5))
         b1_cols = np.ascontiguousarray(b1[:, :, 0])
         mirror_all = np.broadcast_to(ideal_mirror_matrix(),
@@ -325,19 +409,17 @@ def t_scan(config, t_grid):
         b3_all = np.broadcast_to(ideal_bs_matrix(), (t_grid.size, n, 5, 5))
     else:
         strat = config.strategy
-        b1 = propagate_unitaries(p_nodes, strat.bs[0], strat.bs[1],
-                                 config.epsilon, n_max=config.n_max,
-                                 rtol=config.rtol, atol=config.rtol * 1e-2,
-                                 basis="bare")
-        b1_cols = np.ascontiguousarray(b1[:, :, 0])
+        d = 2 * config.n_max + 1
         p2_all = (p_nodes[None, :] + 0.5 * g * t_grid[:, None]).ravel()
         p3_all = (p_nodes[None, :] + g * t_grid[:, None]).ravel()
-        mirror_all = _binned_matrices(
-            p2_all, strat.mirror, config.epsilon, config.n_max, config.rtol,
-            config.p_bin).reshape(t_grid.size, n, 5, 5)
-        b3_all = _binned_matrices(
-            p3_all, strat.bs, config.epsilon, config.n_max, config.rtol,
-            config.p_bin).reshape(t_grid.size, n, 5, 5)
+        bs_all, bs_fit = _surrogate_matrices(
+            np.concatenate((p_nodes, p3_all)), strat.bs, "splitter", config)
+        mirror_all, mirror_fit = _surrogate_matrices(
+            p2_all, strat.mirror, "mirror", config)
+        fits = (bs_fit, mirror_fit)
+        b1_cols = np.ascontiguousarray(bs_all[:n, :, 0])
+        b3_all = bs_all[n:].reshape(t_grid.size, n, d, d)
+        mirror_all = mirror_all.reshape(t_grid.size, n, d, d)
 
     out = np.empty((t_grid.size, 3))
     for i, T in enumerate(t_grid):
@@ -347,7 +429,7 @@ def t_scan(config, t_grid):
                                 resolved)
         pops = np.abs(amps) ** 2
         out[i] = weights @ pops[:, :3]
-    return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config)
+    return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config, fits)
 
 
 def default_t_grid(g, x_lo=0.05 * math.pi, x_hi=2.6 * math.pi,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .exceptions import IntegratorFailure
+from .exceptions import NUMERICAL_ERRORS, BoundViolation, IntegratorFailure
 from .units import (GaussianWavePacket, PulseEnvelope, RESONANCE,
                     carrier_factor)
 
@@ -222,7 +222,9 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
 
     y0 = np.broadcast_to(np.eye(d, dtype=complex), (nsys, d, d))
     y0 = np.ascontiguousarray(y0).reshape(-1).view(float)
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol)
+    # t_eval=[t1] keeps scipy from storing the state of every accepted step
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", t_eval=[t1],
+                    rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegratorFailure(f"pulse integration failed: {sol.message}")
     u_int = sol.y[:, -1].copy().view(complex).reshape(nsys, d, d)
@@ -320,12 +322,17 @@ def integrated_efficiency(packet, kind, envelope, protocol, epsilon=0.0,
     return float(np.sum(w * f))
 
 
+_CELL_ERRORS = (BoundViolation,) + NUMERICAL_ERRORS
+
+
 def efficiency_landscape(p_values, eps_values, kind, envelope, protocol,
                          n_max=2, **kw):
     """Dense F(p, epsilon) scan; failed cells become NaN.
 
     Returns (values, errors) where values has shape
     (len(p_values), len(eps_values)) and errors maps (i, j) -> message.
+    Only bound violations and numerical failures make failed cells; any
+    other exception is a bug and propagates.
     """
     p_values = np.asarray(p_values, dtype=float)
     eps_values = np.asarray(eps_values, dtype=float)
@@ -337,13 +344,13 @@ def efficiency_landscape(p_values, eps_values, kind, envelope, protocol,
                                     n_max=n_max, **kw)
             for i in range(p_values.size):
                 out[i, j] = _landscape_cell(u, i, kind)
-        except Exception:  # batch failed; retry cells one at a time
+        except _CELL_ERRORS:  # batch failed; retry cells one at a time
             for i, p in enumerate(p_values):
                 try:
                     u1 = propagate_unitaries(float(p), envelope, protocol,
                                              eps, n_max=n_max, **kw)
                     out[i, j] = _landscape_cell(u1[None], 0, kind)
-                except Exception as exc:
+                except _CELL_ERRORS as exc:
                     errors[(i, j)] = str(exc)
     return out, errors
 

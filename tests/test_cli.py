@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dbdsim import interferometer
 from dbdsim.cli import main
 from dbdsim.io import ResultTable
 
@@ -11,6 +12,16 @@ source.sigma_p = 0.05
 t.min = 10
 t.max = 80
 t.points = 41
+"""
+
+SOLVED_TSCAN = """
+strategy = ds_dbd
+g = 0.000357
+source.sigma_p = 0.05
+n_nodes = 8
+t.min = 10
+t.max = 80
+t.points = 9
 """
 
 
@@ -52,6 +63,14 @@ class TestExitCodes:
         assert code == 3
         assert "OutOfZone" in capsys.readouterr().err
 
+    def test_unconverged_surrogate_is_numerical(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(interferometer, "_FIRST_DEGREE", 8)
+        monkeypatch.setattr(interferometer, "_MAX_DEGREE", 16)
+        code, _ = run(tmp_path, "tscan", SOLVED_TSCAN)
+        assert code == 3
+        assert "IntegratorFailure" in capsys.readouterr().err
+
     def test_bad_worker_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBD_SIM_WORKERS", "many")
         code, _ = run(tmp_path, "tscan", IDEAL_TSCAN)
@@ -82,6 +101,17 @@ class TestTscan:
                         extra=("--seed", "11"))
         assert code == 0
         assert ResultTable.read(str(out)).provenance["seed"] == "11"
+
+    def test_surrogate_diagnostics_in_provenance(self, tmp_path):
+        _, out_a = run(tmp_path, "tscan", SOLVED_TSCAN, name="a")
+        _, out_b = run(tmp_path, "tscan", SOLVED_TSCAN, name="b")
+        a = ResultTable.read(str(out_a))
+        assert a.equal_payload(ResultTable.read(str(out_b)))
+        for pulse in ("splitter", "mirror"):
+            assert int(a.provenance[f"{pulse}_nodes"]) >= 65
+            assert 0.0 <= float(a.provenance[f"{pulse}_tail"]) <= 1e-9
+        ideal = ResultTable.read(str(run(tmp_path, "tscan", IDEAL_TSCAN)[1]))
+        assert "splitter_nodes" not in ideal.provenance
 
     def test_json_output(self, tmp_path):
         code, out = run(tmp_path, "tscan", IDEAL_TSCAN, fmt="json")
@@ -235,3 +265,25 @@ source.sigma_p = 0.05
         table = ResultTable.read(str(out))
         assert table.columns == ("port", "model", "oracle", "abs_diff")
         assert float(table.provenance["max_abs_diff"]) < 1e-2
+
+    def test_mz_points_without_bounds(self, tmp_path, monkeypatch):
+        # t.points alone spaces the points over the default grid's span;
+        # the grid oracle is replaced by the model scan to keep this fast
+        seen = []
+
+        def oracle(config, t_grid, workers=1):
+            seen.append(t_grid)
+            return interferometer.t_scan(config, t_grid)
+
+        monkeypatch.setattr(interferometer, "oracle_fringe", oracle)
+        config = IDEAL_TSCAN.replace("t.min = 10\nt.max = 80\n", "")
+        config = config.replace("t.points = 41", "t.points = 3")
+        code, out = run(tmp_path, "oracle-compare",
+                        "scenario = mz\n" + config)
+        assert code == 0
+        full = interferometer.default_t_grid(0.000357)
+        expected = np.linspace(full[0], full[-1], 3)
+        assert np.array_equal(seen[0], expected)
+        table = ResultTable.read(str(out))
+        assert table.column("T") == list(expected)
+        assert float(table.provenance["max_abs_diff"]) == 0.0

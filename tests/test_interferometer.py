@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from dbdsim.exceptions import NoExtremaFound, OutOfZone
+from dbdsim import interferometer
+from dbdsim.exceptions import IntegratorFailure, NoExtremaFound, OutOfZone
 from dbdsim.interferometer import (
     FringeScan,
     MzConfig,
@@ -25,6 +26,7 @@ from dbdsim.interferometer import (
     total_s_matrix,
 )
 from dbdsim.grid import GridSpec
+from dbdsim.multilevel import propagate_unitaries
 from dbdsim.strategies import builtin_strategy
 from dbdsim.units import GaussianWavePacket, PolarizationError
 
@@ -204,12 +206,74 @@ class TestScans:
         scan = t_scan(cfg, np.array([25.0]))
         assert pops[1] == pytest.approx(float(scan.p2[0]), abs=1e-12)
 
-    def test_momentum_binning_is_mild(self):
-        cfg = make_config(n_nodes=16)
-        t = default_t_grid(G_SMALL)[::12]
-        coarse = t_scan(cfg, t)
-        fine = t_scan(MzConfig(**{**cfg.__dict__, "p_bin": 1e-6}), t)
-        assert np.max(np.abs(coarse.p_sum - fine.p_sum)) < 5e-3
+
+def direct_p_sum(cfg, T):
+    """P_sum at T from exact-momentum solves, composed node by node."""
+    p, w = cfg.source.momentum_quadrature(cfg.n_nodes)
+    strat = cfg.strategy
+
+    def solve(q, pulse):
+        return propagate_unitaries(q, pulse[0], pulse[1], cfg.epsilon,
+                                   n_max=cfg.n_max, rtol=cfg.rtol,
+                                   atol=cfg.rtol * 1e-2)
+
+    b1 = solve(p, strat.bs)
+    m = solve(p + 0.5 * cfg.g * T, strat.mirror)
+    b3 = solve(p + cfg.g * T, strat.bs)
+    pops = [np.sum(np.abs(total_s_matrix(
+        cfg, q, T, matrices=(b1[i], m[i], b3[i]))[1:3, 0]) ** 2)
+        for i, q in enumerate(p)]
+    return float(w @ np.array(pops))
+
+
+class TestSurrogates:
+    @pytest.mark.parametrize("name, sigma_p, g, detection", [
+        ("ds_dbd", 0.05, G_SMALL, "unresolved"),
+        ("ds_dbd", 0.05, 2 * G_SMALL, "resolved"),
+        ("oct_hybrid", 0.132, G_SMALL, "unresolved"),
+    ])
+    def test_surrogate_matches_direct_solves(self, name, sigma_p, g,
+                                             detection):
+        cfg = make_config(strategy=builtin_strategy(name), g=g,
+                          source=GaussianWavePacket(0.0, sigma_p),
+                          detection=detection, n_nodes=24)
+        t = default_t_grid(g)[[0, 40, -1]]
+        scan = t_scan(cfg, t)
+        direct = [direct_p_sum(cfg, T) for T in t]
+        assert np.max(np.abs(scan.p_sum - direct)) < 1e-7
+
+    def test_wider_ladder_scan(self):
+        cfg = make_config(strategy=builtin_strategy("ds_dbd"), n_max=3,
+                          n_nodes=8)
+        T = default_t_grid(G_SMALL)[50]
+        scan = t_scan(cfg, np.array([T]))
+        assert abs(scan.p_sum[0] - direct_p_sum(cfg, T)) < 1e-7
+
+    def test_result_independent_of_scan_composition(self):
+        cfg = make_config(strategy=builtin_strategy("oct_hybrid"),
+                          source=GaussianWavePacket(0.0, 0.132), n_nodes=16)
+        t = default_t_grid(G_SMALL)
+        full = t_scan(cfg, t)
+        sub = t_scan(cfg, t[10:60:7])
+        assert np.max(np.abs(full.p_sum[10:60:7] - sub.p_sum)) < 1e-8
+        again = t_scan(cfg, t)
+        assert np.array_equal(full.p_sum, again.p_sum)
+        assert np.array_equal(full.p1, again.p1)
+
+    def test_diagnostics_recorded(self):
+        scan = t_scan(make_config(n_nodes=8), default_t_grid(G_SMALL)[::20])
+        assert [fit.pulse for fit in scan.surrogates] == ["splitter",
+                                                          "mirror"]
+        for fit in scan.surrogates:
+            assert fit.nodes >= interferometer._FIRST_DEGREE + 1
+            assert 0.0 <= fit.tail <= scan.config.rtol
+
+    def test_unconverged_surrogate_raises(self, monkeypatch):
+        monkeypatch.setattr(interferometer, "_FIRST_DEGREE", 8)
+        monkeypatch.setattr(interferometer, "_MAX_DEGREE", 16)
+        cfg = make_config(strategy=builtin_strategy("ds_dbd"), n_nodes=8)
+        with pytest.raises(IntegratorFailure, match="splitter surrogate"):
+            t_scan(cfg, default_t_grid(G_SMALL)[::20])
 
 
 class TestContrast:

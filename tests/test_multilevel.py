@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbdsim import multilevel
 from dbdsim.exceptions import BoundViolation
 from dbdsim.multilevel import (
     LevelBasis,
@@ -159,6 +160,19 @@ class TestPropagation:
         v = bare_transform(2)
         assert np.max(np.abs(v @ u_sym @ v.T - u_bare)) < 1e-12
 
+    def test_solver_keeps_only_the_final_state(self, monkeypatch):
+        stored = []
+        solve_ivp = multilevel.solve_ivp
+
+        def spy(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            stored.append(sol.y.shape[1])
+            return sol
+
+        monkeypatch.setattr(multilevel, "solve_ivp", spy)
+        propagate_unitaries(np.array([0.0, 0.1]), box(2.0, 0.6), FLAT)
+        assert stored == [1]
+
     def test_unknown_basis(self):
         with pytest.raises(ValueError):
             propagate_unitaries(0.0, box(1.0, 0.5), FLAT, basis="momentum")
@@ -230,3 +244,15 @@ class TestEfficiencies:
             box(1.0, 0.5), sweep, rtol=1e-7, atol=1e-9)
         assert np.all(np.isnan(vals))
         assert len(errors) == 2
+
+    def test_landscape_propagates_programming_errors(self):
+        class BrokenEnvelope:
+            support = (0.0, 0.5)
+
+            def evaluate(self, t):
+                return None  # a bug: no Rabi frequency comes back
+
+        with pytest.raises(TypeError):
+            efficiency_landscape(
+                np.array([0.0, 0.1]), np.array([0.0]), "beam_splitter",
+                BrokenEnvelope(), FLAT, rtol=1e-7, atol=1e-9)
