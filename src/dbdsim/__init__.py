@@ -22,10 +22,8 @@ from .grid import (
     MomentumPortHistogram,
     apply_port_projector,
     free_propagate_analytic,
-    load_spectrum,
     momentum_histogram,
     prepare_wavepacket,
-    save_spectrum,
     split_step_pulse,
 )
 from .interferometer import (

@@ -76,15 +76,15 @@ def _mz_from_config(cfg):
 
 
 def _t_grid_from(cfg, g):
-    if cfg.has("t.points"):
-        lo = cfg.get_float("t.min")
-        hi = cfg.get_float("t.max")
-        n = cfg.get_int("t.points")
-        if n < 2 or hi <= lo or lo < 0:
-            raise ConfigError("t.points/t.min/t.max: need t.points >= 2 "
-                              "and 0 <= t.min < t.max")
-        return np.linspace(lo, hi, n)
-    return itf.default_t_grid(g)
+    if not any(cfg.has(k) for k in ("t.min", "t.max", "t.points")):
+        return itf.default_t_grid(g)
+    lo = cfg.get_float("t.min")
+    hi = cfg.get_float("t.max")
+    n = cfg.get_int("t.points")
+    if n < 2 or hi <= lo or lo < 0:
+        raise ConfigError("t.points/t.min/t.max: need t.points >= 2 "
+                          "and 0 <= t.min < t.max")
+    return np.linspace(lo, hi, n)
 
 
 def _envelope_from(cfg, prefix="pulse"):
@@ -413,8 +413,6 @@ def _cmd_optimize(cfg, args, seed, workers):
 
 # --- oracle-compare --------------------------------------------------
 
-_PORT_OFFSETS = (0.0, 2.0, -2.0, 4.0, -4.0)
-
 
 def _pulse_compare(cfg, epsilon, mirror_input):
     env, protocol = _pulse_from(cfg)
@@ -438,27 +436,29 @@ def _pulse_compare(cfg, epsilon, mirror_input):
                                    state.p_offset + 2.0)
     state = grid_mod.split_step_pulse(state, env, protocol, epsilon)
     hist = grid_mod.momentum_histogram(state, p0)
-    order = (0, 1, -1, 2, -2)
-    oracle_ports = [hist.populations.get(k, 0.0) for k in order]
-    return model_ports[:5], oracle_ports
+    oracle_ports = [hist.populations[round(off / 2)]
+                    for off in itf.PORT_OFFSETS]
+    return model_ports[:5], oracle_ports, hist.residual
 
 
 def _cmd_oracle_compare(cfg, args, seed, workers):
     scenario = cfg.get_str("scenario", "pulse", choices=("pulse", "mz"))
+    extra = {"scenario": scenario}
     epsilon = _epsilon_from(cfg)
     if scenario == "pulse":
         which = cfg.get_str("pulse", "bs", choices=("bs", "mirror")) \
             if cfg.has("strategy") else "bs"
-        model_ports, oracle_ports = _pulse_compare(
+        model_ports, oracle_ports, residual = _pulse_compare(
             cfg, epsilon, mirror_input=(which == "mirror"))
         table = ResultTable(("port", "model", "oracle", "abs_diff"))
-        for off, mv, ov in zip(_PORT_OFFSETS, model_ports, oracle_ports):
+        for off, mv, ov in zip(itf.PORT_OFFSETS, model_ports, oracle_ports):
             table.append((off, mv, ov, abs(mv - ov)))
         diffs = [abs(m - o) for m, o in zip(model_ports, oracle_ports)]
+        extra["oracle_residual"] = residual
     else:
         name, mz = _mz_from_config(cfg)
         n_t = cfg.get_int("t.points", 20)
-        if cfg.has("t.min"):
+        if cfg.has("t.min") or cfg.has("t.max"):
             t_grid = _t_grid_from(cfg, mz.g)
         else:
             full = itf.default_t_grid(mz.g)
@@ -472,8 +472,7 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
             diffs.append(d)
             table.append((T, scan.p_sum[i], oracle.p_sum[i], d))
     _provenance(table, "oracle-compare", cfg, seed)
-    _finish(table, args, {"scenario": scenario,
-                          "max_abs_diff": float(max(diffs))})
+    _finish(table, args, {**extra, "max_abs_diff": float(max(diffs))})
     return 0
 
 

@@ -56,6 +56,13 @@ class TestExitCodes:
         code, _ = run(tmp_path, "tscan", bad)
         assert code == 2
 
+    def test_bounds_without_points(self, tmp_path, capsys):
+        partial = IDEAL_TSCAN.replace("t.points = 41\n", "")
+        code, out = run(tmp_path, "tscan", partial)
+        assert code == 2
+        assert "t.points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_is_distinct(self, tmp_path, capsys):
         # valid source, but g*T walks the packet out of the first zone
         fast = IDEAL_TSCAN.replace("g = 0.000357", "g = 0.01")
@@ -287,3 +294,28 @@ source.sigma_p = 0.05
         table = ResultTable.read(str(out))
         assert table.column("T") == list(expected)
         assert float(table.provenance["max_abs_diff"]) == 0.0
+
+    def test_mz_bounds_without_points(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(interferometer, "oracle_fringe",
+                            lambda *args, **kwargs: seen.append(args))
+        config = IDEAL_TSCAN.replace("t.points = 41\n", "")
+        code, _ = run(tmp_path, "oracle-compare", "scenario = mz\n" + config)
+        assert code == 2
+        assert seen == []
+
+    def test_pulse_reports_oracle_residual(self, tmp_path):
+        config = """
+scenario = pulse
+strategy = ds_dbd
+pulse = mirror
+source.sigma_p = 0.01
+n_nodes = 16
+"""
+        code, out = run(tmp_path, "oracle-compare", config)
+        assert code == 0
+        table = ResultTable.read(str(out))
+        assert table.column("port") == [0.0, 2.0, -2.0, 4.0, -4.0]
+        assert abs(float(table.provenance["oracle_residual"])) < 1e-12
+        # the mirror sends the boosted input from port +1 to port -1
+        assert table.column("oracle")[2] > 0.9

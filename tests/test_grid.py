@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from dbdsim import grid as grid_mod
 from dbdsim.exceptions import EmptyState, ResolutionError, SpectralOverflow
 from dbdsim.grid import (
     GridSpec,
     GridState,
     apply_port_projector,
     free_propagate_analytic,
-    load_spectrum,
     momentum_histogram,
     prepare_wavepacket,
-    save_spectrum,
     split_step_pulse,
 )
-from dbdsim.units import ConstantDetuning, GaussianWavePacket, PulseEnvelope
+from dbdsim.units import (ConstantDetuning, GaussianWavePacket, PulseEnvelope,
+                          carrier_factor)
 
 FLAT = ConstantDetuning(0.0)
 SMALL = GridSpec(2048, 64.0 * math.pi, 0.001)
@@ -25,6 +25,38 @@ def plane_wave(spec, k):
     z = spec.z_grid()
     field = np.exp(1j * k * z) / math.sqrt(spec.length)
     return GridState(spec, field)
+
+
+def full_grid_pulse(state, env, protocol, epsilon=0.0):
+    """Reference: Strang steps with full-size FFTs over the whole grid."""
+    spec = state.spec
+    t0, t1 = env.support
+    n_steps = max(1, math.ceil((t1 - t0) / spec.dt))
+    h = (t1 - t0) / n_steps
+    t_mid = t0 + (np.arange(n_steps) + 0.5) * h
+    coeff = 2.0 * env.evaluate(t_mid) * (
+        carrier_factor(t_mid, protocol.evaluate(t_mid), 0.0) + epsilon)
+    p = spec.k_grid() + state.p_offset
+    kin_half = np.exp(-0.5j * p**2 * h)
+    kin_full = kin_half * kin_half
+    cos2z = np.cos(2.0 * spec.z_grid())
+    psi = np.fft.ifft(np.fft.fft(state.field) * kin_half)
+    for j in range(n_steps):
+        psi *= np.exp(-1j * (coeff[j] * h) * cos2z)
+        if j < n_steps - 1:
+            psi = np.fft.ifft(np.fft.fft(psi) * kin_full)
+    psi = np.fft.ifft(np.fft.fft(psi) * kin_half)
+    return GridState(spec, psi, t1, state.p_offset)
+
+
+def assert_same_pulse(state, env, protocol, epsilon):
+    out = split_step_pulse(state, env, protocol, epsilon)
+    ref = full_grid_pulse(state, env, protocol, epsilon)
+    scale = np.max(np.abs(ref.field))
+    assert np.max(np.abs(out.field - ref.field)) <= 1e-10 * scale
+    ports, ref_ports = momentum_histogram(out), momentum_histogram(ref)
+    for k, value in ref_ports.populations.items():
+        assert ports.populations[k] == pytest.approx(value, abs=1e-11)
 
 
 class TestSpec:
@@ -45,6 +77,10 @@ class TestSpec:
     def test_coarse_bins_rejected(self):
         with pytest.raises(ResolutionError):
             GridSpec(2048, 32.0 * math.pi)  # dk = 1/16
+
+    def test_cells_must_divide_points(self):
+        with pytest.raises(ValueError):
+            GridSpec(2048, 96.0 * math.pi)  # 96 lattice periods
 
     def test_low_cutoff_rejected(self):
         with pytest.raises(ResolutionError):
@@ -162,6 +198,37 @@ class TestSplitStep:
         assert out.at_time(0.0).time == 0.0
 
 
+class TestLadderKernel:
+    @pytest.mark.parametrize("n_points", [1024, 2048, 4096])
+    @pytest.mark.parametrize("shape", ["gaussian", "box"])
+    def test_matches_full_grid_loop(self, n_points, shape):
+        spec = GridSpec(n_points, 64.0 * math.pi, 0.001)
+        state = prepare_wavepacket(spec, GaussianWavePacket(0.02, 0.05))
+        boosted = GridState(spec, state.field, 0.0, 2.0)  # mirror input
+        env = PulseEnvelope(shape, 2.0, 0.47 if shape == "gaussian" else 0.4)
+        assert_same_pulse(boosted, env, ConstantDetuning(0.3), 0.05)
+
+    def test_far_plane_wave_widens_the_ladder(self, monkeypatch):
+        widths = []
+        steps = grid_mod._ladder_steps
+
+        def spy(a, *args):
+            widths.append(a.shape[1])
+            return steps(a, *args)
+
+        monkeypatch.setattr(grid_mod, "_ladder_steps", spy)
+        assert_same_pulse(plane_wave(SMALL, 20.0),
+                          PulseEnvelope("box", 1.0, 0.3),
+                          ConstantDetuning(0.3), 0.05)
+        assert widths == [32]
+
+    def test_edge_population_overflows(self):
+        spec = GridSpec(1024, 64.0 * math.pi, 0.001)
+        with pytest.raises(SpectralOverflow):
+            split_step_pulse(plane_wave(spec, 15.0),
+                             PulseEnvelope("box", 1.0, 0.3), FLAT)
+
+
 class TestFreeFall:
     def test_offset_and_centroid_shift(self):
         state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
@@ -181,24 +248,3 @@ class TestFreeFall:
         edgy = plane_wave(SMALL, 31.5)  # cutoff is 32
         with pytest.raises(SpectralOverflow):
             free_propagate_analytic(edgy, 0.0, 1.0)
-
-
-class TestSnapshots:
-    def test_round_trip(self, tmp_path):
-        state = prepare_wavepacket(SMALL, GaussianWavePacket(0.1, 0.05))
-        path = tmp_path / "spectrum.bin"
-        save_spectrum(state, str(path))
-        n, length, dens = load_spectrum(str(path))
-        assert n == SMALL.n_points
-        assert length == pytest.approx(SMALL.length)
-        _, expected = state.momentum_density()
-        assert np.array_equal(dens, expected)
-
-    def test_truncated_payload(self, tmp_path):
-        state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
-        path = tmp_path / "spectrum.bin"
-        save_spectrum(state, str(path))
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-16])
-        with pytest.raises(ValueError):
-            load_spectrum(str(path))

@@ -19,6 +19,7 @@ from dbdsim.multilevel import (
     mirror_efficiency,
     propagate_unitaries,
 )
+from dbdsim.strategies import builtin_strategy
 from dbdsim.units import (ConstantDetuning, GaussianWavePacket, LinearDetuning,
                           PulseEnvelope)
 
@@ -139,6 +140,19 @@ class TestPropagation:
         for p, m in zip(ps, batch):
             single = propagate_unitaries(float(p), box(1.5, 0.7), FLAT)
             assert np.max(np.abs(single - m)) < 1e-7
+
+    def test_single_node_matches_large_batch(self):
+        # solve_ivp controls the error of the whole batch, so a node
+        # solved alone differs from it at the tolerance level
+        env, protocol = builtin_strategy("c_dbd").mirror
+        nodes = 0.3 * np.cos(np.pi * np.arange(129) / 128)
+        rtol = 1e-9
+        batch = propagate_unitaries(nodes, env, protocol, rtol=rtol,
+                                    atol=rtol * 1e-2)
+        for i in (0, 40, 64):
+            single = propagate_unitaries(nodes[i], env, protocol, rtol=rtol,
+                                         atol=rtol * 1e-2)
+            assert np.max(np.abs(single - batch[i])) <= 100 * rtol
 
     def test_delta_override_matches_protocol(self):
         u_prot = propagate_unitaries(0.1, box(2.0, 0.5),
