@@ -32,18 +32,16 @@ from .interferometer import (
     FringeFit,
     FringeScan,
     MzConfig,
-    PulseSMatrix,
     contrast_sweep,
     default_t_grid,
     extract_contrast,
     fit_fringe,
     fluctuation_robustness,
-    free_propagator,
+    free_phases,
     ideal_bs_matrix,
     ideal_mirror_matrix,
     oracle_fringe,
     port_populations,
-    pulse_s_matrix,
     semiclassical_phase,
     t_scan,
     three_path_amplitudes,
@@ -52,14 +50,11 @@ from .interferometer import (
 from .io import ResultTable, ScenarioConfig
 from .multilevel import (
     LevelBasis,
-    MultiLevelState,
     PulseEfficiency,
-    bare_momentum_populations,
     bare_transform,
     bs_efficiency,
     build_hamiltonian,
     efficiency_landscape,
-    evolve_pulse,
     integrated_efficiency,
     mirror_efficiency,
     propagate_unitaries,
@@ -98,8 +93,6 @@ from .units import (
     PolarizationError,
     PulseEnvelope,
     carrier_factor,
-    doppler_sweep_2024,
-    fixed_rate_sweep,
 )
 
 __version__ = "0.1.0"

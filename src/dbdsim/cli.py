@@ -20,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -35,9 +36,10 @@ from .units import (ConstantDetuning, GaussianWavePacket, PolarizationError,
 
 # --- config -> domain objects ----------------------------------------
 
-def _strategy_from(cfg):
-    name = cfg.get_str("strategy",
-                       choices=("ideal",) + strategies.BUILTIN_NAMES)
+def _strategy_from(cfg, name=None):
+    if name is None:
+        name = cfg.get_str("strategy",
+                           choices=("ideal",) + strategies.BUILTIN_NAMES)
     ideal = name == "ideal"
     strat = strategies.builtin_strategy("c_dbd" if ideal else name)
     return name, strat, ideal
@@ -61,10 +63,13 @@ def _source_from(cfg):
         raise ConfigError(f"source: {exc}") from None
 
 
-def _mz_from_config(cfg):
-    name, strat, ideal = _strategy_from(cfg)
+def _mz_from_config(cfg, name=None, source=None):
+    """(strategy name, MzConfig); name and source stand in for the
+    `strategy` and `source.*` keys when given."""
+    name, strat, ideal = _strategy_from(cfg, name)
     g = cfg.get_float("g")
-    source = _source_from(cfg)
+    if source is None:
+        source = _source_from(cfg)
     detection = cfg.get_str("detection", "unresolved",
                             choices=("unresolved", "resolved"))
     mz = itf.MzConfig(
@@ -216,25 +221,16 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
             raise ConfigError("kind: the two-level model reports transfer "
                               "probability; use kind = bs")
         effs = [_tls_transfer(env, prot, epsilon) for env, prot in cells]
+    elif cfg.has("source.sigma_p"):
+        packet = GaussianWavePacket(p0, cfg.get_float("source.sigma_p"))
+        effs = [multilevel.integrated_efficiency(
+            packet, full_kind, env, prot, epsilon=epsilon, n_max=n_max,
+            rtol=rtol, atol=rtol * 1e-2) for env, prot in cells]
     else:
-        effs = []
-        for env, prot in cells:
-            if cfg.has("source.sigma_p"):
-                packet = GaussianWavePacket(p0,
-                                            cfg.get_float("source.sigma_p"))
-                eff = multilevel.integrated_efficiency(
-                    packet, full_kind, env, prot, epsilon=epsilon,
-                    n_max=n_max, rtol=rtol, atol=rtol * 1e-2)
-            elif kind == "bs":
-                eff = multilevel.bs_efficiency(
-                    p0, env, prot, epsilon, n_max=n_max, rtol=rtol,
-                    atol=rtol * 1e-2).value
-            else:
-                eff = multilevel.mirror_efficiency(
-                    p0, env, prot, epsilon,
-                    direction="plus" if kind == "mirror_plus" else "minus",
-                    n_max=n_max, rtol=rtol, atol=rtol * 1e-2).value
-            effs.append(eff)
+        effs = [float(multilevel.transfer_efficiency(
+            multilevel.propagate_unitaries(
+                p0, env, prot, epsilon, n_max=n_max, rtol=rtol,
+                atol=rtol * 1e-2), full_kind)) for env, prot in cells]
 
     table = ResultTable(("tau", "omega", "efficiency"))
     idx = 0
@@ -260,7 +256,8 @@ def _cmd_tscan(cfg, args, seed, workers):
     extra = {"strategy": name, "detection": mz.detection}
     for fit in scan.surrogates:
         extra.update({f"{fit.pulse}_nodes": fit.nodes,
-                      f"{fit.pulse}_tail": fit.tail})
+                      f"{fit.pulse}_tail": fit.tail,
+                      f"{fit.pulse}_unitarity": fit.unitarity})
     try:
         res = itf.extract_contrast(scan)
         extra.update(contrast=res.contrast, t_max=res.t_max,
@@ -273,24 +270,6 @@ def _cmd_tscan(cfg, args, seed, workers):
 
 # --- contrast-sweep --------------------------------------------------
 
-def _sweep_cell(job):
-    (name, axis, value, g, p0, sigma_p, detection, epsilon,
-     n_max, rtol, n_nodes, t_grid) = job
-    ideal = name == "ideal"
-    strat = strategies.builtin_strategy("c_dbd" if ideal else name)
-    kw = {"p0": p0, "sigma_p": sigma_p, "epsilon": epsilon}
-    if axis in ("p0", "sigma_p"):
-        kw[axis] = value
-    else:
-        kw["epsilon"] = value
-    mz = itf.MzConfig(
-        strategy=strat, g=g,
-        source=GaussianWavePacket(kw["p0"], kw["sigma_p"]),
-        epsilon=kw["epsilon"], detection=detection, n_max=n_max, rtol=rtol,
-        n_nodes=n_nodes, ideal_pulses=ideal)
-    return itf.extract_contrast(itf.t_scan(mz, t_grid)).contrast
-
-
 def _cmd_contrast_sweep(cfg, args, seed, workers):
     axis = cfg.get_str("axis", choices=("sigma_p", "p0", "epsilon"))
     values = cfg.get_float_list("values")
@@ -302,25 +281,24 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
     for n in names:
         if n not in allowed:
             raise ConfigError(f"strategies: unknown strategy {n!r}")
-    g = cfg.get_float("g")
-    p0 = cfg.get_float("source.p0", 0.0)
-    sigma_p = cfg.get_float("source.sigma_p", 0.05)
-    detection = cfg.get_str("detection", "unresolved",
-                            choices=("unresolved", "resolved"))
-    epsilon = _epsilon_from(cfg)
-    n_max = cfg.get_int("n_max", 2)
-    rtol = cfg.get_float("rtol", 1e-9)
-    n_nodes = cfg.get_int("n_nodes", 64)
-    t_grid = _t_grid_from(cfg, g)
+    source = {"p0": cfg.get_float("source.p0", 0.0),
+              "sigma_p": cfg.get_float("source.sigma_p", 0.05)}
+    if axis in source:  # the swept key's own setting is never used
+        source[axis] = values[0]
+    source = GaussianWavePacket(**source)
+    configs = {name: _mz_from_config(cfg, name, source)[1] for name in names}
+    t_grid = _t_grid_from(cfg, cfg.get_float("g"))
 
-    jobs = [(name, axis, float(v), g, p0, sigma_p, detection, epsilon,
-             n_max, rtol, n_nodes, t_grid)
-            for v in values for name in names]
-    if workers > 1 and len(jobs) > 1:
+    # one contrast_sweep call per (value, strategy) cell, in table order
+    cells = [configs[name] for _ in values for name in names]
+    cell_values = [[v] for v in values for _ in names]
+    jobs = (cells, repeat(axis), cell_values, repeat(t_grid))
+    if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_sweep_cell, jobs))
+            swept = list(pool.map(itf.contrast_sweep, *jobs))
     else:
-        flat = [_sweep_cell(job) for job in jobs]
+        swept = list(map(itf.contrast_sweep, *jobs))
+    flat = [rows[0][1] for rows in swept]
 
     table = ResultTable((axis,) + tuple(f"contrast_{n}" for n in names))
     k = 0
@@ -437,7 +415,7 @@ def _pulse_compare(cfg, epsilon, mirror_input):
     state = grid_mod.split_step_pulse(state, env, protocol, epsilon)
     hist = grid_mod.momentum_histogram(state, p0)
     oracle_ports = [hist.populations[round(off / 2)]
-                    for off in itf.PORT_OFFSETS]
+                    for off in itf.port_offsets(2)]
     return model_ports[:5], oracle_ports, hist.residual
 
 
@@ -451,7 +429,8 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
         model_ports, oracle_ports, residual = _pulse_compare(
             cfg, epsilon, mirror_input=(which == "mirror"))
         table = ResultTable(("port", "model", "oracle", "abs_diff"))
-        for off, mv, ov in zip(itf.PORT_OFFSETS, model_ports, oracle_ports):
+        for off, mv, ov in zip(itf.port_offsets(2), model_ports,
+                               oracle_ports):
             table.append((off, mv, ov, abs(mv - ov)))
         diffs = [abs(m - o) for m, o in zip(model_ports, oracle_ports)]
         extra["oracle_residual"] = residual

@@ -12,8 +12,8 @@ S-matrix, and U covers the center-to-center separation T.
 
 Detection modes: `unresolved` sums every intermediate path;
 `resolved` keeps only the momentum-reversal pairs that stay spatially
-closed, index pairs {(0,0), (1,2), (2,1), (3,4), (4,3)} of
-(after-first-splitter, after-mirror) bare ports.
+closed: the mirror entries (l, k) whose bare ports carry opposite
+offsets, port_offsets[l] == -port_offsets[k], on a ladder of any size.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .multilevel import propagate_unitaries
 from .strategies import StrategySpec
 from .units import GaussianWavePacket
 
-PORT_OFFSETS = np.array([0.0, 2.0, -2.0, 4.0, -4.0])
-RESOLVED_PAIRS = ((0, 0), (1, 2), (2, 1), (3, 4), (4, 3))
-
 # Polynomial degrees of the per-scan pulse surrogates: the first try,
 # and the cap past which refinement gives up (doubling in between).
 _FIRST_DEGREE = 64
@@ -44,18 +41,6 @@ def port_offsets(n_max):
     """Bare-basis momentum offsets {0, +2, -2, ..., +2n, -2n}."""
     n = np.arange(1, n_max + 1, dtype=float)
     return np.concatenate(([0.0], np.stack((2 * n, -2 * n), axis=1).ravel()))
-
-
-@dataclass(frozen=True)
-class PulseSMatrix:
-    """Bare-basis transfer matrix of one pulse at quasi-momentum p."""
-
-    p: float
-    matrix: np.ndarray
-
-    def unitarity_defect(self):
-        m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
 @dataclass(frozen=True)
@@ -80,10 +65,6 @@ class MzConfig:
     def __post_init__(self):
         if self.detection not in ("unresolved", "resolved"):
             raise ValueError(f"unknown detection mode {self.detection!r}")
-        if self.n_max != 2 and (self.detection == "resolved"
-                                or self.ideal_pulses):
-            raise ValueError("resolved detection and ideal pulses are "
-                             "defined on the five-level ladder only")
         eps = self.epsilon
         if hasattr(eps, "epsilon"):
             object.__setattr__(self, "epsilon", float(eps.epsilon))
@@ -97,12 +78,14 @@ class SurrogateFit:
 
     nodes is the number of Chebyshev points solved; tail is the largest
     Chebyshev coefficient, over all matrix elements, in the top eighth
-    of the final degree range.
+    of the final degree range; unitarity is the largest |U^dagger U - I|
+    entry over the solved nodes.
     """
 
     pulse: str  # splitter | mirror
     nodes: int
     tail: float
+    unitarity: float
 
 
 @dataclass(frozen=True)
@@ -159,47 +142,33 @@ def semiclassical_phase(a, T):
     return 4.0 * a * np.asarray(T, dtype=float) ** 2
 
 
-def ideal_bs_matrix():
-    """Lossless splitter: |0> -> -i (|+2> + |-2>)/sqrt2, spectators kept."""
+def ideal_bs_matrix(n_max=2):
+    """Lossless splitter: |0> -> -i (|+2> + |-2>)/sqrt2, outer orders kept."""
     s = 1.0 / math.sqrt(2.0)
-    b = np.zeros((5, 5), dtype=complex)
+    b = np.eye(2 * n_max + 1, dtype=complex)
+    b[0, 0] = 0.0
     b[1, 0] = b[2, 0] = -1j * s
     b[0, 1] = b[0, 2] = -1j * s
     b[1, 1] = b[2, 2] = 0.5
     b[1, 2] = b[2, 1] = -0.5
-    b[3, 3] = b[4, 4] = 1.0
     return b
 
 
-def ideal_mirror_matrix():
+def ideal_mirror_matrix(n_max=2):
     """Perfect inversion |+2> <-> |-2>; central and outer ports untouched."""
-    m = np.eye(5, dtype=complex)
+    m = np.eye(2 * n_max + 1, dtype=complex)
     m[1, 1] = m[2, 2] = 0.0
     m[1, 2] = m[2, 1] = -1j
     return m
 
 
-def pulse_s_matrix(p, pulse, epsilon=0.0, n_max=2, rtol=1e-9):
-    """Evolve all bare basis states through one pulse (phases retained)."""
-    env, protocol = pulse
-    m = propagate_unitaries(p, env, protocol, epsilon, n_max=n_max,
-                            rtol=rtol, atol=rtol * 1e-2, basis="bare")
-    return PulseSMatrix(float(p), m)
-
-
-def free_propagator(p, g, T, n_max=2):
-    """Diagonal free-fall phases at quasi-momentum p.
+def free_phases(p, g, T, n_max=2):
+    """Diagonal free-fall phases, batched over the leading axes of p.
 
     Entry k is exp[-i(T q^2 + (g T^2/2) q)] at q = p + 2k; afterwards the
     ladder is re-centered at p + gT/2.
     """
-    q = p + port_offsets(n_max)
-    return np.diag(np.exp(-1j * (T * q**2 + 0.5 * g * T**2 * q)))
-
-
-def _free_phases(p, g, T, n_max=2):
-    """Vectorized diagonal of free_propagator for p of shape (N,)."""
-    q = np.asarray(p, dtype=float)[:, None] + port_offsets(n_max)[None, :]
+    q = np.asarray(p, dtype=float)[..., None] + port_offsets(n_max)
     return np.exp(-1j * (T * q**2 + 0.5 * g * T**2 * q))
 
 
@@ -212,24 +181,34 @@ def _check_zone(config, t_max):
             "reduce g*T or the source spread")
 
 
-def _compose_columns(b1_cols, u1, m, u2, b3, resolved):
-    """Output amplitudes for input port 0, batched over momentum nodes.
+def _detected(config, m):
+    """Mirror matrices as the detection sees them.
 
-    b1_cols: (N,5) first-splitter column; u1, u2: (N,5) free phases; m:
-    (N,5,5) mirror; b3: (N,5,5) final splitter.  Resolved mode restricts
-    the (after-BS, after-mirror) index pairs to momentum-reversal ones.
+    Resolved detection keeps only the entries (l, k) that reverse the
+    momentum offset, port_offsets[l] == -port_offsets[k].
     """
-    if not resolved:
-        v = u1 * b1_cols
-        v = np.einsum("nlk,nk->nl", m, v)
-        v = u2 * v
-        return np.einsum("nil,nl->ni", b3, v)
-    out = np.zeros_like(b1_cols)
-    for k, l in RESOLVED_PAIRS:
-        term = b3[:, :, l] * (u2[:, l] * m[:, l, k] * u1[:, k]
-                              * b1_cols[:, k])[:, None]
-        out += term
-    return out
+    if config.detection == "unresolved":
+        return m
+    off = port_offsets(config.n_max)
+    return m * (off[:, None] == -off[None, :])
+
+
+def _compose(config, b1, m, b3, p, T):
+    """B3 U(p + gT/2) M U(p) B1, batched over the leading axes of p.
+
+    m is the detected mirror (see _detected); b1 may hold only the input
+    columns wanted.
+    """
+    g = config.g
+    u1, u2 = free_phases(np.stack((p, p + 0.5 * g * T)), g, T, config.n_max)
+    return b3 @ (u2[..., None] * (m @ (u1[..., None] * b1)))
+
+
+def _solve(p, pulse, config):
+    """Bare-basis pulse matrices at momenta p, at the config's tolerance."""
+    return propagate_unitaries(p, pulse[0], pulse[1], config.epsilon,
+                               n_max=config.n_max, rtol=config.rtol,
+                               atol=config.rtol * 1e-2, basis="bare")
 
 
 def three_path_amplitudes(b1, m, b3, g, p, T):
@@ -258,7 +237,7 @@ def three_path_amplitudes(b1, m, b3, g, p, T):
 
 
 def total_s_matrix(config, p, T=None, matrices=None):
-    """Full 5x5 sequence matrix at quasi-momentum p.
+    """Full (2 n_max + 1)-square sequence matrix at quasi-momentum p.
 
     matrices optionally supplies pre-built (b1, m, b3) pulse matrices,
     bypassing the solver; useful for cached scans and cross-checks.
@@ -275,27 +254,14 @@ def total_s_matrix(config, p, T=None, matrices=None):
     if matrices is not None:
         b1, m, b3 = matrices
     elif config.ideal_pulses:
-        b1 = ideal_bs_matrix()
-        m = ideal_mirror_matrix()
-        b3 = ideal_bs_matrix()
+        b1 = b3 = ideal_bs_matrix(config.n_max)
+        m = ideal_mirror_matrix(config.n_max)
     else:
         strat = config.strategy
-        b1 = pulse_s_matrix(p1, strat.bs, config.epsilon, config.n_max,
-                            config.rtol).matrix
-        m = pulse_s_matrix(p2, strat.mirror, config.epsilon, config.n_max,
-                           config.rtol).matrix
-        b3 = pulse_s_matrix(p3, strat.bs, config.epsilon, config.n_max,
-                            config.rtol).matrix
-    u1 = free_propagator(p1, g, T, config.n_max)
-    u2 = free_propagator(p2, g, T, config.n_max)
-    if config.detection == "unresolved":
-        return b3 @ u2 @ m @ u1 @ b1
-    du1 = np.diag(u1)
-    du2 = np.diag(u2)
-    out = np.zeros((5, 5), dtype=complex)
-    for k, l in RESOLVED_PAIRS:
-        out += np.outer(b3[:, l] * du2[l], b1[k, :]) * (m[l, k] * du1[k])
-    return out
+        b1 = _solve(p1, strat.bs, config)
+        m = _solve(p2, strat.mirror, config)
+        b3 = _solve(p3, strat.bs, config)
+    return _compose(config, b1, _detected(config, m), b3, p, T)
 
 
 def port_populations(config, T=None, p=None):
@@ -362,9 +328,7 @@ def _surrogate_matrices(p, pulse, label, config):
     while True:
         x = np.cos(np.pi * np.arange(degree + 1) / degree)
         nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        values = propagate_unitaries(
-            nodes, pulse[0], pulse[1], config.epsilon, n_max=config.n_max,
-            rtol=config.rtol, atol=config.rtol * 1e-2, basis="bare")
+        values = _solve(nodes, pulse, config)
         tail = _chebyshev_tail(values)
         if tail <= config.rtol:
             break
@@ -374,7 +338,9 @@ def _surrogate_matrices(p, pulse, label, config):
                 f"converge: Chebyshev tail {tail:.3g} > rtol "
                 f"{config.rtol:.3g} at {degree + 1} nodes")
         degree *= 2
-    fit = SurrogateFit(label, degree + 1, tail)
+    defect = np.abs(values.conj().swapaxes(1, 2) @ values
+                    - np.eye(values.shape[1]))
+    fit = SurrogateFit(label, degree + 1, tail, float(defect.max()))
     return _barycentric(nodes, values, p), fit
 
 
@@ -386,9 +352,10 @@ def t_scan(config, t_grid):
     splitter at the quadrature nodes p and the final one at p + gT, and
     one mirror surrogate serves p + gT/2.  Each is refined until its
     interpolation error is held below config.rtol, the solver tolerance
-    (see _surrogate_matrices), and its node count and final tail are
-    recorded in FringeScan.surrogates.  Free-propagation phases always
-    use exact momenta.
+    (see _surrogate_matrices), and its node count, final tail and
+    unitarity defect are recorded in FringeScan.surrogates.
+    Free-propagation phases always use exact momenta.  Each T composes
+    the splitter columns of input port 0 only.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
@@ -398,18 +365,18 @@ def t_scan(config, t_grid):
     wp = config.source
     p_nodes, weights = wp.momentum_quadrature(config.n_nodes)
     n = p_nodes.size
-    resolved = config.detection == "resolved"
+    d = 2 * config.n_max + 1
 
     if config.ideal_pulses:
         fits = ()
-        b1 = np.broadcast_to(ideal_bs_matrix(), (n, 5, 5))
-        b1_cols = np.ascontiguousarray(b1[:, :, 0])
-        mirror_all = np.broadcast_to(ideal_mirror_matrix(),
-                                     (t_grid.size, n, 5, 5))
-        b3_all = np.broadcast_to(ideal_bs_matrix(), (t_grid.size, n, 5, 5))
+        bs = ideal_bs_matrix(config.n_max)
+        b1 = np.broadcast_to(bs[:, :1], (n, d, 1))
+        mirror_all = np.broadcast_to(
+            _detected(config, ideal_mirror_matrix(config.n_max)),
+            (t_grid.size, n, d, d))
+        b3_all = np.broadcast_to(bs, (t_grid.size, n, d, d))
     else:
         strat = config.strategy
-        d = 2 * config.n_max + 1
         p2_all = (p_nodes[None, :] + 0.5 * g * t_grid[:, None]).ravel()
         p3_all = (p_nodes[None, :] + g * t_grid[:, None]).ravel()
         bs_all, bs_fit = _surrogate_matrices(
@@ -417,18 +384,15 @@ def t_scan(config, t_grid):
         mirror_all, mirror_fit = _surrogate_matrices(
             p2_all, strat.mirror, "mirror", config)
         fits = (bs_fit, mirror_fit)
-        b1_cols = np.ascontiguousarray(bs_all[:n, :, 0])
+        b1 = bs_all[:n, :, :1]
         b3_all = bs_all[n:].reshape(t_grid.size, n, d, d)
-        mirror_all = mirror_all.reshape(t_grid.size, n, d, d)
+        mirror_all = _detected(config,
+                               mirror_all.reshape(t_grid.size, n, d, d))
 
     out = np.empty((t_grid.size, 3))
     for i, T in enumerate(t_grid):
-        u1 = _free_phases(p_nodes, g, T, config.n_max)
-        u2 = _free_phases(p_nodes + 0.5 * g * T, g, T, config.n_max)
-        amps = _compose_columns(b1_cols, u1, mirror_all[i], u2, b3_all[i],
-                                resolved)
-        pops = np.abs(amps) ** 2
-        out[i] = weights @ pops[:, :3]
+        amps = _compose(config, b1, mirror_all[i], b3_all[i], p_nodes, T)
+        out[i] = weights @ (np.abs(amps[..., 0]) ** 2)[:, :3]
     return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config, fits)
 
 

@@ -55,34 +55,30 @@ class LevelBasis:
         offs = np.repeat(4 * n * n, 2)
         return self.p**2 + np.concatenate(([0.0], offs))
 
-    def labels(self):
-        out = ["p"]
-        for n in range(1, self.n_max + 1):
-            out += [f"{n},+", f"{n},-"]
-        return out
-
-
-@dataclass(frozen=True)
-class MultiLevelState:
-    basis: LevelBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.basis.dimension,):
-            raise ValueError("amplitude vector does not match basis size")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self):
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 @dataclass(frozen=True)
 class PulseEfficiency:
-    kind: str  # beam_splitter | mirror_plus | mirror_minus
+    kind: str  # a key of EFFICIENCY_ELEMENTS
     value: float
     p: float
     epsilon: float
+
+
+# Efficiency kind -> the bare-basis (output, input) elements whose
+# squared moduli sum to its transfer F.  Mirror momenta are deviations
+# from the +-2 hbar k_L carrier.
+EFFICIENCY_ELEMENTS = {
+    "beam_splitter": ((1, 0), (2, 0)),  # |p> -> |p+2> or |p-2>
+    "mirror_plus": ((2, 1),),           # |p+2> -> |p-2>
+    "mirror_minus": ((1, 2),),          # |p-2> -> |p+2>
+}
+
+
+def transfer_efficiency(u, kind):
+    """F of one efficiency kind from bare-basis pulse matrices (..., d, d)."""
+    if kind not in EFFICIENCY_ELEMENTS:
+        raise ValueError(f"unknown efficiency kind {kind!r}")
+    return sum(np.abs(u[..., i, j]) ** 2 for i, j in EFFICIENCY_ELEMENTS[kind])
 
 
 def kinetic_offsets(n_max):
@@ -240,28 +236,6 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     return u_s[0] if scalar_in else u_s
 
 
-def evolve_pulse(state, envelope, protocol, epsilon=0.0,
-                 rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Drive a MultiLevelState through one pulse (symmetric basis in/out)."""
-    u = propagate_unitaries(state.basis.p, envelope, protocol, epsilon,
-                            n_max=state.basis.n_max, rtol=rtol, atol=atol,
-                            basis="symmetric")
-    return MultiLevelState(state.basis, u @ state.amplitudes)
-
-
-def bare_momentum_populations(state):
-    """Map {p + 2k : probability} from a symmetric-basis state."""
-    v = bare_transform(state.basis.n_max)
-    bare = v @ state.amplitudes
-    probs = np.abs(bare) ** 2
-    ports = {0: probs[0]}
-    for n in range(1, state.basis.n_max + 1):
-        ports[n] = probs[2 * n - 1]
-        ports[-n] = probs[2 * n]
-    p = state.basis.p
-    return {p + 2 * k: float(val) for k, val in sorted(ports.items())}
-
-
 def bs_transfer(p, envelope, protocol, epsilon=0.0, n_max=2, **kw):
     """(P_plus, P_minus): populations of |p+-2> after a pulse on |p>.
 
@@ -278,9 +252,10 @@ def bs_transfer(p, envelope, protocol, epsilon=0.0, n_max=2, **kw):
 
 def bs_efficiency(p, envelope, protocol, epsilon=0.0, n_max=2, **kw):
     """F_BS(p) = P(|p> -> |p+2>) + P(|p> -> |p-2>)."""
-    pp, pm = bs_transfer(p, envelope, protocol, epsilon, n_max=n_max, **kw)
-    return PulseEfficiency("beam_splitter", float(pp + pm), float(p),
-                           float(epsilon))
+    u = propagate_unitaries(p, envelope, protocol, epsilon, n_max=n_max, **kw)
+    return PulseEfficiency("beam_splitter",
+                           float(transfer_efficiency(u, "beam_splitter")),
+                           float(p), float(epsilon))
 
 
 def mirror_efficiency(p, envelope, protocol, epsilon=0.0, direction="plus",
@@ -290,36 +265,24 @@ def mirror_efficiency(p, envelope, protocol, epsilon=0.0, direction="plus",
     direction 'plus':  F_M+(p) = P(|p+2> -> |p-2>)
     direction 'minus': F_M-(p) = P(|p-2> -> |p+2>)
     """
-    u = propagate_unitaries(p, envelope, protocol, epsilon, n_max=n_max, **kw)
-    if direction == "plus":
-        val = abs(u[2, 1]) ** 2
-        kind = "mirror_plus"
-    elif direction == "minus":
-        val = abs(u[1, 2]) ** 2
-        kind = "mirror_minus"
-    else:
+    kind = f"mirror_{direction}"
+    if kind not in EFFICIENCY_ELEMENTS:
         raise ValueError(f"unknown mirror direction {direction!r}")
-    return PulseEfficiency(kind, float(val), float(p), float(epsilon))
+    u = propagate_unitaries(p, envelope, protocol, epsilon, n_max=n_max, **kw)
+    return PulseEfficiency(kind, float(transfer_efficiency(u, kind)),
+                           float(p), float(epsilon))
 
 
 def integrated_efficiency(packet, kind, envelope, protocol, epsilon=0.0,
                           n_max=2, n_nodes=64, **kw):
     """eta = integral |psi(p)|**2 F(p) dp over the packet support.
 
-    kind 'beam_splitter' uses F_BS; 'mirror_plus'/'mirror_minus' use the
-    mirror transfer with p measured relative to the +-2 carrier.
+    kind is a key of EFFICIENCY_ELEMENTS; mirror kinds measure p relative
+    to the +-2 carrier.
     """
     p, w = packet.momentum_quadrature(n_nodes)
     u = propagate_unitaries(p, envelope, protocol, epsilon, n_max=n_max, **kw)
-    if kind == "beam_splitter":
-        f = np.abs(u[:, 1, 0]) ** 2 + np.abs(u[:, 2, 0]) ** 2
-    elif kind == "mirror_plus":
-        f = np.abs(u[:, 2, 1]) ** 2
-    elif kind == "mirror_minus":
-        f = np.abs(u[:, 1, 2]) ** 2
-    else:
-        raise ValueError(f"unknown efficiency kind {kind!r}")
-    return float(np.sum(w * f))
+    return float(np.sum(w * transfer_efficiency(u, kind)))
 
 
 _CELL_ERRORS = (BoundViolation,) + NUMERICAL_ERRORS
@@ -342,24 +305,13 @@ def efficiency_landscape(p_values, eps_values, kind, envelope, protocol,
         try:
             u = propagate_unitaries(p_values, envelope, protocol, eps,
                                     n_max=n_max, **kw)
-            for i in range(p_values.size):
-                out[i, j] = _landscape_cell(u, i, kind)
+            out[:, j] = transfer_efficiency(u, kind)
         except _CELL_ERRORS:  # batch failed; retry cells one at a time
             for i, p in enumerate(p_values):
                 try:
                     u1 = propagate_unitaries(float(p), envelope, protocol,
                                              eps, n_max=n_max, **kw)
-                    out[i, j] = _landscape_cell(u1[None], 0, kind)
+                    out[i, j] = transfer_efficiency(u1, kind)
                 except _CELL_ERRORS as exc:
                     errors[(i, j)] = str(exc)
     return out, errors
-
-
-def _landscape_cell(u, i, kind):
-    if kind == "beam_splitter":
-        return abs(u[i, 1, 0]) ** 2 + abs(u[i, 2, 0]) ** 2
-    if kind == "mirror_plus":
-        return abs(u[i, 2, 1]) ** 2
-    if kind == "mirror_minus":
-        return abs(u[i, 1, 2]) ** 2
-    raise ValueError(f"unknown efficiency kind {kind!r}")

@@ -21,7 +21,8 @@ from importlib import resources
 import numpy as np
 from scipy.optimize import minimize
 
-from .multilevel import propagate_unitaries
+from .multilevel import (integrated_efficiency, propagate_unitaries,
+                         transfer_efficiency)
 from .units import (ConstantDetuning, GaussianWavePacket, KnotDetuning,
                     LinearDetuning, PulseEnvelope)
 
@@ -142,8 +143,8 @@ def mirror_cost(candidate, momentum_samples, n_max=2, rtol=1e-9, atol=1e-11):
         raise ValueError("sample set must be non-empty")
     u = propagate_unitaries(p, env, protocol, 0.0, n_max=n_max,
                             rtol=rtol, atol=atol)
-    f_plus = np.abs(u[:, 2, 1]) ** 2
-    f_minus = np.abs(u[:, 1, 2]) ** 2
+    f_plus = transfer_efficiency(u, "mirror_plus")
+    f_minus = transfer_efficiency(u, "mirror_minus")
     return float(np.mean(np.abs(1.0 - f_plus) + np.abs(1.0 - f_minus)))
 
 
@@ -245,10 +246,11 @@ def optimize(problem, seed=0):
 
     A structured prescan (constant and ramped knot profiles plus random
     draws and any warm starts) ranks cheap single evaluations; the best
-    few become Nelder-Mead starting points.  Every cost evaluation is
-    charged against the budget, and running out simply truncates the
-    polish: the result is flagged `budget_exhausted` and carries the
-    best candidate seen.
+    few become Nelder-Mead starting points, and a tight-tolerance simplex
+    touches up the winner.  Every cost evaluation is charged against the
+    budget.  When the budget skips the polish or cuts any stage short,
+    the result is flagged `budget_exhausted` and carries the best
+    candidate seen.
     """
     rng = np.random.default_rng(seed)
     times = np.asarray(problem.knot_times, dtype=float)
@@ -317,14 +319,16 @@ def optimize(problem, seed=0):
 
     scored.sort(key=lambda sc: sc[0])
     n_polish = min(4, len(scored))
-    reserve = 150  # final tight-tolerance touch-up
-    remaining = max(0, problem.budget - tracker.used - reserve)
-    per_start = remaining // n_polish if n_polish else 0
+    touch_up = 150  # final tight-tolerance simplex, at most
+    # The touch-up keeps at most half of what the prescan left, and never
+    # so much that the polish gets fewer than 10 evaluations per start.
+    left = problem.budget - tracker.used
+    reserve = max(0, min(touch_up, left // 2, left - 10 * n_polish))
+    per_start = (left - reserve) // n_polish if n_polish else 0
+    polish_skipped = per_start < 10
 
     try:
-        for rank in range(n_polish):
-            if per_start < 10:
-                break
+        for rank in range(0 if polish_skipped else n_polish):
             minimize(lambda x: evaluate(x, problem.rtol), scored[rank][1],
                      method="Nelder-Mead",
                      options=dict(maxfev=per_start, xatol=1e-4, fatol=1e-7))
@@ -337,7 +341,7 @@ def optimize(problem, seed=0):
         try:
             minimize(lambda x: evaluate(x, min(problem.rtol, 1e-8)),
                      tracker.best_x, method="Nelder-Mead",
-                     options=dict(maxfev=reserve, xatol=1e-5, fatol=1e-9))
+                     options=dict(maxfev=touch_up, xatol=1e-5, fatol=1e-9))
         except _OutOfBudget:
             pass
 
@@ -346,7 +350,7 @@ def optimize(problem, seed=0):
     env, protocol = build(tracker.best_x)
     return OptimizationResult(env, protocol, tracker.best_cost,
                               tuple(tracker.history), tracker.used,
-                              seed, tracker.exhausted)
+                              seed, tracker.exhausted or polish_skipped)
 
 
 # --- knot table persistence ------------------------------------------
@@ -410,7 +414,6 @@ def oct_mirror_problem(budget=5000, delta_max=4.0, n_knots=8,
 def integrated_mirror_efficiency(candidate, sigma_p=0.05, n_nodes=64,
                                  n_max=2, rtol=1e-9):
     """Packet-averaged mirror transfer for a candidate (env, protocol)."""
-    from .multilevel import integrated_efficiency
     packet = GaussianWavePacket(0.0, sigma_p)
     return integrated_efficiency(packet, "mirror_plus", candidate[0],
                                  candidate[1], n_max=n_max, rtol=rtol,

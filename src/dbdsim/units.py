@@ -187,22 +187,6 @@ class KnotDetuning:
 DetuningProtocol = ConstantDetuning | LinearDetuning | KnotDetuning
 
 
-def fixed_rate_sweep(width, center=0.0, bound=DEFAULT_DETUNING_BOUND):
-    """The fixed-rate sweep Delta(t) = (t - t0 + tau) / (2.5 tau).
-
-    Zero at the leading 1-sigma point t0 - tau; alpha = beta = 0.4 in the
-    linear-sweep parameterization.
-    """
-    return LinearDetuning(alpha=0.4, beta=0.4, width=width, center=center,
-                          bound=bound)
-
-
-def doppler_sweep_2024(width, center=0.0, bound=DEFAULT_DETUNING_BOUND):
-    """Named preset Delta(t) = (t - t0 + 0.9 tau) / (5 tau)."""
-    return LinearDetuning(alpha=0.2, beta=0.18, width=width, center=center,
-                          bound=bound)
-
-
 @dataclass(frozen=True)
 class GaussianWavePacket:
     """Momentum-space Gaussian amplitude around p0 with width sigma_p.
@@ -257,8 +241,3 @@ class PolarizationError:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-
-    @classmethod
-    def from_waveplate_angle(cls, theta):
-        """epsilon = |cos(2 (pi/4 + theta))| for a waveplate offset theta."""
-        return cls(abs(math.cos(2 * (math.pi / 4 + theta))))

@@ -117,6 +117,7 @@ class TestTscan:
         for pulse in ("splitter", "mirror"):
             assert int(a.provenance[f"{pulse}_nodes"]) >= 65
             assert 0.0 <= float(a.provenance[f"{pulse}_tail"]) <= 1e-9
+            assert 0.0 < float(a.provenance[f"{pulse}_unitarity"]) <= 1e-7
         ideal = ResultTable.read(str(run(tmp_path, "tscan", IDEAL_TSCAN)[1]))
         assert "splitter_nodes" not in ideal.provenance
 
@@ -154,6 +155,20 @@ class TestContrastSweep:
         a = ResultTable.read(str(serial))
         b = ResultTable.read(str(pooled))
         assert a.equal_payload(b)
+
+    def test_solved_strategies_cross_the_pool(self, tmp_path, monkeypatch):
+        # oct_hybrid's mirror carries a KnotDetuning spline to the workers
+        solved = SWEEP.replace("strategies = ideal",
+                               "strategies = ds_dbd, oct_hybrid\nn_nodes = 8")
+        code, serial = run(tmp_path, "contrast-sweep", solved, name="serial")
+        assert code == 0
+        monkeypatch.setenv("DBD_SIM_WORKERS", "2")
+        code, pooled = run(tmp_path, "contrast-sweep", solved, name="pooled")
+        assert code == 0
+        a = ResultTable.read(str(serial))
+        assert a.columns == ("sigma_p", "contrast_ds_dbd",
+                             "contrast_oct_hybrid")
+        assert a.equal_payload(ResultTable.read(str(pooled)))
 
     def test_unknown_axis(self, tmp_path):
         code, _ = run(tmp_path, "contrast-sweep",

@@ -13,13 +13,12 @@ from dbdsim.interferometer import (
     extract_contrast,
     fit_fringe,
     fluctuation_robustness,
-    free_propagator,
+    free_phases,
     ideal_bs_matrix,
     ideal_mirror_matrix,
     oracle_fringe,
     port_offsets,
     port_populations,
-    pulse_s_matrix,
     semiclassical_phase,
     three_path_amplitudes,
     t_scan,
@@ -45,12 +44,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(detection="velocity_map")
 
-    def test_wide_ladder_restrictions(self):
-        with pytest.raises(ValueError):
-            make_config(n_max=3, detection="resolved")
-        with pytest.raises(ValueError):
-            make_config(n_max=3, ideal_pulses=True)
-        make_config(n_max=3)  # plain unresolved mode is fine
+    def test_wide_ladder_accepts_every_mode(self):
+        assert make_config(n_max=3, detection="resolved").n_max == 3
+        assert make_config(n_max=3, ideal_pulses=True).ideal_pulses
 
     def test_negative_time(self):
         with pytest.raises(ValueError):
@@ -79,6 +75,13 @@ class TestIdealMatrices:
         assert m[2, 1] == -1j
         assert m[1, 1] == 0.0
 
+    def test_identity_on_outer_orders(self):
+        for make in (ideal_bs_matrix, ideal_mirror_matrix):
+            wide = make(3)
+            assert np.array_equal(wide[:5, :5], make())
+            assert np.array_equal(wide[5:, :], np.eye(7)[5:, :])
+            assert np.array_equal(wide[:, 5:], np.eye(7)[:, 5:])
+
 
 class TestFreePropagation:
     def test_port_offsets(self):
@@ -88,16 +91,18 @@ class TestFreePropagation:
 
     def test_diagonal_phases(self):
         p, g, T = 0.04, 0.001, 12.0
-        u = free_propagator(p, g, T)
+        u = free_phases(p, g, T)
         q = p + 2.0
         expected = np.exp(-1j * (T * q**2 + 0.5 * g * T**2 * q))
-        assert u[1, 1] == pytest.approx(expected, abs=1e-14)
-        assert np.count_nonzero(u - np.diag(np.diag(u))) == 0
+        assert u[1] == pytest.approx(expected, abs=1e-14)
+        batch = free_phases(np.array([[p, 0.0]]), g, T)
+        assert batch.shape == (1, 2, 5)
+        assert np.array_equal(batch[0, 0], u)
 
     def test_wider_ladder_shape(self):
-        u = free_propagator(0.0, 0.0, 5.0, n_max=3)
-        assert u.shape == (7, 7)
-        assert np.allclose(np.abs(np.diag(u)), 1.0)
+        u = free_phases(0.0, 0.0, 5.0, n_max=3)
+        assert u.shape == (7,)
+        assert np.allclose(np.abs(u), 1.0)
 
 
 class TestComposition:
@@ -135,10 +140,22 @@ class TestComposition:
         assert s.shape == (7, 7)
         assert np.sum(np.abs(s[:, 0]) ** 2) == pytest.approx(1.0, abs=1e-6)
 
-    def test_pulse_s_matrix_wraps_solver(self):
-        sm = pulse_s_matrix(0.03, builtin_strategy("c_dbd").bs)
-        assert sm.p == 0.03
-        assert sm.unitarity_defect() < 1e-7
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_resolved_keeps_reversal_pairs(self, n_max):
+        # the reversal pairs (after-splitter, after-mirror) spelled out
+        pairs = [(0, 0)] + [(k + s, k + 1 - s) for k in range(1, 2 * n_max, 2)
+                            for s in (0, 1)]
+        uni = unitary_group(dim=2 * n_max + 1, seed=7)
+        b1, m, b3 = uni.rvs(), uni.rvs(), uni.rvs()
+        p, g, T = 0.03, 0.001, 20.0
+        cfg = make_config(g=g, n_max=n_max, detection="resolved",
+                          source=GaussianWavePacket(0.0, 0.01))
+        s = total_s_matrix(cfg, p, T=T, matrices=(b1, m, b3))
+        u1 = free_phases(p, g, T, n_max)
+        u2 = free_phases(p + 0.5 * g * T, g, T, n_max)
+        direct = sum(np.outer(b3[:, l] * u2[l], b1[k, :]) * m[l, k] * u1[k]
+                     for k, l in pairs)
+        assert np.max(np.abs(s - direct)) < 1e-14
 
 
 class TestThreePaths:
@@ -193,6 +210,14 @@ class TestScans:
         assert np.max(np.abs(scan.p_sum - 0.5 * (1 - np.cos(x)))) < 1e-10
         assert extract_contrast(scan).contrast == pytest.approx(1.0,
                                                                 abs=1e-6)
+
+    @pytest.mark.parametrize("detection", ["unresolved", "resolved"])
+    def test_ideal_wide_ladder_fringe(self, detection):
+        cfg = make_config(ideal_pulses=True, n_max=3, detection=detection)
+        t = default_t_grid(G_SMALL)
+        scan = t_scan(cfg, t)
+        x = semiclassical_phase(G_SMALL, t)
+        assert np.max(np.abs(scan.p_sum - 0.5 * (1 - np.cos(x)))) < 1e-10
 
     def test_plane_wave_populations(self):
         cfg = make_config(T=20.0)
@@ -249,6 +274,16 @@ class TestSurrogates:
         scan = t_scan(cfg, np.array([T]))
         assert abs(scan.p_sum[0] - direct_p_sum(cfg, T)) < 1e-7
 
+    def test_resolved_wide_ladder_scan(self):
+        # the extra orders shift the resolved fringe only slightly
+        g = 2 * G_SMALL
+        t = default_t_grid(g)[::10]
+        cfg = make_config(strategy=builtin_strategy("ds_dbd"), g=g,
+                          detection="resolved", n_nodes=24)
+        narrow = t_scan(cfg, t)
+        wide = t_scan(make_config(**{**cfg.__dict__, "n_max": 3}), t)
+        assert np.max(np.abs(wide.p_sum - narrow.p_sum)) < 1e-3
+
     def test_result_independent_of_scan_composition(self):
         cfg = make_config(strategy=builtin_strategy("oct_hybrid"),
                           source=GaussianWavePacket(0.0, 0.132), n_nodes=16)
@@ -267,6 +302,7 @@ class TestSurrogates:
         for fit in scan.surrogates:
             assert fit.nodes >= interferometer._FIRST_DEGREE + 1
             assert 0.0 <= fit.tail <= scan.config.rtol
+            assert 0.0 < fit.unitarity <= 100 * scan.config.rtol
 
     def test_unconverged_surrogate_raises(self, monkeypatch):
         monkeypatch.setattr(interferometer, "_FIRST_DEGREE", 8)

@@ -6,14 +6,11 @@ from dbdsim import multilevel
 from dbdsim.exceptions import BoundViolation
 from dbdsim.multilevel import (
     LevelBasis,
-    MultiLevelState,
-    bare_momentum_populations,
     bare_transform,
     bs_efficiency,
     bs_transfer,
     build_hamiltonian,
     efficiency_landscape,
-    evolve_pulse,
     integrated_efficiency,
     kinetic_offsets,
     mirror_efficiency,
@@ -48,13 +45,6 @@ class TestBasis:
             LevelBasis(0)
         with pytest.raises(ValueError):
             LevelBasis(2, 1.0)
-
-    def test_labels(self):
-        assert LevelBasis(2).labels() == ["p", "1,+", "1,-", "2,+", "2,-"]
-
-    def test_state_shape_check(self):
-        with pytest.raises(ValueError):
-            MultiLevelState(LevelBasis(2), np.zeros(3))
 
 
 class TestBareTransform:
@@ -195,21 +185,6 @@ class TestPropagation:
         sweep = LinearDetuning(40.0, 0.0, width=0.5)  # reaches +-20
         with pytest.raises(BoundViolation):
             propagate_unitaries(0.0, box(1.0, 0.5), sweep)
-
-
-class TestEvolveAndPorts:
-    def test_norm_preserved(self):
-        state = MultiLevelState(LevelBasis(2, 0.1), [1, 0, 0, 0, 0])
-        out = evolve_pulse(state, PulseEnvelope("gaussian", 2.0, 0.47), FLAT)
-        assert abs(out.norm() - 1.0) <= 1e-9
-
-    def test_port_map_keys_and_total(self):
-        state = MultiLevelState(LevelBasis(2, 0.1), [1, 0, 0, 0, 0])
-        out = evolve_pulse(state, box(2.0, 0.6), FLAT)
-        ports = bare_momentum_populations(out)
-        assert sorted(ports) == sorted(
-            [0.1 - 4, 0.1 - 2, 0.1, 0.1 + 2, 0.1 + 4])
-        assert sum(ports.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEfficiencies:

@@ -1,0 +1,38 @@
+"""The benchmark's traced run wraps module-level names of the package.
+
+perfbench/layers.py installs its wrappers through `owner.__dict__[attr]`,
+so renaming or removing one of those names breaks only the traced
+benchmark run.  This test installs the same tracer around a small scan.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from dbdsim import interferometer
+from dbdsim.strategies import builtin_strategy
+from dbdsim.units import GaussianWavePacket
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_tracer_wraps_a_scan():
+    config = interferometer.MzConfig(
+        strategy=builtin_strategy("ds_dbd"), g=0.000357,
+        source=GaussianWavePacket(0.0, 0.05), n_nodes=8)
+    t_grid = interferometer.default_t_grid(config.g)[::25]
+    with load_tracer()() as tracer:
+        scan = interferometer.t_scan(config, t_grid)
+    assert np.all(np.isfinite(scan.p_sum))
+    assert tracer.count["multilevel.propagate.calls"] > 0
+    assert tracer.count["pairs"] == t_grid.size * config.n_nodes
+    # leaving the tracer puts the package's own functions back
+    assert "wrapper" not in interferometer.t_scan.__qualname__

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dbdsim import strategies
 from dbdsim.exceptions import BoundViolation
 from dbdsim.strategies import (
     BS_OMEGA,
@@ -168,6 +169,27 @@ class TestOptimizer:
         res = optimize(tiny_bs_problem(
             envelope_bounds={"peak": (1.5, 2.5)}), seed=0)
         assert 1.5 <= res.envelope.peak <= 2.5
+
+    def test_budget_300_polishes_and_flags_truthfully(self, monkeypatch):
+        # a cheap quadratic in the knot values stands in for the solver
+        target = np.sin(np.arange(8.0))
+        rtols = []
+
+        def quadratic(candidate, momentum_samples, n_max=2, rtol=1e-9,
+                      atol=1e-11):
+            rtols.append(rtol)
+            return float(np.sum((candidate[1].values - target) ** 2))
+
+        monkeypatch.setattr(strategies, "mirror_cost", quadratic)
+        problem = oct_mirror_problem(budget=300)
+        res = optimize(problem, seed=0)
+        prescan = 81 + 300 // 8
+        polish = [r for r in rtols[prescan:] if r == problem.rtol]
+        assert len(polish) >= 4 * 10
+        assert res.evaluations_used == len(rtols)
+        # the touch-up runs into the budget, and the flag says so
+        assert res.evaluations_used == 300
+        assert res.budget_exhausted
 
 
 class TestKnotTables:

@@ -13,8 +13,6 @@ from dbdsim.units import (
     PolarizationError,
     PulseEnvelope,
     carrier_factor,
-    doppler_sweep_2024,
-    fixed_rate_sweep,
 )
 
 
@@ -102,16 +100,6 @@ class TestProtocols:
         lo = prot.evaluate(0.0)
         hi = prot.evaluate(7.68)
         assert abs(lo) <= 16 and abs(hi) <= 16
-
-    def test_eq_sweep_builder(self):
-        prot = fixed_rate_sweep(width=5.64, center=2.82)
-        assert prot.alpha == pytest.approx(0.4)
-        assert prot.beta == pytest.approx(0.4)
-
-    def test_2024_sweep_builder(self):
-        prot = doppler_sweep_2024(width=5.64, center=2.82)
-        assert prot.alpha == pytest.approx(0.2)
-        assert prot.beta == pytest.approx(0.18)
 
     def test_knot_protocol_interpolates(self):
         times = (0.0, 1.0, 2.0)
