@@ -23,6 +23,7 @@ from .grid import (
     apply_port_projector,
     free_propagate_analytic,
     momentum_histogram,
+    node_wavepacket,
     prepare_wavepacket,
     split_step_pulse,
 )

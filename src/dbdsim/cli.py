@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -151,14 +152,15 @@ def _tls_transfer(env, protocol, epsilon):
     return traj.final.population(1)
 
 
-def _grid_bs_cell(job):
-    """Grid-oracle splitter efficiency for one (envelope, protocol) cell."""
-    env, protocol, epsilon, sigma_p, p0 = job
-    spec = grid_mod.GridSpec()
-    state = grid_mod.prepare_wavepacket(spec, GaussianWavePacket(p0, sigma_p))
+def _oracle_pulse(env, protocol, epsilon, packet, n_nodes,
+                  mirror_input=False):
+    """Grid-oracle port histogram about packet.p0 after one pulse on the
+    packet's quadrature nodes; a mirror input starts in port +1."""
+    state = grid_mod.node_wavepacket(grid_mod.GridSpec(), packet, n_nodes)
+    if mirror_input:
+        state = replace(state, q=state.q + 2.0)
     state = grid_mod.split_step_pulse(state, env, protocol, epsilon)
-    hist = grid_mod.momentum_histogram(state, p0)
-    return hist.populations[1] + hist.populations[-1]
+    return grid_mod.momentum_histogram(state, packet.p0)
 
 
 def _cmd_efficiency_scan(cfg, args, seed, workers):
@@ -209,13 +211,15 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
     if model == "grid_oracle":
         if kind != "bs":
             raise ConfigError("kind: grid_oracle landscapes support bs only")
-        sigma_p = cfg.get_float("source.sigma_p", 0.01)
-        jobs = [(env, prot, epsilon, sigma_p, p0) for env, prot in cells]
+        packet = GaussianWavePacket(p0, cfg.get_float("source.sigma_p", 0.01))
+        # 64 nodes, as integrated_efficiency uses for model = multilevel
+        jobs = (*zip(*cells), repeat(epsilon), repeat(packet), repeat(64))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                effs = list(pool.map(_grid_bs_cell, jobs))
+                hists = list(pool.map(_oracle_pulse, *jobs))
         else:
-            effs = [_grid_bs_cell(job) for job in jobs]
+            hists = list(map(_oracle_pulse, *jobs))
+        effs = [h.populations[1] + h.populations[-1] for h in hists]
     elif model == "tls":
         if kind != "bs":
             raise ConfigError("kind: the two-level model reports transfer "
@@ -407,13 +411,8 @@ def _pulse_compare(cfg, epsilon, mirror_input):
     col = 1 if mirror_input else 0
     model_ports = weights @ (np.abs(mats[:, :, col]) ** 2)
 
-    spec = grid_mod.GridSpec()
-    state = grid_mod.prepare_wavepacket(spec, packet)
-    if mirror_input:
-        state = grid_mod.GridState(spec, state.field, state.time,
-                                   state.p_offset + 2.0)
-    state = grid_mod.split_step_pulse(state, env, protocol, epsilon)
-    hist = grid_mod.momentum_histogram(state, p0)
+    hist = _oracle_pulse(env, protocol, epsilon, packet, nodes.size,
+                         mirror_input)
     oracle_ports = [hist.populations[round(off / 2)]
                     for off in itf.port_offsets(2)]
     return model_ports[:5], oracle_ports, hist.residual

@@ -1,22 +1,21 @@
-"""Position-space split-step solver, the in-repo ground truth.
+"""Lattice-ladder split-step solver, the in-repo ground truth.
 
-Evolves psi(z) under H = p^2 + 2 Omega(t) {cos[(4 + Delta(t)) t] + eps}
-cos(2 z) on a periodic grid with a second-order Strang splitting:
-kinetic half step (spectral), potential full step at the midpoint time,
-kinetic half step.  No basis truncation beyond the momentum cutoff of
-the grid itself, so this solver arbitrates every reduced model in the
-package.
+Evolves a packet under H = p^2 + 2 Omega(t) {cos[(4 + Delta(t)) t] + eps}
+cos(2 z) with a second-order Strang splitting: kinetic half step,
+potential full step at the midpoint time, kinetic half step.  No basis
+truncation beyond a momentum cutoff, so this solver arbitrates every
+reduced model in the package.
 
-Bloch decomposition: with L = cells * pi the lattice couples spectral
-bin j only to j +- cells (momentum +-2), so the grid is `cells` cyclic
-ladders of n_points / cells orders, stepped at once.  Keeping every
-order is exactly the full grid; there more than 1e-9 of the norm in the
-two outermost orders raises SpectralOverflow instead of wrapping around.
-
-Momentum bookkeeping: a GridState carries `p_offset`, and the physical
-momentum of spectral bin k is k + p_offset.  Free fall shifts the
-spectrum by g T / 2; folding that shift into the offset keeps it exact
-for arbitrary (non-bin-aligned) values and costs nothing.
+The lattice couples p only to p +- 2, so the exact dynamics is a set of
+independent ladders, one per quasi-momentum q, holding the momenta
+q + 2k.  A GridState is such a set: row r of `amp` carries the
+amplitudes of q[r] + 2k, orders k in the cyclic layout (0, 1, ..., -1)
+of GridSpec.orders, and sum |amp|^2 is the norm.  prepare_wavepacket
+fills one ladder per spectral bin class of a periodic box of length L
+(bins 2 pi / L apart); node_wavepacket puts one ladder on each
+Gauss-Legendre node of the packet.  Free fall shifts every q by g T / 2,
+exactly and at no cost.  More than 1e-9 of the norm in the two outermost
+orders raises SpectralOverflow instead of wrapping around.
 """
 
 from __future__ import annotations
@@ -28,13 +27,13 @@ import numpy as np
 from scipy import fft as sfft
 
 from .exceptions import EmptyState, ResolutionError, SpectralOverflow
-from .units import RESONANCE, carrier_factor
+from .units import carrier_factor
 
 MAX_PULSE_DT = 0.002
 _TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-9  # norm fractions: band-edge overflow, and what the
 _KEEP_TOL = 1e-20  # orders a pulse ladder leaves out may hold
-_FIRST_ORDERS = 16
+_FIRST_ORDERS = 32
 _EDGE_STRIDE = 8  # pulse steps between samples of the outermost orders
 
 
@@ -77,10 +76,6 @@ class GridSpec:
         return round(self.length / math.pi)
 
     @property
-    def dz(self):
-        return self.length / self.n_points
-
-    @property
     def dk(self):
         return _TWO_PI / self.length
 
@@ -88,49 +83,36 @@ class GridSpec:
     def k_cutoff(self):
         return math.pi * self.n_points / self.length
 
-    def z_grid(self):
-        return (np.arange(self.n_points) - self.n_points // 2) * self.dz
-
-    def k_grid(self):
-        """Spectral bins in FFT (unshifted) order."""
-        return _TWO_PI * sfft.fftfreq(self.n_points, d=self.dz)
+    @property
+    def orders(self):
+        """Ladder orders k in cyclic layout (0, 1, ..., -1)."""
+        m = self.n_points // self.cells
+        return sfft.fftfreq(m, 1.0 / m)
 
 
 @dataclass(frozen=True)
 class GridState:
+    """Lattice ladders: row r of amp holds momenta q[r] + 2 spec.orders."""
+
     spec: GridSpec
-    field: np.ndarray  # complex psi(z) relative to the offset carrier
+    q: np.ndarray
+    amp: np.ndarray
     time: float = 0.0
-    p_offset: float = 0.0
+
+    def momenta(self):
+        return self.q[:, None] + 2.0 * self.spec.orders
 
     def norm(self):
-        return float(np.sum(np.abs(self.field) ** 2) * self.spec.dz)
-
-    def spectrum(self):
-        """psi-tilde over k_grid(), with sum |.|^2 dk = sum |psi|^2 dz."""
-        return sfft.fft(self.field) * (self.spec.dz / math.sqrt(_TWO_PI))
-
-    def momentum_density(self):
-        """(p, |psi-tilde|^2) sorted by physical momentum."""
-        dens = np.abs(self.spectrum()) ** 2
-        p = self.spec.k_grid() + self.p_offset
-        order = np.argsort(p)
-        return p[order], dens[order]
+        return float(np.sum(np.abs(self.amp) ** 2))
 
     def momentum_centroid(self):
-        p, dens = self.momentum_density()
-        w = dens * self.spec.dk
-        return float(np.sum(w * p) / np.sum(w))
+        w = np.abs(self.amp) ** 2
+        return float(np.sum(w * self.momenta()) / np.sum(w))
 
     def momentum_variance(self):
-        p, dens = self.momentum_density()
-        w = dens * self.spec.dk
-        mean = np.sum(w * p) / np.sum(w)
-        return float(np.sum(w * (p - mean) ** 2) / np.sum(w))
-
-    def at_time(self, t):
-        """Same state with the clock set to t (pulses are clocked locally)."""
-        return replace(self, time=float(t))
+        w = np.abs(self.amp) ** 2
+        dev = self.momenta() - self.momentum_centroid()
+        return float(np.sum(w * dev**2) / np.sum(w))
 
 
 @dataclass(frozen=True)
@@ -150,24 +132,34 @@ class MomentumPortHistogram:
 def prepare_wavepacket(spec, wp):
     """Gaussian packet psi-tilde ~ exp(-(p - p0)^2 / (4 sigma_p^2)).
 
-    The spectrum is sampled directly on the grid bins and the state
-    normalized discretely.  The packet envelope must decay inside the
-    box, sigma_z = 1/(2 sigma_p) <= L/4; narrower momentum spreads wrap
-    around the periodic boundary.
+    The spectrum is sampled on the box's bins, one ladder per bin class
+    c at q = c dk, and normalized discretely.  The packet envelope must
+    decay inside the box, sigma_z = 1/(2 sigma_p) <= L/4; narrower
+    momentum spreads wrap around the periodic boundary.
     """
     if wp.sigma_p * spec.length < 2.0:
         raise ResolutionError(
             f"sigma_p={wp.sigma_p} packet does not fit a box of length "
             f"{spec.length:.4g}; need sigma_p >= {2.0 / spec.length:.4g}")
-    k = spec.k_grid()
-    spec_amp = np.exp(-((k - wp.p0) ** 2) / (4.0 * wp.sigma_p**2))
-    field = sfft.ifft(spec_amp.astype(complex))
-    field /= math.sqrt(np.sum(np.abs(field) ** 2) * spec.dz)
-    return GridState(spec, field, 0.0, 0.0)
+    q = np.arange(spec.cells) * spec.dk
+    p = q[:, None] + 2.0 * spec.orders
+    amp = np.exp(-((p - wp.p0) ** 2) / (4.0 * wp.sigma_p**2)) + 0j
+    return GridState(spec, q, amp / math.sqrt(np.sum(np.abs(amp) ** 2)))
 
 
-def split_step_pulse(state, env, protocol, epsilon=0.0, window=None,
-                     max_dt=MAX_PULSE_DT):
+def node_wavepacket(spec, wp, n_nodes):
+    """The packet on its n_nodes Gauss-Legendre momentum nodes.
+
+    Each node is a ladder holding sqrt(weight) in order 0, so port
+    populations are the quadrature the ladder model integrates with.
+    """
+    q, w = wp.momentum_quadrature(n_nodes)
+    amp = np.zeros((q.size, spec.orders.size), dtype=complex)
+    amp[:, 0] = np.sqrt(w)
+    return GridState(spec, q, amp)
+
+
+def split_step_pulse(state, env, protocol, epsilon=0.0, window=None):
     """Evolve through one pulse with Strang-split spectral stepping.
 
     The window defaults to the envelope support and the step count is
@@ -175,15 +167,16 @@ def split_step_pulse(state, env, protocol, epsilon=0.0, window=None,
     evaluated at each step's midpoint time.  Unconditionally stable and
     unitary to rounding.
 
-    All lattice ladders (see the module docstring) step at once on the
-    m orders around order 0, with batched length-m FFTs.  m doubles from
-    16 until the orders left out at the start and the two outermost kept
-    orders, sampled through the pulse, hold at most 1e-20 of the norm;
-    the orders left out come back empty.
+    All ladders step at once on the m orders around order 0, with
+    batched length-m FFTs.  m doubles from 32 until the orders left out
+    at the start and the two outermost kept orders, sampled through the
+    pulse, hold at most 1e-20 of the norm; the orders left out come back
+    empty.
     """
     spec = state.spec
-    if spec.dt > max_dt:
-        raise ValueError(f"spec.dt={spec.dt} exceeds the pulse cap {max_dt}")
+    if spec.dt > MAX_PULSE_DT:
+        raise ValueError(
+            f"spec.dt={spec.dt} exceeds the pulse cap {MAX_PULSE_DT}")
     t0, t1 = window if window is not None else env.support
     span = t1 - t0
     if span <= 0:
@@ -196,11 +189,9 @@ def split_step_pulse(state, env, protocol, epsilon=0.0, window=None,
     delta = protocol.evaluate(t_mid)  # bound check happens here
     coeff = 2.0 * om * (carrier_factor(t_mid, delta, 0.0) + epsilon)
 
-    # bin j = order * cells + class, viewed as (class, order)
-    f = sfft.fft(state.field).reshape(-1, spec.cells).T
-    p = (spec.k_grid() + state.p_offset).reshape(-1, spec.cells).T
+    f, p = state.amp, state.momenta()
     n_orders = f.shape[1]
-    total = float(np.sum(np.abs(f) ** 2))
+    total = state.norm()
     m = min(_FIRST_ORDERS, n_orders)
     while True:
         half = m // 2  # keep orders -half .. half - 1, in cyclic order
@@ -216,11 +207,11 @@ def split_step_pulse(state, env, protocol, epsilon=0.0, window=None,
             "significant amplitude at the spectral band edge during a pulse")
     f = np.zeros_like(f)
     f[:, kept] = a
-    return GridState(spec, sfft.ifft(f.T.ravel()), t1, state.p_offset)
+    return GridState(spec, state.q, f, t1)
 
 
 def _ladder_steps(a, p, coeff, h, stop):
-    """Strang steps on ladders a[class, cyclic order]; returns the result
+    """Strang steps on ladders a[row, cyclic order]; returns the result
     and the largest population of the two outermost orders, sampled every
     _EDGE_STRIDE steps, stopping early once that exceeds `stop`."""
     m = a.shape[1]
@@ -245,69 +236,58 @@ def _ladder_steps(a, p, coeff, h, stop):
 
 
 def momentum_histogram(state, p0=0.0, max_order=5):
-    """Port-resolved spectral probability around ladder center p0.
+    """Port-resolved probability around ladder center p0.
 
     Windows are unit half-width half-open intervals [p0+2k-1, p0+2k+1)
     for |k| <= max_order; they tile that band exactly, and `residual`
     collects everything outside it.
     """
-    dens = np.abs(state.spectrum()) ** 2 * state.spec.dk
-    pops = {port: float(np.sum(dens[_port_window(state, port, p0)]))
+    dens = np.abs(state.amp) ** 2
+    ports = _ports(state, p0)
+    pops = {port: float(np.sum(dens[ports == port]))
             for port in range(-max_order, max_order + 1)}
     return MomentumPortHistogram(pops,
                                  float(np.sum(dens)) - sum(pops.values()))
 
 
-def _port_window(state, port, p0):
-    """Mask of the bins in [p0 + 2 port - 1, p0 + 2 port + 1)."""
-    k = state.spec.k_grid() + state.p_offset
-    return (k >= p0 + 2 * port - 1.0) & (k < p0 + 2 * port + 1.0)
+def _ports(state, p0):
+    """Port k of every amplitude: momentum in [p0 + 2k - 1, p0 + 2k + 1)."""
+    return np.floor((state.momenta() - p0 + 1.0) / 2.0)
 
 
 def apply_port_projector(state, keep_ports, p0=0.0, renormalize=False):
-    """Zero spectral amplitude outside the kept port windows.
+    """Zero the amplitude outside the kept port windows.
 
     Returns (projected_state, removed_probability).  Without
     renormalization the output norm is 1 - removed, which deliberately
     breaks the unit-norm convention; detection on subnormalized branches
     is how path-restricted signals are assembled.
     """
-    mask = np.zeros(state.spec.n_points, dtype=bool)
-    for port in keep_ports:
-        mask |= _port_window(state, port, p0)
-    f = sfft.fft(state.field)
-    f[~mask] = 0.0
-    psi = sfft.ifft(f)
-    kept = float(np.sum(np.abs(psi) ** 2) * state.spec.dz)
+    amp = np.where(np.isin(_ports(state, p0), keep_ports), state.amp, 0.0)
+    kept = float(np.sum(np.abs(amp) ** 2))
     removed = state.norm() - kept
     if kept < 1e-14:
         raise EmptyState("projector removed all probability")
     if renormalize:
-        psi = psi / math.sqrt(kept)
-    return GridState(state.spec, psi, state.time, state.p_offset), removed
+        amp /= math.sqrt(kept)
+    return replace(state, amp=amp), removed
 
 
-def free_propagate_analytic(state, g, T, edge_fraction=0.05,
-                            edge_tol=_EDGE_TOL):
+def free_propagate_analytic(state, g, T):
     """Exact free fall: phase exp[-i(T p^2 + (g T^2/2) p)] per component
-    and a momentum shift g T / 2 absorbed into the offset.
+    and a shift g T / 2 of every quasi-momentum.
 
-    Raises SpectralOverflow if more than edge_tol probability sits in
-    the outer edge_fraction of the spectral band, where the periodic
-    spectrum stops being trustworthy.
+    Raises SpectralOverflow if more than 1e-9 of the norm sits in
+    the two outermost orders, where the ladder stops being trustworthy.
     """
     if T < 0:
         raise ValueError("propagation time must be non-negative")
-    k = state.spec.k_grid()
-    p = k + state.p_offset
-    f = sfft.fft(state.field)
-    dens = np.abs(f) ** 2
+    dens = np.abs(state.amp) ** 2
     total = np.sum(dens)
-    edge = np.abs(k) >= (1.0 - edge_fraction) * state.spec.k_cutoff
-    if total > 0 and float(np.sum(dens[edge]) / total) > edge_tol:
+    half = state.amp.shape[1] // 2
+    if total > 0 and np.sum(dens[:, half - 1:half + 1]) > _EDGE_TOL * total:
         raise SpectralOverflow(
             "significant amplitude at the spectral band edge")
-    f *= np.exp(-1j * (T * p**2 + 0.5 * g * T**2 * p))
-    psi = sfft.ifft(f)
-    return GridState(state.spec, psi, state.time + T,
-                     state.p_offset + 0.5 * g * T)
+    p = state.momenta()
+    amp = state.amp * np.exp(-1j * (T * p**2 + 0.5 * g * T**2 * p))
+    return GridState(state.spec, state.q + 0.5 * g * T, amp, state.time + T)

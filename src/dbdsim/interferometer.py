@@ -407,18 +407,19 @@ def default_t_grid(g, x_lo=0.05 * math.pi, x_hi=2.6 * math.pi,
 
 
 def _parabolic_refine(x, y, idx, sign):
-    """Vertex of the parabola through (idx-1, idx, idx+1); sign=+1 max."""
+    """Vertex of the parabola through points idx-1, idx, idx+1 of (x, y);
+    sign=+1 max.  x need not be uniform."""
     if idx == 0 or idx == len(x) - 1:
         return x[idx], y[idx]
     x0, x1, x2 = x[idx - 1:idx + 2]
     y0, y1, y2 = y[idx - 1:idx + 2]
-    denom = (y0 - 2 * y1 + y2)
-    if denom == 0 or sign * (y1 - y0) < 0 or sign * (y1 - y2) < 0:
+    d1 = (y1 - y0) / (x1 - x0)
+    curv = ((y2 - y1) / (x2 - x1) - d1) / (x2 - x0)
+    if curv == 0 or sign * (y1 - y0) < 0 or sign * (y1 - y2) < 0:
         return x1, y1
-    h = 0.5 * (x2 - x0) / 2
-    shift = 0.5 * (y0 - y2) / denom
-    xv = x1 + shift * h
-    yv = y1 - 0.125 * (y0 - y2) * shift
+    # Newton form y0 + d1 (x - x0) + curv (x - x0)(x - x1)
+    xv = 0.5 * (x0 + x1) - 0.5 * d1 / curv
+    yv = y0 + (xv - x0) * (d1 + curv * (xv - x1))
     return xv, yv
 
 
@@ -567,15 +568,18 @@ def _oracle_point(job):
 
 def oracle_fringe(config, t_grid, spec=None, keep_ports=(-1, 0, 1),
                   workers=1):
-    """Same interferometer on the position grid, no basis truncation.
+    """Same interferometer on lattice ladders, no basis truncation.
 
-    Pulses run with their local clocks over their envelope supports and
-    the inter-pulse separation is applied analytically, mirroring the
-    S-matrix bookkeeping so the two pipelines are comparable point by
-    point.  Resolved detection inserts the port projector before the
-    final splitter pulse, the momentum-space stand-in for an absorbing
-    slit.  T points are independent; with workers > 1 they run in a
-    process pool and are reassembled in grid order.
+    The packet starts on the model's own config.n_nodes quadrature nodes,
+    one ladder each (grid.node_wavepacket); spec sets the time step and
+    the order cap past which SpectralOverflow is raised.  Pulses run with
+    their local clocks over their envelope supports and the inter-pulse
+    separation is applied analytically, mirroring the S-matrix
+    bookkeeping so the two pipelines are comparable point by point.
+    Resolved detection inserts the port projector before the final
+    splitter pulse, the momentum-space stand-in for an absorbing slit.
+    T points are independent; with workers > 1 they run in a process
+    pool and are reassembled in grid order.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if spec is None:
@@ -585,7 +589,7 @@ def oracle_fringe(config, t_grid, spec=None, keep_ports=(-1, 0, 1),
     g = config.g
     slit = tuple(keep_ports) if config.detection == "resolved" else None
 
-    start = grid_mod.prepare_wavepacket(spec, wp)
+    start = grid_mod.node_wavepacket(spec, wp, config.n_nodes)
     after_bs1 = grid_mod.split_step_pulse(start, strat.bs[0], strat.bs[1],
                                           config.epsilon)
     jobs = [(after_bs1, strat, config.epsilon, g, float(T), slit, wp.p0)

@@ -107,32 +107,38 @@ def bare_transform(n_max):
 
 
 def build_hamiltonian(basis, t, envelope, protocol, epsilon=0.0):
-    """Full Schroedinger-picture matrix at time t, symmetric basis."""
-    d = basis.dimension
-    h = np.zeros((d, d))
+    """Full Schroedinger-picture matrix at time t, symmetric basis.
+
+    Assembled from _bands, the table propagate_unitaries integrates.
+    """
+    h = np.zeros((basis.dimension, basis.dimension))
     np.fill_diagonal(h, basis.kinetic_energies())
     omega = float(envelope.evaluate(t))
     delta = float(protocol.evaluate(t))
     c = float(carrier_factor(t, delta, epsilon))
-    h[0, 1] = h[1, 0] = np.sqrt(2.0) * omega * c
-    for n in range(1, basis.n_max):
-        for off in (0, 1):
-            i = 2 * n - 1 + off
-            h[i, i + 2] = h[i + 2, i] = omega * c
-    for n in range(1, basis.n_max + 1):
-        i = 2 * n - 1
-        h[i, i + 1] = h[i + 1, i] = 4.0 * n * basis.p
+    drive, doppler = _bands(basis.n_max)
+    for i, j, wgt, _ in drive:
+        h[i, j] = h[j, i] = wgt * omega * c
+    for i, j, rate in doppler:
+        h[i, j] = h[j, i] = rate * basis.p
     return h
 
 
-def _coupling_bands(n_max):
-    """(row, col, weight, phase_rate) for each upper-triangle coupling."""
-    bands = [(0, 1, np.sqrt(2.0), 4.0)]
+def _bands(n_max):
+    """Upper-triangle couplings of the symmetric basis.
+
+    drive holds (row, col, weight, phase_rate): the element is
+    weight * Omega C(t), and it turns at exp(-i phase_rate t) once the
+    kinetic offsets are removed.  doppler holds (row, col, rate): the
+    constant element rate * p between |n,+> and |n,->.
+    """
+    drive = [(0, 1, np.sqrt(2.0), 4.0)]
     for n in range(1, n_max):
         rate = 4.0 * (2 * n + 1)
-        bands.append((2 * n - 1, 2 * n + 1, 1.0, rate))
-        bands.append((2 * n, 2 * n + 2, 1.0, rate))
-    return bands
+        drive.append((2 * n - 1, 2 * n + 1, 1.0, rate))
+        drive.append((2 * n, 2 * n + 2, 1.0, rate))
+    doppler = [(2 * n - 1, 2 * n, 4.0 * n) for n in range(1, n_max + 1)]
+    return drive, doppler
 
 
 def _validate_protocol(protocol, window):
@@ -189,15 +195,13 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     if delta_override is None:
         _validate_protocol(protocol, (t0, t1))
 
-    bands = _coupling_bands(n_max)
+    bands, doppler = _bands(n_max)
     offsets = kinetic_offsets(n_max)
 
     # Constant Doppler couplings go into the work matrix once.
     a = np.zeros((nsys, d, d), dtype=complex)
-    for n in range(1, n_max + 1):
-        i = 2 * n - 1
-        a[:, i, i + 1] = 4.0 * n * p_arr
-        a[:, i + 1, i] = 4.0 * n * p_arr
+    for i, j, rate in doppler:
+        a[:, i, j] = a[:, j, i] = rate * p_arr
 
     def rhs(t, y):
         u = y.view(complex).reshape(nsys, d, d)

@@ -319,6 +319,20 @@ source.sigma_p = 0.05
         assert code == 2
         assert seen == []
 
+    def test_narrow_packet_on_quadrature_nodes(self, tmp_path):
+        # sigma_p = 0.005 is below the 2/L a box-sampled packet needs
+        config = """
+scenario = pulse
+strategy = ds_dbd
+pulse = mirror
+source.sigma_p = 0.005
+n_nodes = 16
+"""
+        code, out = run(tmp_path, "oracle-compare", config)
+        assert code == 0
+        table = ResultTable.read(str(out))
+        assert float(table.provenance["max_abs_diff"]) < 1e-2
+
     def test_pulse_reports_oracle_residual(self, tmp_path):
         config = """
 scenario = pulse

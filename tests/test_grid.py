@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from dbdsim.grid import (
     apply_port_projector,
     free_propagate_analytic,
     momentum_histogram,
+    node_wavepacket,
     prepare_wavepacket,
     split_step_pulse,
 )
+from dbdsim.strategies import builtin_strategy
 from dbdsim.units import (ConstantDetuning, GaussianWavePacket, PulseEnvelope,
                           carrier_factor)
 
@@ -22,38 +25,45 @@ SMALL = GridSpec(2048, 64.0 * math.pi, 0.001)
 
 
 def plane_wave(spec, k):
-    z = spec.z_grid()
-    field = np.exp(1j * k * z) / math.sqrt(spec.length)
-    return GridState(spec, field)
+    """Unit-norm plane wave on the spectral bin at momentum k."""
+    order, rest = divmod(k, 2.0)
+    amp = np.zeros((spec.cells, spec.orders.size), dtype=complex)
+    amp[round(rest / spec.dk), int(order)] = 1.0
+    return GridState(spec, np.arange(spec.cells) * spec.dk, amp)
 
 
 def full_grid_pulse(state, env, protocol, epsilon=0.0):
-    """Reference: Strang steps with full-size FFTs over the whole grid."""
+    """Reference: Strang steps with full-size FFTs over the whole grid.
+
+    state must hold one ladder per bin class (prepare_wavepacket or
+    plane_wave, possibly boosted); bin j = order * cells + class.
+    """
     spec = state.spec
+    n = spec.n_points
     t0, t1 = env.support
     n_steps = max(1, math.ceil((t1 - t0) / spec.dt))
     h = (t1 - t0) / n_steps
     t_mid = t0 + (np.arange(n_steps) + 0.5) * h
     coeff = 2.0 * env.evaluate(t_mid) * (
         carrier_factor(t_mid, protocol.evaluate(t_mid), 0.0) + epsilon)
-    p = spec.k_grid() + state.p_offset
+    p = state.momenta().T.ravel()
     kin_half = np.exp(-0.5j * p**2 * h)
     kin_full = kin_half * kin_half
-    cos2z = np.cos(2.0 * spec.z_grid())
-    psi = np.fft.ifft(np.fft.fft(state.field) * kin_half)
+    cos2z = np.cos(2.0 * (np.arange(n) - n // 2) * (spec.length / n))
+    psi = np.fft.ifft(state.amp.T.ravel() * kin_half)
     for j in range(n_steps):
         psi *= np.exp(-1j * (coeff[j] * h) * cos2z)
         if j < n_steps - 1:
             psi = np.fft.ifft(np.fft.fft(psi) * kin_full)
-    psi = np.fft.ifft(np.fft.fft(psi) * kin_half)
-    return GridState(spec, psi, t1, state.p_offset)
+    amp = (np.fft.fft(psi) * kin_half).reshape(-1, spec.cells).T
+    return GridState(spec, state.q, amp, t1)
 
 
 def assert_same_pulse(state, env, protocol, epsilon):
     out = split_step_pulse(state, env, protocol, epsilon)
     ref = full_grid_pulse(state, env, protocol, epsilon)
-    scale = np.max(np.abs(ref.field))
-    assert np.max(np.abs(out.field - ref.field)) <= 1e-10 * scale
+    scale = np.max(np.abs(ref.amp))
+    assert np.max(np.abs(out.amp - ref.amp)) <= 1e-10 * scale
     ports, ref_ports = momentum_histogram(out), momentum_histogram(ref)
     for k, value in ref_ports.populations.items():
         assert ports.populations[k] == pytest.approx(value, abs=1e-11)
@@ -87,13 +97,14 @@ class TestSpec:
             GridSpec(1024, 128.0 * math.pi)  # cutoff = 8
 
     def test_grids(self):
-        z = SMALL.z_grid()
-        assert z.size == 2048
-        assert z[1] - z[0] == pytest.approx(SMALL.dz)
-        assert abs(z[SMALL.n_points // 2]) < 1e-12
-        k = SMALL.k_grid()
-        assert k[0] == 0.0
-        assert k[1] == pytest.approx(SMALL.dk)
+        k = SMALL.orders
+        assert k.size == 32
+        assert list(k[:2]) == [0.0, 1.0] and list(k[-2:]) == [-2.0, -1.0]
+        assert k[16] == -16.0
+        state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
+        assert state.q.size == SMALL.cells
+        assert state.q[1] == pytest.approx(SMALL.dk)
+        assert state.momenta()[3, -1] == pytest.approx(3 * SMALL.dk - 2.0)
 
 
 class TestPreparation:
@@ -109,9 +120,33 @@ class TestPreparation:
 
     def test_offset_boost_relabels_ports(self):
         base = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
-        boosted = GridState(SMALL, base.field, base.time, base.p_offset + 2.0)
+        boosted = replace(base, q=base.q + 2.0)
         hist = momentum_histogram(boosted)
         assert hist.populations[1] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestNodePacket:
+    def test_norm_and_centroid_of_narrow_packet(self):
+        # narrower than prepare_wavepacket accepts for this box
+        state = node_wavepacket(SMALL, GaussianWavePacket(0.1, 0.005), 16)
+        assert state.q.size == 16
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert state.momentum_centroid() == pytest.approx(0.1, abs=1e-9)
+
+    @pytest.mark.parametrize("pulse", ["bs", "mirror"])
+    @pytest.mark.parametrize("name", ["ds_dbd", "c_dbd"])
+    def test_quadrature_converged(self, name, pulse):
+        # the oracle shares the model's nodes; doubling them changes nothing
+        env, protocol = getattr(builtin_strategy(name), pulse)
+        ports = []
+        for n_nodes in (64, 128):
+            state = node_wavepacket(GridSpec(), GaussianWavePacket(0.0, 0.05),
+                                    n_nodes)
+            if pulse == "mirror":
+                state = replace(state, q=state.q + 2.0)
+            hist = momentum_histogram(split_step_pulse(state, env, protocol))
+            ports.append([hist.populations[k] for k in range(-2, 3)])
+        assert np.max(np.abs(np.subtract(*ports))) <= 1e-10
 
 
 class TestHistogram:
@@ -169,7 +204,7 @@ class TestSplitStep:
         null = PulseEnvelope("box", 0.0, 0.5)
         via_pulse = split_step_pulse(state, null, FLAT)
         via_free = free_propagate_analytic(state, 0.0, 0.5)
-        assert np.max(np.abs(via_pulse.field - via_free.field)) < 1e-12
+        assert np.max(np.abs(via_pulse.amp - via_free.amp)) < 1e-12
 
     def test_symmetric_splitting_at_rest(self):
         state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
@@ -195,7 +230,6 @@ class TestSplitStep:
         state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
         out = split_step_pulse(state, PulseEnvelope("box", 1.0, 0.25), FLAT)
         assert out.time == pytest.approx(0.25)
-        assert out.at_time(0.0).time == 0.0
 
 
 class TestLadderKernel:
@@ -204,7 +238,7 @@ class TestLadderKernel:
     def test_matches_full_grid_loop(self, n_points, shape):
         spec = GridSpec(n_points, 64.0 * math.pi, 0.001)
         state = prepare_wavepacket(spec, GaussianWavePacket(0.02, 0.05))
-        boosted = GridState(spec, state.field, 0.0, 2.0)  # mirror input
+        boosted = replace(state, q=state.q + 2.0)  # mirror input
         env = PulseEnvelope(shape, 2.0, 0.47 if shape == "gaussian" else 0.4)
         assert_same_pulse(boosted, env, ConstantDetuning(0.3), 0.05)
 
@@ -217,10 +251,11 @@ class TestLadderKernel:
             return steps(a, *args)
 
         monkeypatch.setattr(grid_mod, "_ladder_steps", spy)
-        assert_same_pulse(plane_wave(SMALL, 20.0),
+        # order 20 lies outside the first 32 orders of a 64-order ladder
+        assert_same_pulse(plane_wave(GridSpec(4096, 64.0 * math.pi), 40.0),
                           PulseEnvelope("box", 1.0, 0.3),
                           ConstantDetuning(0.3), 0.05)
-        assert widths == [32]
+        assert widths == [64]
 
     def test_edge_population_overflows(self):
         spec = GridSpec(1024, 64.0 * math.pi, 0.001)
@@ -234,7 +269,7 @@ class TestFreeFall:
         state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
         g, T = 0.001, 30.0
         out = free_propagate_analytic(state, g, T)
-        assert out.p_offset == pytest.approx(0.5 * g * T)
+        assert out.q == pytest.approx(state.q + 0.5 * g * T)
         assert out.momentum_centroid() == pytest.approx(0.5 * g * T,
                                                         abs=1e-9)
         assert out.time == pytest.approx(T)

@@ -346,6 +346,23 @@ class TestContrast:
         assert 4.0 * G_SMALL * res.t_max**2 == pytest.approx(math.pi,
                                                              abs=1e-2)
 
+    def test_parabolic_vertex_on_nonuniform_grid(self):
+        x = np.array([1.0, 1.07, 1.3])
+        y = 0.5 - 2.0 * (x - 1.13) ** 2
+        xv, yv = interferometer._parabolic_refine(x, y, 1, +1)
+        assert abs(xv - 1.13) <= 1e-12 and abs(yv - 0.5) <= 1e-12
+
+    def test_off_grid_fringe_extrema(self):
+        # the grid is uniform in x but the crest falls between its points
+        cfg = make_config()
+        t = default_t_grid(G_SMALL)
+        x = 4.0 * G_SMALL * t**2
+        sig = 0.5 - 0.37 * np.cos(x - 0.3)
+        res = extract_contrast(FringeScan(t, 1.0 - sig, 0.5 * sig,
+                                          0.5 * sig, cfg))
+        assert abs(res.contrast - 0.74) <= 1e-6
+        assert abs(4.0 * G_SMALL * res.t_max**2 - (math.pi + 0.3)) <= 1e-4
+
     def test_fit_recovers_frequency(self):
         cfg = make_config(ideal_pulses=True)
         scan = t_scan(cfg, default_t_grid(G_SMALL))

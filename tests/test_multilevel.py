@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from dbdsim import multilevel
 from dbdsim.exceptions import BoundViolation
@@ -81,6 +82,29 @@ class TestHamiltonian:
         assert h[0, 2] == 0.0
         assert np.allclose(np.diag(h),
                            LevelBasis(2, 0.25).kinetic_energies())
+
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    @pytest.mark.parametrize("name,pulse", [("ds_dbd", "bs"),
+                                            ("oct_hybrid", "mirror")])
+    def test_solver_integrates_the_hamiltonian(self, name, pulse, n_max):
+        # propagate_unitaries drops the common phase exp(-i p^2 (t1 - t0))
+        env, protocol = getattr(builtin_strategy(name), pulse)
+        p, eps = 0.13, 0.05
+        basis = LevelBasis(n_max, p)
+        d = basis.dimension
+        t0, t1 = env.support
+
+        def rhs(t, y):
+            h = build_hamiltonian(basis, t, env, protocol, eps)
+            return (-1j * h @ y.reshape(d, d)).ravel()
+
+        sol = solve_ivp(rhs, (t0, t1), np.eye(d, dtype=complex).ravel(),
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        u_ref = sol.y[:, -1].reshape(d, d) * np.exp(1j * p**2 * (t1 - t0))
+        u = propagate_unitaries(p, env, protocol, eps, n_max=n_max,
+                                rtol=1e-12, atol=1e-14, basis="symmetric")
+        assert np.max(np.abs(u - u_ref)) <= 1e-8
 
 
 class TestPropagation:
