@@ -93,11 +93,7 @@ class ScenarioConfig:
         raw = self.get_str(key, default)
         if raw is default and key not in self.values:
             return default
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") \
-                from None
+        return _finite_floats(key, raw, [raw], "a finite number")[0]
 
     def get_int(self, key, default=_REQUIRED):
         raw = self.get_str(key, default)
@@ -127,11 +123,18 @@ class ScenarioConfig:
         parts = [p for p in str(raw).replace(",", " ").split() if p]
         if not parts:
             raise ConfigError(f"{key}: expected a list of numbers")
-        try:
-            return [float(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"{key}: expected numbers, got {raw!r}") \
-                from None
+        return _finite_floats(key, raw, parts, "finite numbers")
+
+
+def _finite_floats(key, raw, parts, expected):
+    """float() of each part; nan and inf are refused like non-numbers."""
+    try:
+        values = [float(p) for p in parts]
+    except (TypeError, ValueError):
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}")
+    return values
 
 
 class ResultTable:

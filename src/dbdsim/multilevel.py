@@ -25,8 +25,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .exceptions import NUMERICAL_ERRORS, BoundViolation, IntegratorFailure
-from .units import (GaussianWavePacket, PulseEnvelope, RESONANCE,
-                    carrier_factor)
+from .units import RESONANCE
+
+try:  # what np.einsum calls without `optimize`, minus about 3 us of wrapper
+    from numpy._core.einsumfunc import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -51,9 +55,7 @@ class LevelBasis:
 
     def kinetic_energies(self):
         """Diagonal kinetic energies p**2 + 4 n**2 in basis order."""
-        n = np.arange(1, self.n_max + 1)
-        offs = np.repeat(4 * n * n, 2)
-        return self.p**2 + np.concatenate(([0.0], offs))
+        return self.p**2 + kinetic_offsets(self.n_max)
 
 
 @dataclass(frozen=True)
@@ -93,16 +95,10 @@ def bare_transform(n_max):
     Bare ordering is {|p>, |p+2>, |p-2>, ..., |p+2n>, |p-2n>}; amplitudes
     map as a_bare = V a_sym.
     """
-    d = 2 * n_max + 1
-    v = np.zeros((d, d))
-    v[0, 0] = 1.0
+    v = np.eye(2 * n_max + 1)
     s = 1.0 / np.sqrt(2.0)
-    for n in range(1, n_max + 1):
-        i = 2 * n - 1
-        v[i, i] = s       # <p+2n|n,+>
-        v[i, i + 1] = s   # <p+2n|n,->
-        v[i + 1, i] = s
-        v[i + 1, i + 1] = -s
+    for i in range(1, 2 * n_max, 2):  # rows <p+2n|, <p-2n|; columns |n,+->
+        v[i:i + 2, i:i + 2] = [[s, s], [s, -s]]
     return v
 
 
@@ -113,9 +109,9 @@ def build_hamiltonian(basis, t, envelope, protocol, epsilon=0.0):
     """
     h = np.zeros((basis.dimension, basis.dimension))
     np.fill_diagonal(h, basis.kinetic_energies())
-    omega = float(envelope.evaluate(t))
-    delta = float(protocol.evaluate(t))
-    c = float(carrier_factor(t, delta, epsilon))
+    t = float(t)
+    omega = envelope.at(t)
+    c = np.cos((RESONANCE + protocol.at(t)) * t) + epsilon
     drive, doppler = _bands(basis.n_max)
     for i, j, wgt, _ in drive:
         h[i, j] = h[j, i] = wgt * omega * c
@@ -139,12 +135,6 @@ def _bands(n_max):
         drive.append((2 * n, 2 * n + 2, 1.0, rate))
     doppler = [(2 * n - 1, 2 * n, 4.0 * n) for n in range(1, n_max + 1)]
     return drive, doppler
-
-
-def _validate_protocol(protocol, window):
-    """Trip the protocol's bound check once over the pulse window."""
-    t = np.linspace(window[0], window[1], 257)
-    protocol.evaluate(t)
 
 
 def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
@@ -181,47 +171,52 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     (B, d, d) complex array, or (d, d) if p was scalar.
     """
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    scalar_in = np.isscalar(p) or np.ndim(p) == 0
     nsys = p_arr.size
     d = 2 * n_max + 1
-    eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (nsys,))
-    scale = None if peak_scale is None else \
-        np.broadcast_to(np.asarray(peak_scale, dtype=float), (nsys,))
-    if delta_override is not None:
-        delta_override = np.broadcast_to(
-            np.asarray(delta_override, dtype=float), (nsys,))
+    eps, scale, delta_override = (
+        x if x is None else np.broadcast_to(np.asarray(x, float), (nsys,))
+        for x in (epsilon, peak_scale, delta_override))
 
+    # One bound check over the window; non-finite values would hang DOP853.
     t0, t1 = window if window is not None else envelope.support
+    grid = np.linspace(t0, t1, 257)
+    given = [grid, envelope.evaluate(grid)]
     if delta_override is None:
-        _validate_protocol(protocol, (t0, t1))
+        given.append(protocol.evaluate(grid))
+    given += [x for x in (p_arr, eps, scale, delta_override) if x is not None]
+    if not all(np.isfinite(x).all() for x in given):
+        raise IntegratorFailure("non-finite momentum, epsilon or drive")
 
     bands, doppler = _bands(n_max)
     offsets = kinetic_offsets(n_max)
 
-    # Constant Doppler couplings go into the work matrix once.
+    # Constant Doppler couplings go into the work matrix once.  The drive
+    # entries, every band's upper element and then its mirror image, are
+    # written with one put() at flat indices fixed per solve.
     a = np.zeros((nsys, d, d), dtype=complex)
     for i, j, rate in doppler:
         a[:, i, j] = a[:, j, i] = rate * p_arr
+    flat = [i * d + j for i, j, *_ in bands]
+    flat += [j * d + i for i, j, *_ in bands]
+    slots = (np.arange(nsys)[:, None] * d * d + flat).ravel()
+    weights = np.array([w for _, _, w, _ in bands] * 2)
+    turn = -1j * np.array([rate for *_, rate in bands])
 
     def rhs(t, y):
-        u = y.view(complex).reshape(nsys, d, d)
-        om = envelope.evaluate(t)
+        t = float(t)
+        om = envelope.at(t)
         if scale is not None:
             om = om * scale
-        if delta_override is not None:
-            c = carrier_factor(t, delta_override, 0.0) + eps
-        else:
-            c = carrier_factor(t, protocol.evaluate(t, check=False), 0.0) + eps
-        drive = om * c
-        for (i, j, wgt, rate) in bands:
-            ph = np.exp(-1j * rate * t)
-            a[:, i, j] = wgt * drive * ph
-            a[:, j, i] = wgt * drive * np.conj(ph)
-        du = -1j * np.einsum("bij,bjk->bik", a, u)
+        delta = protocol.at(t) if delta_override is None else delta_override
+        drive = om * (np.cos((RESONANCE + delta) * t) + eps)
+        ph = np.exp(turn * t)
+        ph = np.concatenate((ph, ph.conj()))
+        a.put(slots, (drive[:, None] * weights) * ph)
+        u = y.view(complex).reshape(nsys, d, d)
+        du = -1j * _einsum("bij,bjk->bik", a, u)
         return du.reshape(-1).view(float)
 
-    y0 = np.broadcast_to(np.eye(d, dtype=complex), (nsys, d, d))
-    y0 = np.ascontiguousarray(y0).reshape(-1).view(float)
+    y0 = np.tile(np.eye(d, dtype=complex), (nsys, 1, 1)).ravel().view(float)
     # t_eval=[t1] keeps scipy from storing the state of every accepted step
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", t_eval=[t1],
                     rtol=rtol, atol=atol)
@@ -237,7 +232,7 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
         u_s = v @ u_s @ v.T
     elif basis != "symmetric":
         raise ValueError(f"unknown basis {basis!r}")
-    return u_s[0] if scalar_in else u_s
+    return u_s[0] if np.ndim(p) == 0 else u_s
 
 
 def bs_transfer(p, envelope, protocol, epsilon=0.0, n_max=2, **kw):
@@ -246,12 +241,8 @@ def bs_transfer(p, envelope, protocol, epsilon=0.0, n_max=2, **kw):
     Batched over p; returns arrays matching the input shape.
     """
     u = propagate_unitaries(p, envelope, protocol, epsilon, n_max=n_max, **kw)
-    u = u if u.ndim == 3 else u[None]
-    pp = np.abs(u[:, 1, 0]) ** 2
-    pm = np.abs(u[:, 2, 0]) ** 2
-    if np.ndim(p) == 0:
-        return float(pp[0]), float(pm[0])
-    return pp, pm
+    pp, pm = np.abs(u[..., 1, 0]) ** 2, np.abs(u[..., 2, 0]) ** 2
+    return (float(pp), float(pm)) if np.ndim(p) == 0 else (pp, pm)
 
 
 def bs_efficiency(p, envelope, protocol, epsilon=0.0, n_max=2, **kw):

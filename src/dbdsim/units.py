@@ -21,6 +21,7 @@ retro-reflected beams.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,11 @@ DEFAULT_DETUNING_BOUND = 4.0
 def carrier_factor(t, delta, epsilon=0.0):
     """Time-dependent drive factor C(t) = cos[(4 + Delta(t)) t] + epsilon."""
     return np.cos((RESONANCE + delta) * t) + epsilon
+
+
+def _require_finite(what, *values):
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,8 @@ class PulseEnvelope:
     def __post_init__(self):
         if self.shape not in ("gaussian", "box"):
             raise ValueError(f"unknown envelope shape {self.shape!r}")
+        _require_finite("envelope parameters", self.peak, self.width,
+                        self.center, *(self.support or ()))
         if self.peak < 0:
             raise ValueError("peak Rabi frequency must be non-negative")
         if self.width <= 0:
@@ -93,6 +101,17 @@ class PulseEnvelope:
             val = np.full_like(t, self.peak)
         return np.where(inside, val, 0.0)
 
+    def at(self, t):
+        """evaluate() at one float time, as a float, bit for bit."""
+        lo, hi = self.support
+        if not lo <= t <= hi:
+            return 0.0
+        if self.shape == "box":
+            on = self.center <= t <= self.center + self.width
+            return float(self.peak) if on else 0.0
+        return self.peak * np.exp(-((t - self.center) ** 2)
+                                  / (2 * self.width**2))
+
     def area(self):
         """Integral of Omega(t) over the full (untruncated) pulse."""
         if self.shape == "gaussian":
@@ -113,6 +132,7 @@ class ConstantDetuning:
     bound: float = DEFAULT_DETUNING_BOUND
 
     def __post_init__(self):
+        _require_finite("detuning", self.value)
         if abs(self.value) > self.bound:
             raise BoundViolation(
                 f"constant detuning {self.value} exceeds bound {self.bound}")
@@ -120,6 +140,9 @@ class ConstantDetuning:
     def evaluate(self, t, check=True):
         t = np.asarray(t, dtype=float)
         return np.full_like(t, self.value)
+
+    def at(self, t):
+        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -137,6 +160,10 @@ class LinearDetuning:
     center: float = 0.0
     bound: float = DEFAULT_DETUNING_BOUND
 
+    def __post_init__(self):
+        _require_finite("sweep parameters", self.alpha, self.beta,
+                        self.width, self.center)
+
     def evaluate(self, t, check=True):
         t = np.asarray(t, dtype=float)
         val = (self.alpha / self.width) * (t - self.center) + self.beta
@@ -145,6 +172,9 @@ class LinearDetuning:
             raise BoundViolation(
                 f"linear sweep reaches |Delta|={worst:.4g} > bound {self.bound}")
         return val
+
+    def at(self, t):
+        return (self.alpha / self.width) * (t - self.center) + self.beta
 
 
 @dataclass(frozen=True)
@@ -160,6 +190,7 @@ class KnotDetuning:
     values: tuple[float, ...]
     bound: float = DEFAULT_DETUNING_BOUND
     _spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _coeffs: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -168,6 +199,7 @@ class KnotDetuning:
             raise ValueError("knot times and values differ in length")
         if len(times) < 2:
             raise ValueError("need at least two knots")
+        _require_finite("knots", *times, *values)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("knot times must be strictly increasing")
         if any(abs(v) > self.bound for v in values):
@@ -177,10 +209,20 @@ class KnotDetuning:
         object.__setattr__(self, "values", values)
         spline = CubicSpline(times, values, bc_type="natural")
         object.__setattr__(self, "_spline", spline)
+        # per interval, the coefficients from the constant term up
+        object.__setattr__(self, "_coeffs", spline.c.T[:, ::-1].tolist())
 
     def evaluate(self, t, check=True):
         t = np.asarray(t, dtype=float)
         return np.clip(self._spline(t), -self.bound, self.bound)
+
+    def at(self, t):
+        """evaluate() at one float time, in scipy's PPoly operation order."""
+        i = min(max(bisect_right(self.times, t) - 1, 0), len(self.times) - 2)
+        s, res, z = t - self.times[i], 0.0, 1.0
+        for c in self._coeffs[i]:
+            res, z = res + c * z, z * s
+        return min(max(res, -self.bound), self.bound)
 
 
 # Any of the concrete protocol flavors above.

@@ -265,7 +265,7 @@ def test_07_solver_vs_grid_oracle():
     oracle_scan = itf.oracle_fringe(cfg, t_grid, spec=spec)
     mz_diff = float(np.max(np.abs(model_scan.p_sum - oracle_scan.p_sum)))
     clauses.append(_clause("full sequence", mz_diff <= 0.02,
-                           f"20 times, max |P_sum diff| {mz_diff:.3f} "
+                           f"20 times, max |P_sum diff| {mz_diff:.2e} "
                            "<= 0.02"))
     _finish(7, "grid-oracle agreement", clauses, t0)
 

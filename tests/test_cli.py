@@ -51,6 +51,13 @@ class TestExitCodes:
         code, _ = run(tmp_path, "tscan", IDEAL_TSCAN + "epsilon = 1.5\n")
         assert code == 2
 
+    def test_non_finite_number(self, tmp_path, capsys):
+        code, out = run(tmp_path, "tscan",
+                        IDEAL_TSCAN.replace("0.000357", "nan"))
+        assert code == 2
+        assert "g: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_time_grid(self, tmp_path):
         bad = IDEAL_TSCAN.replace("t.points = 41", "t.points = 1")
         code, _ = run(tmp_path, "tscan", bad)

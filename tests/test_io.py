@@ -75,6 +75,13 @@ class TestTypedGetters:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_text("v = a b").get_float_list("v")
 
+    def test_non_finite_numbers_refused(self):
+        for text in ("nan", "inf", "-inf", "1e400"):
+            with pytest.raises(ConfigError, match="finite"):
+                ScenarioConfig.from_text(f"x = {text}").get_float("x")
+            with pytest.raises(ConfigError, match="finite"):
+                ScenarioConfig.from_text(f"v = 0.1 {text}").get_float_list("v")
+
     def test_hash_ignores_order_not_values(self):
         a = ScenarioConfig.from_text("x = 1\ny = 2\n")
         b = ScenarioConfig.from_text("y = 2\nx = 1\n")

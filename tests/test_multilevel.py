@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from dbdsim import multilevel
-from dbdsim.exceptions import BoundViolation
+from dbdsim.exceptions import BoundViolation, IntegratorFailure
 from dbdsim.multilevel import (
     LevelBasis,
     bare_transform,
@@ -19,7 +19,7 @@ from dbdsim.multilevel import (
 )
 from dbdsim.strategies import builtin_strategy
 from dbdsim.units import (ConstantDetuning, GaussianWavePacket, LinearDetuning,
-                          PulseEnvelope)
+                          PulseEnvelope, carrier_factor)
 
 FLAT = ConstantDetuning(0.0)
 
@@ -209,6 +209,106 @@ class TestPropagation:
         sweep = LinearDetuning(40.0, 0.0, width=0.5)  # reaches +-20
         with pytest.raises(BoundViolation):
             propagate_unitaries(0.0, box(1.0, 0.5), sweep)
+
+
+def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
+                        rtol=1e-10, atol=1e-12, basis="bare",
+                        delta_override=None, peak_scale=None, window=None):
+    """propagate_unitaries with the array drive evaluation it replaced:
+    the rhs calls evaluate() and carrier_factor() on 0-d arrays and takes
+    one exp per band."""
+    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    nsys, d = p_arr.size, 2 * n_max + 1
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (nsys,))
+    scale = None if peak_scale is None else \
+        np.broadcast_to(np.asarray(peak_scale, dtype=float), (nsys,))
+    if delta_override is not None:
+        delta_override = np.broadcast_to(
+            np.asarray(delta_override, dtype=float), (nsys,))
+    t0, t1 = window if window is not None else envelope.support
+    bands, doppler = multilevel._bands(n_max)
+    a = np.zeros((nsys, d, d), dtype=complex)
+    for i, j, rate in doppler:
+        a[:, i, j] = a[:, j, i] = rate * p_arr
+
+    def rhs(t, y):
+        u = y.view(complex).reshape(nsys, d, d)
+        om = envelope.evaluate(t)
+        if scale is not None:
+            om = om * scale
+        if delta_override is not None:
+            c = carrier_factor(t, delta_override, 0.0) + eps
+        else:
+            c = carrier_factor(t, protocol.evaluate(t, check=False), 0.0) + eps
+        drive = om * c
+        for (i, j, wgt, rate) in bands:
+            ph = np.exp(-1j * rate * t)
+            a[:, i, j] = wgt * drive * ph
+            a[:, j, i] = wgt * drive * np.conj(ph)
+        du = -1j * np.einsum("bij,bjk->bik", a, u)
+        return du.reshape(-1).view(float)
+
+    y0 = np.ascontiguousarray(np.broadcast_to(np.eye(d, dtype=complex),
+                                              (nsys, d, d)))
+    sol = solve_ivp(rhs, (t0, t1), y0.reshape(-1).view(float),
+                    method="DOP853", t_eval=[t1], rtol=rtol, atol=atol)
+    u_int = sol.y[:, -1].copy().view(complex).reshape(nsys, d, d)
+    offsets = kinetic_offsets(n_max)
+    u_s = np.exp(-1j * offsets[:, None] * t1) * u_int \
+        * np.exp(1j * offsets[None, :] * t0)
+    if basis == "bare":
+        v = bare_transform(n_max)
+        u_s = v @ u_s @ v.T
+    return u_s[0] if np.ndim(p) == 0 else u_s
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("pulse", ["bs", "mirror"])
+@pytest.mark.parametrize("name", ["ds_dbd", "c_dbd", "oct_hybrid"])
+def test_scalar_drive_matches_the_array_reference(name, pulse, n_max):
+    env, protocol = getattr(builtin_strategy(name), pulse)
+    lo, hi = env.support
+    p = np.array([-0.17, 0.02, 0.11])
+    cases = [
+        dict(p=p, epsilon=np.array([0.0, 0.03, -0.02])),
+        dict(p=p, epsilon=0.01, peak_scale=np.array([0.95, 1.0, 1.07]),
+             delta_override=np.array([-0.3, 0.0, 0.25])),
+        dict(p=0.07, peak_scale=1.03,
+             window=(lo + 0.1 * (hi - lo), hi - 0.05 * (hi - lo))),
+    ]
+    for basis in ("bare", "symmetric"):
+        for kw in cases:
+            kw.update(envelope=env, protocol=protocol, n_max=n_max,
+                      basis=basis)
+            u = propagate_unitaries(rtol=1e-6, atol=1e-8, **kw)
+            ref = reference_unitaries(rtol=1e-6, atol=1e-8, **kw)
+            assert np.array_equal(u, ref), kw
+
+
+class TestNonFiniteDrive:
+    """NaN in the drive used to keep DOP853 stepping without end."""
+
+    def test_inputs(self):
+        env = box(2.0, 0.5)
+        for kw in (dict(p=[0.0, np.nan]), dict(epsilon=np.inf),
+                   dict(peak_scale=[1.0, np.nan]),
+                   dict(delta_override=np.nan)):
+            kw = {"p": [0.0, 0.1], **kw}
+            with pytest.raises(IntegratorFailure, match="non-finite"):
+                propagate_unitaries(envelope=env, protocol=FLAT, **kw)
+
+    def test_drive(self):
+        class NanEnvelope:
+            support = (0.0, 0.1)
+
+            def evaluate(self, t):
+                return np.full(np.shape(t), np.nan)
+
+            def at(self, t):
+                return np.nan
+
+        with pytest.raises(IntegratorFailure, match="non-finite"):
+            propagate_unitaries([0.0, 0.1], NanEnvelope(), FLAT)
 
 
 class TestEfficiencies:

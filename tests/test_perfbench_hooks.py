@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dbdsim import interferometer
+from dbdsim import interferometer, strategies
 from dbdsim.strategies import builtin_strategy
 from dbdsim.units import GaussianWavePacket
 
@@ -36,3 +36,14 @@ def test_tracer_wraps_a_scan():
     assert tracer.count["pairs"] == t_grid.size * config.n_nodes
     # leaving the tracer puts the package's own functions back
     assert "wrapper" not in interferometer.t_scan.__qualname__
+
+
+def test_tracer_counts_a_cost_evaluation():
+    # the traced pulse_design figures come from these two wrappers; a cost
+    # path that stops calling multilevel.solve_ivp would read nfev = 0
+    with load_tracer()() as tracer:
+        cost = strategies.mirror_cost(builtin_strategy("c_dbd").mirror,
+                                      (-0.1, 0.0, 0.1), rtol=1e-6, atol=1e-8)
+    assert np.isfinite(cost)
+    assert tracer.count["nfev"] > 0
+    assert tracer.count["strategies.cost.calls"] == 1

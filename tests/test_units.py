@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dbdsim.exceptions import BoundViolation
+from dbdsim.strategies import builtin_strategy
 from dbdsim.units import (
     ConstantDetuning,
     GaussianWavePacket,
@@ -151,3 +152,72 @@ def test_polarization_error_range():
         PolarizationError(-0.1)
     with pytest.raises(ValueError):
         PolarizationError(1.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PulseEnvelope("gaussian", math.nan, 0.5),
+    lambda: PulseEnvelope("box", 1.0, math.inf),
+    lambda: PulseEnvelope("gaussian", 1.0, 0.5, support=(0.0, math.nan)),
+    lambda: ConstantDetuning(math.nan),
+    lambda: LinearDetuning(math.nan, 0.0, 0.47),
+    lambda: KnotDetuning((0.0, 1.0), (0.0, math.nan)),
+])
+def test_constructors_refuse_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+class TestScalarEvaluation:
+    """`at(t)` is what the ladder solver calls at every step; it must
+    give evaluate(t) bit for bit at one float time."""
+
+    @staticmethod
+    def times(window, extra=()):
+        lo, hi = window
+        span = hi - lo
+        rng = np.random.default_rng(11)
+        return [lo, hi, lo - 0.2 * span, hi + 0.2 * span, *extra,
+                *rng.uniform(lo - 0.05 * span, hi + 0.05 * span, 1000)]
+
+    @staticmethod
+    def assert_bitwise(scalar, array, times):
+        for t in map(float, times):
+            assert np.float64(scalar(t)).tobytes() == \
+                np.float64(array(t)).tobytes(), t
+
+    @pytest.mark.parametrize("env", [
+        PulseEnvelope("gaussian", 2.0, 0.47),
+        PulseEnvelope("gaussian", 3.1, 0.9, 1.2, support=(0.0, 2.4)),
+        PulseEnvelope("box", 2.0, 1.1, 0.2),
+        PulseEnvelope("box", 1.5, 2.0, 0.0, support=(0.5, 3.0)),
+    ])
+    def test_envelopes(self, env):
+        edges = (env.center, env.center + env.width)
+        self.assert_bitwise(env.at, env.evaluate,
+                            self.times(env.support, edges))
+
+    @pytest.mark.parametrize("name,pulse", [
+        ("c_dbd", "bs"), ("cd_dbd", "bs"), ("ds_dbd", "bs"),
+        ("ds_dbd", "mirror"), ("oct_hybrid", "mirror")])
+    def test_builtin_protocols(self, name, pulse):
+        env, protocol = getattr(builtin_strategy(name), pulse)
+        knots = getattr(protocol, "times", ())
+        self.assert_bitwise(protocol.at,
+                            lambda t: protocol.evaluate(t, check=False),
+                            self.times(env.support, knots))
+
+    def test_clamped_spline(self):
+        # knots at the band edge make the spline overshoot, so the clamp
+        # is exercised as well as every interval and both extrapolations
+        rng = np.random.default_rng(3)
+        times = tuple(np.sort(rng.uniform(0.0, 3.0, 9)))
+        values = tuple(rng.choice([-4.0, 4.0, 0.0, 3.9], 9))
+        prot = KnotDetuning(times, values)
+        self.assert_bitwise(prot.at, prot.evaluate,
+                            self.times((0.0, 3.0), times))
+        assert prot.at(times[0] - 5.0) == prot.evaluate(times[0] - 5.0)
+
+    def test_linear_sweep_outside_its_band(self):
+        sweep = LinearDetuning(30.0, 0.2, 0.5)
+        self.assert_bitwise(sweep.at, lambda t: sweep.evaluate(t, False),
+                            self.times((-1.0, 1.0)))
