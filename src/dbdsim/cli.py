@@ -2,9 +2,9 @@
 
 Subcommands: efficiency-scan, tscan, contrast-sweep, fluctuation,
 optimize, oracle-compare.  Every command reads a flat key=value config
-(--config), writes one result table (--out) as CSV or JSON, and stamps
-provenance (command, version, seed, config hash, timestamp) into the
-output.
+(--config) and writes one result table (--out) as CSV or JSON.  Handlers
+return (table, extra provenance, exit code); main stamps the provenance
+(command, version, seed, config hash, extras, timestamp) and writes.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical
 failure, 4 optimizer budget exhausted (best-so-far still written).
@@ -55,11 +55,20 @@ def _epsilon_from(cfg):
     return value
 
 
-def _source_from(cfg):
-    p0 = cfg.get_float("source.p0", 0.0)
-    sigma_p = cfg.get_float("source.sigma_p")
+def _packet_from(cfg, default=None, **fixed):
+    """GaussianWavePacket(source.p0 or 0, source.sigma_p or default);
+    default None makes source.sigma_p required, and default 0 returns
+    the plane wave's p0 when it is unset.  fixed values stand in for
+    their keys, which are then not read.  The packet is config, so one
+    outside the first zone (OutOfZone) is a ConfigError."""
+    kw = {"p0": 0.0, "sigma_p": default, **fixed}
+    for key in ("p0", "sigma_p"):
+        if key not in fixed and (cfg.has(f"source.{key}") or kw[key] is None):
+            kw[key] = cfg.get_float(f"source.{key}")
+    if default == 0 and not cfg.has("source.sigma_p"):
+        return kw["p0"]
     try:
-        return GaussianWavePacket(p0, sigma_p)
+        return GaussianWavePacket(**kw)
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from None
 
@@ -70,7 +79,7 @@ def _mz_from_config(cfg, name=None, source=None):
     name, strat, ideal = _strategy_from(cfg, name)
     g = cfg.get_float("g")
     if source is None:
-        source = _source_from(cfg)
+        source = _packet_from(cfg)
     detection = cfg.get_str("detection", "unresolved",
                             choices=("unresolved", "resolved"))
     mz = itf.MzConfig(
@@ -81,7 +90,12 @@ def _mz_from_config(cfg, name=None, source=None):
     return name, mz
 
 
-def _t_grid_from(cfg, g):
+def _t_grid_from(cfg, g, points=None):
+    """t.min, t.max and t.points together, or the default grid; given a
+    default count points, t.points alone spaces over the default span."""
+    if points is not None and not (cfg.has("t.min") or cfg.has("t.max")):
+        full = itf.default_t_grid(g)
+        return np.linspace(full[0], full[-1], cfg.get_int("t.points", points))
     if not any(cfg.has(k) for k in ("t.min", "t.max", "t.points")):
         return itf.default_t_grid(g)
     lo = cfg.get_float("t.min")
@@ -93,49 +107,35 @@ def _t_grid_from(cfg, g):
     return np.linspace(lo, hi, n)
 
 
-def _envelope_from(cfg, prefix="pulse"):
-    shape = cfg.get_str(f"{prefix}.shape", "box",
-                        choices=("box", "gaussian"))
-    peak = cfg.get_float(f"{prefix}.omega")
-    width = cfg.get_float(f"{prefix}.tau")
-    center = cfg.get_float(f"{prefix}.center", 0.0)
+def _shape_from(cfg):
+    return cfg.get_str("pulse.shape", "box", choices=("box", "gaussian"))
+
+
+def _envelope_from(cfg):
+    peak = cfg.get_float("pulse.omega")
+    width = cfg.get_float("pulse.tau")
+    center = cfg.get_float("pulse.center", 0.0)
     if peak < 0 or width <= 0:
-        raise ConfigError(f"{prefix}.omega/{prefix}.tau: "
-                          "need omega >= 0 and tau > 0")
-    return PulseEnvelope(shape, peak, width, center)
+        raise ConfigError("pulse.omega/pulse.tau: need omega >= 0 and tau > 0")
+    return PulseEnvelope(_shape_from(cfg), peak, width, center)
+
+
+def _detuning_from(cfg):
+    return ConstantDetuning(cfg.get_float("pulse.delta", 0.0),
+                            cfg.get_float("pulse.delta_bound", 4.0))
 
 
 def _pulse_from(cfg):
-    """(envelope, protocol) either from a named strategy or pulse.* keys."""
-    if cfg.has("strategy"):
-        name, strat, ideal = _strategy_from(cfg)
-        if ideal:
-            raise ConfigError("strategy: ideal has no physical pulse here")
-        which = cfg.get_str("pulse", "bs", choices=("bs", "mirror"))
-        return strat.bs if which == "bs" else strat.mirror
-    env = _envelope_from(cfg)
-    delta = cfg.get_float("pulse.delta", 0.0)
-    bound = cfg.get_float("pulse.delta_bound", 4.0)
-    return env, ConstantDetuning(delta, bound)
+    """(envelope, protocol, mirror_input) of a named strategy's `pulse`
+    (bs or mirror; a mirror's input is port +1) or of the pulse.* keys."""
+    if not cfg.has("strategy"):
+        return _envelope_from(cfg), _detuning_from(cfg), False
+    _, strat, ideal = _strategy_from(cfg)
+    if ideal:
+        raise ConfigError("strategy: ideal has no physical pulse here")
+    which = cfg.get_str("pulse", "bs", choices=("bs", "mirror"))
+    return (*getattr(strat, which), which == "mirror")
 
-
-def _provenance(table, command, cfg, seed):
-    table.set_provenance("command", command)
-    table.set_provenance("version", __version__)
-    table.set_provenance("seed", seed)
-    table.set_provenance("config_hash", cfg.config_hash())
-
-
-def _finish(table, args, extra=None):
-    for key, value in (extra or {}).items():
-        table.set_provenance(key, value)
-    table.set_provenance(
-        "timestamp",
-        datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
-    table.write(args.out, args.format)
-
-
-# --- efficiency-scan -------------------------------------------------
 
 def _axis_from(cfg, prefix):
     lo = cfg.get_float(f"{prefix}.min")
@@ -147,10 +147,15 @@ def _axis_from(cfg, prefix):
     return np.linspace(lo, hi, n)
 
 
-def _tls_transfer(env, protocol, epsilon):
-    traj = tls.evolve_tls(tls.TlsState(1.0, 0.0), env, protocol, epsilon)
-    return traj.final.population(1)
+def _pool_map(fn, workers, items, *args):
+    """list(map(fn, items, *args)); pooled for workers > 1 and 2+ items."""
+    if workers > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, *args))
+    return list(map(fn, items, *args))
 
+
+# --- efficiency-scan -------------------------------------------------
 
 def _oracle_pulse(env, protocol, epsilon, packet, n_nodes,
                   mirror_input=False):
@@ -170,18 +175,17 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
                        choices=("tau_omega", "p_epsilon"))
     kind = cfg.get_str("kind", "bs",
                        choices=("bs", "mirror_plus", "mirror_minus"))
+    if model != "multilevel" and (scan, kind) != ("tau_omega", "bs"):
+        raise ConfigError(f"model: {model} scans take scan = tau_omega "
+                          "and kind = bs")
     full_kind = "beam_splitter" if kind == "bs" else kind
     epsilon = _epsilon_from(cfg)
     n_max = cfg.get_int("n_max", 2)
     rtol = cfg.get_float("rtol", 1e-9)
+    extra = {"model": model, "kind": kind}
 
     if scan == "p_epsilon":
-        if model != "multilevel":
-            raise ConfigError("scan: p_epsilon grids use model = multilevel")
-        env = _envelope_from(cfg)
-        delta = cfg.get_float("pulse.delta", 0.0)
-        protocol = ConstantDetuning(delta, cfg.get_float("pulse.delta_bound",
-                                                         4.0))
+        env, protocol = _envelope_from(cfg), _detuning_from(cfg)
         p_axis = _axis_from(cfg, "p")
         e_axis = _axis_from(cfg, "epsilon_axis")
         values, errors = multilevel.efficiency_landscape(
@@ -190,61 +194,38 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
         for i, p in enumerate(p_axis):
             for j, e in enumerate(e_axis):
                 table.append((p, e, values[i, j]))
-        _provenance(table, "efficiency-scan", cfg, seed)
-        _finish(table, args, {"model": model, "kind": kind,
-                              "failed_cells": str(len(errors))})
-        return 0
+        return table, {**extra, "failed_cells": str(len(errors))}, 0
 
-    tau_axis = _axis_from(cfg, "tau")
-    omega_axis = _axis_from(cfg, "omega")
-    shape = cfg.get_str("pulse.shape", "box", choices=("box", "gaussian"))
-    delta = cfg.get_float("pulse.delta", 0.0)
-    bound = cfg.get_float("pulse.delta_bound", 4.0)
-    p0 = cfg.get_float("source.p0", 0.0)
-
-    cells = []
-    for tau in tau_axis:
-        for omega in omega_axis:
-            env = PulseEnvelope(shape, float(omega), float(tau))
-            cells.append((env, ConstantDetuning(delta, bound)))
+    cells = [(tau, omega) for tau in _axis_from(cfg, "tau")
+             for omega in _axis_from(cfg, "omega")]
+    shape = _shape_from(cfg)
+    protocol = _detuning_from(cfg)
+    envs = [PulseEnvelope(shape, float(omega), float(tau))
+            for tau, omega in cells]
 
     if model == "grid_oracle":
-        if kind != "bs":
-            raise ConfigError("kind: grid_oracle landscapes support bs only")
-        packet = GaussianWavePacket(p0, cfg.get_float("source.sigma_p", 0.01))
+        packet = _packet_from(cfg, 0.01)
         # 64 nodes, as integrated_efficiency uses for model = multilevel
-        jobs = (*zip(*cells), repeat(epsilon), repeat(packet), repeat(64))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                hists = list(pool.map(_oracle_pulse, *jobs))
-        else:
-            hists = list(map(_oracle_pulse, *jobs))
+        hists = _pool_map(_oracle_pulse, workers, envs, repeat(protocol),
+                          repeat(epsilon), repeat(packet), repeat(64))
         effs = [h.populations[1] + h.populations[-1] for h in hists]
     elif model == "tls":
-        if kind != "bs":
-            raise ConfigError("kind: the two-level model reports transfer "
-                              "probability; use kind = bs")
-        effs = [_tls_transfer(env, prot, epsilon) for env, prot in cells]
-    elif cfg.has("source.sigma_p"):
-        packet = GaussianWavePacket(p0, cfg.get_float("source.sigma_p"))
-        effs = [multilevel.integrated_efficiency(
-            packet, full_kind, env, prot, epsilon=epsilon, n_max=n_max,
-            rtol=rtol, atol=rtol * 1e-2) for env, prot in cells]
-    else:
-        effs = [float(multilevel.transfer_efficiency(
+        effs = [tls.evolve_tls(tls.TlsState(1.0, 0.0), env, protocol,
+                               epsilon).final.population(1) for env in envs]
+    else:  # packet-averaged when source.sigma_p is set, else a plane wave
+        source = _packet_from(cfg, 0.0)
+        nodes, weights = (source.momentum_quadrature(64)
+                          if isinstance(source, GaussianWavePacket)
+                          else (source, 1.0))
+        effs = [float(np.sum(weights * multilevel.transfer_efficiency(
             multilevel.propagate_unitaries(
-                p0, env, prot, epsilon, n_max=n_max, rtol=rtol,
-                atol=rtol * 1e-2), full_kind)) for env, prot in cells]
+                nodes, env, protocol, epsilon, n_max=n_max, rtol=rtol,
+                atol=rtol * 1e-2), full_kind))) for env in envs]
 
     table = ResultTable(("tau", "omega", "efficiency"))
-    idx = 0
-    for tau in tau_axis:
-        for omega in omega_axis:
-            table.append((tau, omega, effs[idx]))
-            idx += 1
-    _provenance(table, "efficiency-scan", cfg, seed)
-    _finish(table, args, {"model": model, "kind": kind})
-    return 0
+    for cell, eff in zip(cells, effs):
+        table.append((*cell, eff))
+    return table, extra, 0
 
 
 # --- tscan -----------------------------------------------------------
@@ -253,10 +234,8 @@ def _cmd_tscan(cfg, args, seed, workers):
     name, mz = _mz_from_config(cfg)
     scan = itf.t_scan(mz, _t_grid_from(cfg, mz.g))
     table = ResultTable(("T", "P1", "P2", "P3", "P_sum"))
-    for i, T in enumerate(scan.t_grid):
-        table.append((T, scan.p1[i], scan.p2[i], scan.p3[i],
-                      scan.p_sum[i]))
-    _provenance(table, "tscan", cfg, seed)
+    for row in zip(scan.t_grid, scan.p1, scan.p2, scan.p3, scan.p_sum):
+        table.append(row)
     extra = {"strategy": name, "detection": mz.detection}
     for fit in scan.surrogates:
         extra.update({f"{fit.pulse}_nodes": fit.nodes,
@@ -268,8 +247,7 @@ def _cmd_tscan(cfg, args, seed, workers):
                      t_min=res.t_min)
     except NoExtremaFound:
         extra["contrast"] = float("nan")
-    _finish(table, args, extra)
-    return 0
+    return table, extra, 0
 
 
 # --- contrast-sweep --------------------------------------------------
@@ -285,36 +263,23 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
     for n in names:
         if n not in allowed:
             raise ConfigError(f"strategies: unknown strategy {n!r}")
-    source = {"p0": cfg.get_float("source.p0", 0.0),
-              "sigma_p": cfg.get_float("source.sigma_p", 0.05)}
-    if axis in source:  # the swept key's own setting is never used
-        source[axis] = values[0]
-    source = GaussianWavePacket(**source)
-    configs = {name: _mz_from_config(cfg, name, source)[1] for name in names}
+    # every swept packet up front; the swept key itself is never read
+    packets = [_packet_from(cfg, 0.05, **({} if axis == "epsilon"
+                                          else {axis: v})) for v in values]
+    configs = {name: _mz_from_config(cfg, name, packets[0])[1]
+               for name in names}
     t_grid = _t_grid_from(cfg, cfg.get_float("g"))
 
     # one contrast_sweep call per (value, strategy) cell, in table order
     cells = [configs[name] for _ in values for name in names]
     cell_values = [[v] for v in values for _ in names]
-    jobs = (cells, repeat(axis), cell_values, repeat(t_grid))
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            swept = list(pool.map(itf.contrast_sweep, *jobs))
-    else:
-        swept = list(map(itf.contrast_sweep, *jobs))
-    flat = [rows[0][1] for rows in swept]
-
+    swept = _pool_map(itf.contrast_sweep, workers, cells, repeat(axis),
+                      cell_values, repeat(t_grid))
     table = ResultTable((axis,) + tuple(f"contrast_{n}" for n in names))
-    k = 0
-    for v in values:
-        row = [float(v)]
-        for _ in names:
-            row.append(flat[k])
-            k += 1
-        table.append(row)
-    _provenance(table, "contrast-sweep", cfg, seed)
-    _finish(table, args, {"axis": axis})
-    return 0
+    for i, v in enumerate(values):
+        row = swept[i * len(names):(i + 1) * len(names)]
+        table.append([float(v)] + [rows[0][1] for rows in row])
+    return table, {"axis": axis}, 0
 
 
 # --- fluctuation -----------------------------------------------------
@@ -333,11 +298,9 @@ def _cmd_fluctuation(cfg, args, seed, workers):
     table = ResultTable(("shot", "contrast"))
     for i, c in enumerate(result.contrasts):
         table.append((i, c))
-    _provenance(table, "fluctuation", cfg, seed)
-    _finish(table, args, {"strategy": name, "sigma_r": sigma_r,
-                          "mean_contrast": result.mean,
-                          "std_contrast": result.std})
-    return 0
+    return table, {"strategy": name, "sigma_r": sigma_r,
+                   "mean_contrast": result.mean,
+                   "std_contrast": result.std}, 0
 
 
 # --- optimize --------------------------------------------------------
@@ -353,105 +316,74 @@ def _cmd_optimize(cfg, args, seed, workers):
     n_samples = cfg.get_int("n_samples", 17 if sampling == "uniform" else 25)
     if n_samples < 3:
         raise ConfigError("n_samples: need at least three momentum samples")
+    # the mirror serves a packet at rest; source.p0 is not read
+    sigma_p = _packet_from(cfg, 0.05, p0=0.0).sigma_p
     if sampling == "uniform":
         half = cfg.get_float("sample_halfwidth", 0.2)
         samples = tuple(np.linspace(-half, half, n_samples))
     else:
         from scipy.stats import norm
-        sigma_p = cfg.get_float("source.sigma_p", 0.05)
         samples = tuple(norm.ppf((np.arange(n_samples) + 0.5) / n_samples,
                                  scale=sigma_p))
-    try:
-        problem = strategies.oct_mirror_problem(
-            budget=budget,
-            delta_max=cfg.get_float("delta.max", 4.0),
-            n_knots=cfg.get_int("knots", 8),
-            momentum_samples=samples,
-            rtol=cfg.get_float("rtol", 1e-6))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
+    # a problem the optimizer refuses (ValueError) is exit 2 in main
+    problem = strategies.oct_mirror_problem(
+        budget=budget, delta_max=cfg.get_float("delta.max", 4.0),
+        n_knots=cfg.get_int("knots", 8), momentum_samples=samples,
+        rtol=cfg.get_float("rtol", 1e-6))
     result = strategies.optimize(problem, seed=seed)
     knots_out = cfg.get_str("knots.out", args.out + ".knots.txt")
     strategies.save_knot_table(knots_out, result.protocol,
                                strategy="oct_hybrid", seed=seed)
     eta = strategies.integrated_mirror_efficiency(
-        (result.envelope, result.protocol),
-        sigma_p=cfg.get_float("source.sigma_p", 0.05))
+        (result.envelope, result.protocol), sigma_p=sigma_p)
 
     table = ResultTable(("improvement", "best_cost"))
     for i, cost in enumerate(result.cost_history):
         table.append((i, cost))
-    _provenance(table, "optimize", cfg, seed)
-    _finish(table, args, {
+    return table, {
         "problem": problem_name, "sampling": sampling,
         "final_cost": result.cost,
         "evaluations_used": str(result.evaluations_used),
         "budget_exhausted": str(result.budget_exhausted).lower(),
         "integrated_mirror_efficiency": eta,
-        "knot_table": knots_out})
-    return 4 if result.budget_exhausted else 0
+        "knot_table": knots_out}, 4 if result.budget_exhausted else 0
 
 
 # --- oracle-compare --------------------------------------------------
 
-
-def _pulse_compare(cfg, epsilon, mirror_input):
-    env, protocol = _pulse_from(cfg)
-    p0 = cfg.get_float("source.p0", 0.0)
-    sigma_p = cfg.get_float("source.sigma_p", 0.01)
-    n_max = cfg.get_int("n_max", 2)
-    rtol = cfg.get_float("rtol", 1e-9)
-    packet = GaussianWavePacket(p0, sigma_p)
-
-    nodes, weights = packet.momentum_quadrature(cfg.get_int("n_nodes", 64))
-    mats = multilevel.propagate_unitaries(
-        nodes, env, protocol, epsilon, n_max=n_max, rtol=rtol,
-        atol=rtol * 1e-2, basis="bare")
-    col = 1 if mirror_input else 0
-    model_ports = weights @ (np.abs(mats[:, :, col]) ** 2)
-
-    hist = _oracle_pulse(env, protocol, epsilon, packet, nodes.size,
-                         mirror_input)
-    oracle_ports = [hist.populations[round(off / 2)]
-                    for off in itf.port_offsets(2)]
-    return model_ports[:5], oracle_ports, hist.residual
-
-
 def _cmd_oracle_compare(cfg, args, seed, workers):
     scenario = cfg.get_str("scenario", "pulse", choices=("pulse", "mz"))
-    extra = {"scenario": scenario}
-    epsilon = _epsilon_from(cfg)
-    if scenario == "pulse":
-        which = cfg.get_str("pulse", "bs", choices=("bs", "mirror")) \
-            if cfg.has("strategy") else "bs"
-        model_ports, oracle_ports, residual = _pulse_compare(
-            cfg, epsilon, mirror_input=(which == "mirror"))
-        table = ResultTable(("port", "model", "oracle", "abs_diff"))
-        for off, mv, ov in zip(itf.port_offsets(2), model_ports,
-                               oracle_ports):
-            table.append((off, mv, ov, abs(mv - ov)))
-        diffs = [abs(m - o) for m, o in zip(model_ports, oracle_ports)]
-        extra["oracle_residual"] = residual
-    else:
-        name, mz = _mz_from_config(cfg)
-        n_t = cfg.get_int("t.points", 20)
-        if cfg.has("t.min") or cfg.has("t.max"):
-            t_grid = _t_grid_from(cfg, mz.g)
-        else:
-            full = itf.default_t_grid(mz.g)
-            t_grid = np.linspace(full[0], full[-1], n_t)
-        scan = itf.t_scan(mz, t_grid)
-        oracle = itf.oracle_fringe(mz, t_grid, workers=workers)
+    if scenario == "mz":
+        _, mz = _mz_from_config(cfg)
+        t_grid = _t_grid_from(cfg, mz.g, points=20)
+        model = itf.t_scan(mz, t_grid).p_sum
+        oracle = itf.oracle_fringe(mz, t_grid, workers=workers).p_sum
+        diffs = np.abs(model - oracle)
         table = ResultTable(("T", "model_psum", "oracle_psum", "abs_diff"))
-        diffs = []
-        for i, T in enumerate(t_grid):
-            d = abs(scan.p_sum[i] - oracle.p_sum[i])
-            diffs.append(d)
-            table.append((T, scan.p_sum[i], oracle.p_sum[i], d))
-    _provenance(table, "oracle-compare", cfg, seed)
-    _finish(table, args, {**extra, "max_abs_diff": float(max(diffs))})
-    return 0
+        for row in zip(t_grid, model, oracle, diffs):
+            table.append(row)
+        return table, {"scenario": scenario,
+                       "max_abs_diff": float(max(diffs))}, 0
+
+    epsilon = _epsilon_from(cfg)
+    env, protocol, mirror_input = _pulse_from(cfg)
+    packet = _packet_from(cfg, 0.01)
+    rtol = cfg.get_float("rtol", 1e-9)
+    nodes, weights = packet.momentum_quadrature(cfg.get_int("n_nodes", 64))
+    mats = multilevel.propagate_unitaries(
+        nodes, env, protocol, epsilon, n_max=cfg.get_int("n_max", 2),
+        rtol=rtol, atol=rtol * 1e-2, basis="bare")
+    model = weights @ (np.abs(mats[:, :, int(mirror_input)]) ** 2)
+    hist = _oracle_pulse(env, protocol, epsilon, packet, nodes.size,
+                         mirror_input)
+    table = ResultTable(("port", "model", "oracle", "abs_diff"))
+    diffs = []
+    for off, mv in zip(itf.port_offsets(2), model):
+        ov = hist.populations[round(off / 2)]
+        diffs.append(abs(mv - ov))
+        table.append((off, mv, ov, diffs[-1]))
+    return table, {"scenario": scenario, "oracle_residual": hist.residual,
+                   "max_abs_diff": float(max(diffs))}, 0
 
 
 # --- entry point -----------------------------------------------------
@@ -487,17 +419,13 @@ def _parse_args(argv):
 
 def _resolve_workers(args):
     env = os.environ.get("DBD_SIM_WORKERS")
+    workers = 1 if args.workers is None else args.workers
     if env is not None:
         try:
             workers = int(env)
         except ValueError:
-            raise ConfigError(
-                f"DBD_SIM_WORKERS: expected an integer, got {env!r}") \
-                from None
-    elif args.workers is not None:
-        workers = args.workers
-    else:
-        workers = 1
+            raise ConfigError("DBD_SIM_WORKERS: expected an integer, "
+                              f"got {env!r}") from None
     if workers < 1:
         raise ConfigError("workers: must be at least 1")
     return workers
@@ -509,7 +437,15 @@ def main(argv=None):
         cfg = ScenarioConfig.from_file(args.config)
         seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
         workers = _resolve_workers(args)
-        return _HANDLERS[args.command](cfg, args, seed, workers)
+        table, extra, code = _HANDLERS[args.command](cfg, args, seed,
+                                                     workers)
+        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        for key, value in {"command": args.command, "version": __version__,
+                           "seed": seed, "config_hash": cfg.config_hash(),
+                           **extra, "timestamp": stamp}.items():
+            table.set_provenance(key, value)
+        table.write(args.out, args.format)
+        return code
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

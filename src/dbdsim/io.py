@@ -105,17 +105,6 @@ class ScenarioConfig:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") \
                 from None
 
-    def get_bool(self, key, default=_REQUIRED):
-        raw = self.get_str(key, default)
-        if raw is default and key not in self.values:
-            return default
-        lowered = str(raw).lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-
     def get_float_list(self, key, default=_REQUIRED):
         raw = self.get_str(key, default)
         if raw is default and key not in self.values:

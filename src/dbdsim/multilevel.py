@@ -139,7 +139,7 @@ def _bands(n_max):
 
 def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                         rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, basis="bare",
-                        delta_override=None, peak_scale=None, window=None):
+                        window=None):
     """Pulse propagators for a batch of quasi-momenta.
 
     Integrates the interaction-picture matrix equation dU/dt = -i Hbar U
@@ -157,12 +157,6 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     basis : {'bare', 'symmetric'}
         Bare ordering is {|p>, |p+2>, |p-2>, ...}; columns are evolved
         input states either way.
-    delta_override : (B,) array, optional
-        Per-system constant detuning replacing `protocol` (used by
-        detuning grid searches).
-    peak_scale : (B,) array, optional
-        Per-system multiplier on the envelope peak (used by fluctuation
-        sampling).
     window : (t0, t1), optional
         Integration window override; defaults to the envelope support.
 
@@ -173,17 +167,13 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     nsys = p_arr.size
     d = 2 * n_max + 1
-    eps, scale, delta_override = (
-        x if x is None else np.broadcast_to(np.asarray(x, float), (nsys,))
-        for x in (epsilon, peak_scale, delta_override))
+    eps = np.broadcast_to(np.asarray(epsilon, float), (nsys,))
 
     # One bound check over the window; non-finite values would hang DOP853.
     t0, t1 = window if window is not None else envelope.support
     grid = np.linspace(t0, t1, 257)
-    given = [grid, envelope.evaluate(grid)]
-    if delta_override is None:
-        given.append(protocol.evaluate(grid))
-    given += [x for x in (p_arr, eps, scale, delta_override) if x is not None]
+    given = (grid, envelope.evaluate(grid), protocol.evaluate(grid), p_arr,
+             eps)
     if not all(np.isfinite(x).all() for x in given):
         raise IntegratorFailure("non-finite momentum, epsilon or drive")
 
@@ -204,11 +194,8 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
 
     def rhs(t, y):
         t = float(t)
-        om = envelope.at(t)
-        if scale is not None:
-            om = om * scale
-        delta = protocol.at(t) if delta_override is None else delta_override
-        drive = om * (np.cos((RESONANCE + delta) * t) + eps)
+        drive = envelope.at(t) * (np.cos((RESONANCE + protocol.at(t)) * t)
+                                  + eps)
         ph = np.exp(turn * t)
         ph = np.concatenate((ph, ph.conj()))
         a.put(slots, (drive[:, None] * weights) * ph)

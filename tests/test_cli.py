@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dbdsim
 from dbdsim import interferometer
 from dbdsim.cli import main
 from dbdsim.io import ResultTable
@@ -355,3 +361,37 @@ n_nodes = 16
         assert abs(float(table.provenance["oracle_residual"])) < 1e-12
         # the mirror sends the boosted input from port +1 to port -1
         assert table.column("oracle")[2] > 0.9
+
+
+# |p0| + 6 sigma_p = 1.2: the packet itself leaves the first zone
+WIDE = "source.sigma_p = 0.2\n"
+OUT_OF_ZONE = {
+    "tscan": IDEAL_TSCAN.replace("source.sigma_p = 0.05\n", ""),
+    "fluctuation": FLUCTUATION.replace("source.sigma_p = 0.05\n", ""),
+    "contrast-sweep": SWEEP.replace("axis = sigma_p", "axis = epsilon")
+    .replace("values = 0.03 0.05", "values = 0 0.1"),
+    "efficiency-scan": TLS_SCAN.replace("model = tls", "model = multilevel"),
+    "optimize": "budget = 150\nknots = 4\nn_samples = 3\n",
+    "oracle-compare": "scenario = pulse\nstrategy = ds_dbd\n",
+}
+
+
+@pytest.mark.parametrize("command", OUT_OF_ZONE)
+def test_packet_outside_the_zone_is_a_config_error(tmp_path, capsys,
+                                                   command):
+    code, out = run(tmp_path, command, OUT_OF_ZONE[command] + WIDE)
+    assert code == 2
+    assert "source" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (out.parent / (out.name + ".knots.txt")).exists()
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes a third of a second or more to import, so only
+    # `optimize` with packet sampling imports it
+    src = str(Path(dbdsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = "import sys, dbdsim.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -62,14 +62,6 @@ class TestTypedGetters:
         with pytest.raises(ConfigError, match="integer"):
             self.cfg.get_int("g")
 
-    def test_bool(self):
-        assert self.cfg.get_bool("resolved") is False
-        for text, expected in (("yes", True), ("0", False), ("ON", True)):
-            cfg = ScenarioConfig.from_text(f"flag = {text}")
-            assert cfg.get_bool("flag") is expected
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_text("flag = maybe").get_bool("flag")
-
     def test_float_list(self):
         assert self.cfg.get_float_list("values") == [0.01, 0.05, 0.1]
         with pytest.raises(ConfigError):

@@ -168,19 +168,6 @@ class TestPropagation:
                                          atol=rtol * 1e-2)
             assert np.max(np.abs(single - batch[i])) <= 100 * rtol
 
-    def test_delta_override_matches_protocol(self):
-        u_prot = propagate_unitaries(0.1, box(2.0, 0.5),
-                                     ConstantDetuning(0.4))
-        u_over = propagate_unitaries(0.1, box(2.0, 0.5), None,
-                                     delta_override=0.4)
-        assert np.max(np.abs(u_prot - u_over)) < 1e-8
-
-    def test_peak_scale_matches_scaled_envelope(self):
-        env = box(2.0, 0.5)
-        u_scaled = propagate_unitaries(0.05, env.scaled(1.1), FLAT)
-        u_flag = propagate_unitaries(0.05, env, FLAT, peak_scale=1.1)
-        assert np.max(np.abs(u_scaled - u_flag)) < 1e-8
-
     def test_bare_basis_is_conjugated_symmetric(self):
         u_sym = propagate_unitaries(0.12, box(2.0, 0.5), FLAT,
                                     basis="symmetric")
@@ -212,19 +199,13 @@ class TestPropagation:
 
 
 def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
-                        rtol=1e-10, atol=1e-12, basis="bare",
-                        delta_override=None, peak_scale=None, window=None):
+                        rtol=1e-10, atol=1e-12, basis="bare", window=None):
     """propagate_unitaries with the array drive evaluation it replaced:
     the rhs calls evaluate() and carrier_factor() on 0-d arrays and takes
     one exp per band."""
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     nsys, d = p_arr.size, 2 * n_max + 1
     eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (nsys,))
-    scale = None if peak_scale is None else \
-        np.broadcast_to(np.asarray(peak_scale, dtype=float), (nsys,))
-    if delta_override is not None:
-        delta_override = np.broadcast_to(
-            np.asarray(delta_override, dtype=float), (nsys,))
     t0, t1 = window if window is not None else envelope.support
     bands, doppler = multilevel._bands(n_max)
     a = np.zeros((nsys, d, d), dtype=complex)
@@ -233,14 +214,8 @@ def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
 
     def rhs(t, y):
         u = y.view(complex).reshape(nsys, d, d)
-        om = envelope.evaluate(t)
-        if scale is not None:
-            om = om * scale
-        if delta_override is not None:
-            c = carrier_factor(t, delta_override, 0.0) + eps
-        else:
-            c = carrier_factor(t, protocol.evaluate(t, check=False), 0.0) + eps
-        drive = om * c
+        c = carrier_factor(t, protocol.evaluate(t, check=False), 0.0) + eps
+        drive = envelope.evaluate(t) * c
         for (i, j, wgt, rate) in bands:
             ph = np.exp(-1j * rate * t)
             a[:, i, j] = wgt * drive * ph
@@ -271,10 +246,8 @@ def test_scalar_drive_matches_the_array_reference(name, pulse, n_max):
     p = np.array([-0.17, 0.02, 0.11])
     cases = [
         dict(p=p, epsilon=np.array([0.0, 0.03, -0.02])),
-        dict(p=p, epsilon=0.01, peak_scale=np.array([0.95, 1.0, 1.07]),
-             delta_override=np.array([-0.3, 0.0, 0.25])),
-        dict(p=0.07, peak_scale=1.03,
-             window=(lo + 0.1 * (hi - lo), hi - 0.05 * (hi - lo))),
+        dict(p=p, epsilon=0.01),
+        dict(p=0.07, window=(lo + 0.1 * (hi - lo), hi - 0.05 * (hi - lo))),
     ]
     for basis in ("bare", "symmetric"):
         for kw in cases:
@@ -290,9 +263,7 @@ class TestNonFiniteDrive:
 
     def test_inputs(self):
         env = box(2.0, 0.5)
-        for kw in (dict(p=[0.0, np.nan]), dict(epsilon=np.inf),
-                   dict(peak_scale=[1.0, np.nan]),
-                   dict(delta_override=np.nan)):
+        for kw in (dict(p=[0.0, np.nan]), dict(epsilon=np.inf)):
             kw = {"p": [0.0, 0.1], **kw}
             with pytest.raises(IntegratorFailure, match="non-finite"):
                 propagate_unitaries(envelope=env, protocol=FLAT, **kw)
