@@ -46,13 +46,18 @@ def _strategy_from(cfg, name=None):
     return name, strat, ideal
 
 
+def _epsilons(key, values):
+    """values, read from key; an epsilon outside [0, 1] is a ConfigError."""
+    for value in values:
+        try:
+            PolarizationError(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return values
+
+
 def _epsilon_from(cfg):
-    value = cfg.get_float("epsilon", 0.0)
-    try:
-        PolarizationError(value)
-    except ValueError as exc:
-        raise ConfigError(f"epsilon: {exc}") from None
-    return value
+    return _epsilons("epsilon", [cfg.get_float("epsilon", 0.0)])[0]
 
 
 def _packet_from(cfg, default=None, **fixed):
@@ -187,7 +192,7 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
     if scan == "p_epsilon":
         env, protocol = _envelope_from(cfg), _detuning_from(cfg)
         p_axis = _axis_from(cfg, "p")
-        e_axis = _axis_from(cfg, "epsilon_axis")
+        e_axis = _epsilons("epsilon_axis", _axis_from(cfg, "epsilon_axis"))
         values, errors = multilevel.efficiency_landscape(
             p_axis, e_axis, full_kind, env, protocol, n_max=n_max, rtol=rtol)
         table = ResultTable(("p", "epsilon", "efficiency"))
@@ -244,7 +249,7 @@ def _cmd_tscan(cfg, args, seed, workers):
     try:
         res = itf.extract_contrast(scan)
         extra.update(contrast=res.contrast, t_max=res.t_max,
-                     t_min=res.t_min)
+                     t_min=res.t_min, fit_residual=res.fit_residual)
     except NoExtremaFound:
         extra["contrast"] = float("nan")
     return table, extra, 0
@@ -255,6 +260,8 @@ def _cmd_tscan(cfg, args, seed, workers):
 def _cmd_contrast_sweep(cfg, args, seed, workers):
     axis = cfg.get_str("axis", choices=("sigma_p", "p0", "epsilon"))
     values = cfg.get_float_list("values")
+    if axis == "epsilon":
+        _epsilons("values", values)
     raw_names = cfg.get_str("strategies", cfg.get_str("strategy", None))
     if raw_names is None:
         raise ConfigError("strategies: required key is missing")

@@ -35,6 +35,8 @@ from .units import GaussianWavePacket
 # and the cap past which refinement gives up (doubling in between).
 _FIRST_DEGREE = 64
 _MAX_DEGREE = 512
+# (T, node) pairs that t_scan composes at once.
+_BLOCK_PAIRS = 4096
 
 
 def port_offsets(n_max):
@@ -110,9 +112,13 @@ class FringeScan:
 
 @dataclass(frozen=True)
 class ContrastResult:
+    """fit_residual is the RMS residual of the single-harmonic fit that
+    located the extrema (see extract_contrast)."""
+
     contrast: float
     t_max: float
     t_min: float
+    fit_residual: float
     method: str = "fringe-fit windowed extrema"
 
 
@@ -165,11 +171,39 @@ def ideal_mirror_matrix(n_max=2):
 def free_phases(p, g, T, n_max=2):
     """Diagonal free-fall phases, batched over the leading axes of p.
 
-    Entry k is exp[-i(T q^2 + (g T^2/2) q)] at q = p + 2k; afterwards the
-    ladder is re-centered at p + gT/2.
+    Entry k is exp[-i theta(q)], theta(q) = T q^2 + (g T^2/2) q, at
+    q = p + 2k; afterwards the ladder is re-centered at p + gT/2.  T
+    broadcasts against the leading axes of p.  Since theta(p + 2k) =
+    theta(p) + k(4Tp + gT^2) + 4Tk^2, entry k is exp[-i theta(p)] z^k
+    exp(-4iTk^2) with z = exp[-i(4Tp + gT^2)], conj(z)^|k| for negative
+    k: two exponentials per momentum and n_max per T.
     """
-    q = np.asarray(p, dtype=float)[..., None] + port_offsets(n_max)
-    return np.exp(-1j * (T * q**2 + 0.5 * g * T**2 * q))
+    p = np.asarray(p, dtype=float)[..., None]
+    T = np.asarray(T, dtype=float)[..., None]
+    z = np.exp(-1j * (4.0 * T * p + g * T**2))
+    return np.exp(-1j * _theta(p, g, T)) * _ladder(z, T, n_max)
+
+
+def _theta(q, g, T):
+    return T * q**2 + 0.5 * g * T**2 * q
+
+
+def _ladder(z, T, n_max):
+    """Free-fall phases of the orders relative to order 0, in
+    port_offsets order: z^k exp(-4iTk^2) at +2k, conj(z)^k exp(-4iTk^2)
+    at -2k.  z and T carry a trailing unit axis, so every product runs
+    through numpy's array loops, never its scalar math, and an element
+    rounds the same whatever the batch around it."""
+    shape = np.broadcast_shapes(z.shape, T.shape)[:-1] + (2 * n_max + 1,)
+    u = np.empty(shape, dtype=complex)
+    u[..., :1] = 1.0
+    zk = z
+    for k in range(1, n_max + 1):
+        w = np.exp(-1j * (4.0 * k * k * T))
+        u[..., 2 * k - 1:2 * k] = zk * w
+        u[..., 2 * k:2 * k + 1] = zk.conj() * w
+        zk = zk * z
+    return u
 
 
 def _check_zone(config, t_max):
@@ -194,14 +228,26 @@ def _detected(config, m):
 
 
 def _compose(config, b1, m, b3, p, T):
-    """B3 U(p + gT/2) M U(p) B1, batched over the leading axes of p.
+    """B3 U(p + gT/2) M U(p) B1, batched over the leading axes of p, T
+    broadcasting against them.
 
     m is the detected mirror (see _detected); b1 may hold only the input
-    columns wanted.
+    columns wanted and b3 only the output rows.
     """
-    g = config.g
-    u1, u2 = free_phases(np.stack((p, p + 0.5 * g * T)), g, T, config.n_max)
-    return b3 @ (u2[..., None] * (m @ (u1[..., None] * b1)))
+    g, n_max = config.g, config.n_max
+    p = np.asarray(p, dtype=float)[..., None]
+    T = np.asarray(T, dtype=float)[..., None]
+    # z at p + gT/2 is z exp(-2igT^2); the order-0 phases of both flights
+    # ride on the second, so the pair costs two exponentials
+    z = np.exp(-1j * (4.0 * T * p + g * T**2))
+    base = np.exp(-1j * (_theta(p, g, T) + _theta(p + 0.5 * g * T, g, T)))
+    u1 = _ladder(z, T, n_max)
+    u2 = _ladder(z * np.exp(-2j * g * T**2), T, n_max) * base
+    # the temporary stays the left factor: numpy may reuse a large
+    # temporary operand for the product, and a complex product with its
+    # factors swapped can round differently, so an element's bits would
+    # depend on the size of its block
+    return b3 @ ((m @ (u1[..., None] * b1)) * u2[..., None])
 
 
 def _solve(p, pulse, config):
@@ -354,8 +400,10 @@ def t_scan(config, t_grid):
     interpolation error is held below config.rtol, the solver tolerance
     (see _surrogate_matrices), and its node count, final tail and
     unitarity defect are recorded in FringeScan.surrogates.
-    Free-propagation phases always use exact momenta.  Each T composes
-    the splitter columns of input port 0 only.
+    Free-propagation phases always use exact momenta.  The T grid is
+    composed in blocks of about _BLOCK_PAIRS (T, node) pairs, with the
+    splitter column of input port 0 and the three detected rows of the
+    last splitter only; a row's bits do not depend on its block.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
@@ -370,11 +418,11 @@ def t_scan(config, t_grid):
     if config.ideal_pulses:
         fits = ()
         bs = ideal_bs_matrix(config.n_max)
-        b1 = np.broadcast_to(bs[:, :1], (n, d, 1))
+        b1 = bs[:, :1]
         mirror_all = np.broadcast_to(
             _detected(config, ideal_mirror_matrix(config.n_max)),
-            (t_grid.size, n, d, d))
-        b3_all = np.broadcast_to(bs, (t_grid.size, n, d, d))
+            (t_grid.size, 1, d, d))
+        b3_all = np.broadcast_to(bs, (t_grid.size, 1, d, d))
     else:
         strat = config.strategy
         p2_all = (p_nodes[None, :] + 0.5 * g * t_grid[:, None]).ravel()
@@ -390,9 +438,12 @@ def t_scan(config, t_grid):
                                mirror_all.reshape(t_grid.size, n, d, d))
 
     out = np.empty((t_grid.size, 3))
-    for i, T in enumerate(t_grid):
-        amps = _compose(config, b1, mirror_all[i], b3_all[i], p_nodes, T)
-        out[i] = weights @ (np.abs(amps[..., 0]) ** 2)[:, :3]
+    rows = max(1, _BLOCK_PAIRS // n)
+    for i in range(0, t_grid.size, rows):
+        blk = slice(i, i + rows)
+        amps = _compose(config, b1, mirror_all[blk], b3_all[blk, :, :3],
+                        p_nodes, t_grid[blk, None])
+        out[blk] = weights @ np.abs(amps[..., 0]) ** 2
     return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config, fits)
 
 
@@ -431,7 +482,8 @@ def extract_contrast(scan):
     searched within a half-period window around each and refined by a
     three-point parabola.  Fitting first makes the search immune to the
     fast parasitic wiggles that ride on offset-momentum fringes, which
-    would otherwise masquerade as the first local extremum.
+    would otherwise masquerade as the first local extremum.  The RMS
+    residual of that fit is reported as fit_residual.
     """
     g = scan.config.g
     signal = scan.p_sum
@@ -443,7 +495,9 @@ def extract_contrast(scan):
 
     design = np.column_stack(
         [np.ones_like(x), np.cos(x), np.sin(x)])
-    (a0, c, s), *_ = np.linalg.lstsq(design, signal, rcond=None)
+    coef = np.linalg.lstsq(design, signal, rcond=None)[0]
+    _, c, s = coef
+    residual = math.sqrt(np.mean((signal - design @ coef) ** 2))
     amp = math.hypot(c, s)
     if amp < 1e-12:
         raise NoExtremaFound("fringe amplitude indistinguishable from zero")
@@ -463,7 +517,7 @@ def extract_contrast(scan):
     t_max = math.sqrt(x_max / (4.0 * abs(g)))
     t_min = math.sqrt(x_min / (4.0 * abs(g)))
     contrast = float(np.clip(y_max - y_min, 0.0, 1.0))
-    return ContrastResult(contrast, t_max, t_min)
+    return ContrastResult(contrast, t_max, t_min, residual)
 
 
 def fit_fringe(scan, freq_guess=None):

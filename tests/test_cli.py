@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dbdsim
-from dbdsim import interferometer
+from dbdsim import cli, interferometer
 from dbdsim.cli import main
 from dbdsim.io import ResultTable
 
@@ -29,6 +29,10 @@ t.min = 10
 t.max = 80
 t.points = 9
 """
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("a config error must stop the command first")
 
 
 def run(tmp_path, command, config_text, name="run", fmt="csv", extra=()):
@@ -134,6 +138,10 @@ class TestTscan:
         ideal = ResultTable.read(str(run(tmp_path, "tscan", IDEAL_TSCAN)[1]))
         assert "splitter_nodes" not in ideal.provenance
 
+    def test_fit_residual_in_provenance(self, tmp_path):
+        table = ResultTable.read(str(run(tmp_path, "tscan", IDEAL_TSCAN)[1]))
+        assert 0.0 <= float(table.provenance["fit_residual"]) < 1e-10
+
     def test_json_output(self, tmp_path):
         code, out = run(tmp_path, "tscan", IDEAL_TSCAN, fmt="json")
         assert code == 0
@@ -188,6 +196,16 @@ class TestContrastSweep:
                       SWEEP.replace("axis = sigma_p", "axis = tau"))
         assert code == 2
 
+    def test_swept_epsilon_outside_the_unit_interval(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(interferometer, "t_scan", refuse_to_run)
+        config = (SWEEP.replace("axis = sigma_p", "axis = epsilon")
+                  .replace("values = 0.03 0.05", "values = 0 1.5"))
+        code, out = run(tmp_path, "contrast-sweep", config)
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
 
 FLUCTUATION = """
 strategy = ds_dbd
@@ -233,6 +251,26 @@ class TestEfficiencyScan:
         assert table.columns == ("tau", "omega", "efficiency")
         assert len(table.rows) == 3
         assert all(0.0 <= row[2] <= 1.0 for row in table.rows)
+
+    def test_epsilon_axis_outside_the_unit_interval(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli.multilevel, "efficiency_landscape",
+                            refuse_to_run)
+        config = """
+scan = p_epsilon
+pulse.omega = 2
+pulse.tau = 0.47
+p.min = 0
+p.max = 0.1
+p.points = 2
+epsilon_axis.min = 0
+epsilon_axis.max = 1.5
+epsilon_axis.points = 2
+"""
+        code, out = run(tmp_path, "efficiency-scan", config)
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tls_rejects_mirror_kind(self, tmp_path):
         code, _ = run(tmp_path, "efficiency-scan",

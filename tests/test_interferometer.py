@@ -104,6 +104,33 @@ class TestFreePropagation:
         assert u.shape == (7,)
         assert np.allclose(np.abs(u), 1.0)
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_accuracy_against_long_double(self, n_max):
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        rng = np.random.default_rng(n_max)
+        p = rng.uniform(-1.0, 1.0, 300)
+        T = rng.uniform(0.0, 200.0, (12, 1))
+        T[-1] = 200.0
+        for g in (-2e-3, rng.uniform(-2e-3, 2e-3), 2e-3):
+            u = free_phases(p, g, T, n_max)
+            ld = np.longdouble
+            q = p.astype(ld)[:, None] + port_offsets(n_max).astype(ld)
+            t = T.astype(ld)[..., None]
+            theta = t * q**2 + ld(g) * t**2 * q / 2
+            err = np.hypot(u.real - np.cos(theta), u.imag + np.sin(theta))
+            assert np.max(err) <= 1e-12
+
+    def test_array_times_match_scalar_calls(self):
+        p = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 40))
+        T = np.array([0.0, 12.5, 77.0, 200.0])
+        for n_max in (1, 2, 3):
+            batch = free_phases(p, 1.5e-3, T[:, None, None], n_max)
+            assert batch.shape == (4, 3, 40, 2 * n_max + 1)
+            for i, t in enumerate(T):
+                assert np.array_equal(batch[i],
+                                      free_phases(p, 1.5e-3, t, n_max))
+
 
 class TestComposition:
     def test_sequence_matrix_unitary(self):
@@ -230,6 +257,20 @@ class TestScans:
         pops = port_populations(cfg)
         scan = t_scan(cfg, np.array([25.0]))
         assert pops[1] == pytest.approx(float(scan.p2[0]), abs=1e-12)
+
+    @pytest.mark.parametrize("n_nodes", [256, 7])
+    def test_rows_independent_of_blocks(self, n_nodes):
+        # t_scan composes blocks of about _BLOCK_PAIRS (T, node) pairs;
+        # these sub-grids put each T in another block or block position
+        cfg = make_config(ideal_pulses=True, detection="resolved",
+                          n_nodes=n_nodes)
+        t = np.linspace(10.0, 80.0, 2000)
+        full = t_scan(cfg, t)
+        for part in (slice(1, None), slice(37, 1500, 3), slice(1234, 1235)):
+            sub = t_scan(cfg, t[part])
+            for a, b in ((full.p1, sub.p1), (full.p2, sub.p2),
+                         (full.p3, sub.p3)):
+                assert np.array_equal(a[part], b)
 
 
 def direct_p_sum(cfg, T):
@@ -362,6 +403,15 @@ class TestContrast:
                                           0.5 * sig, cfg))
         assert abs(res.contrast - 0.74) <= 1e-6
         assert abs(4.0 * G_SMALL * res.t_max**2 - (math.pi + 0.3)) <= 1e-4
+
+    def test_fit_residual(self):
+        t = default_t_grid(G_SMALL)
+        ideal = extract_contrast(t_scan(make_config(ideal_pulses=True), t))
+        assert ideal.fit_residual < 1e-10
+        solved = extract_contrast(t_scan(
+            make_config(strategy=builtin_strategy("ds_dbd"), n_nodes=8), t))
+        assert math.isfinite(solved.fit_residual)
+        assert solved.fit_residual > 0.0
 
     def test_fit_recovers_frequency(self):
         cfg = make_config(ideal_pulses=True)

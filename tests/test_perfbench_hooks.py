@@ -38,6 +38,21 @@ def test_tracer_wraps_a_scan():
     assert "wrapper" not in interferometer.t_scan.__qualname__
 
 
+def test_tracer_counts_ideal_pairs_without_solves():
+    # ideal_fringe's interferometer.ns_per_pair divides t_scan's self
+    # time by these pairs; its scans solve nothing
+    config = interferometer.MzConfig(
+        strategy=builtin_strategy("c_dbd"), g=0.000357,
+        source=GaussianWavePacket(0.0, 0.05), n_nodes=7, ideal_pulses=True)
+    t_grid = np.linspace(10.0, 80.0, 1500)
+    with load_tracer()() as tracer:
+        interferometer.t_scan(config, t_grid)
+    assert tracer.count["pairs"] == t_grid.size * config.n_nodes
+    assert tracer.count["interferometer.t_scan.calls"] == 1
+    assert tracer.count["multilevel.propagate.calls"] == 0
+    assert tracer.count["nfev"] == 0
+
+
 def test_tracer_counts_a_cost_evaluation():
     # the traced pulse_design figures come from these two wrappers; a cost
     # path that stops calling multilevel.solve_ivp would read nfev = 0
