@@ -14,8 +14,10 @@ Run from the repository root:
     python3 scripts/regenerate_knot_table.py [--out PATH]
 
 Takes a few minutes on one core.  The result is checked against the
-committed table and the script exits non-zero on any mismatch, so this
-doubles as a reproducibility test.
+committed table, read before anything is written, and the script exits
+non-zero on any mismatch, so this doubles as a reproducibility test.
+On a mismatch the committed table is left as it is; pass --out to keep
+the regenerated one elsewhere.
 """
 
 import argparse
@@ -53,11 +55,12 @@ def quantile_samples(n=25, sigma_p=0.05):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    default_out = (Path(__file__).resolve().parent.parent / "src" / "dbdsim"
-                   / "data" / "oct_mirror_knots.txt")
-    parser.add_argument("--out", default=str(default_out),
+    committed_path = (Path(__file__).resolve().parent.parent / "src"
+                      / "dbdsim" / "data" / "oct_mirror_knots.txt")
+    parser.add_argument("--out", default=str(committed_path),
                         help="where to write the regenerated table")
     args = parser.parse_args(argv)
+    committed = load_knot_table(committed_path)
 
     problem = oct_mirror_problem(budget=BUDGET,
                                  momentum_samples=quantile_samples(),
@@ -69,13 +72,13 @@ def main(argv=None):
     print(f"cost={result.cost:.5f} evals={result.evaluations_used} "
           f"({elapsed:.0f}s)  eta(sigma_p=0.05)={eta:.5f}")
 
-    save_knot_table(args.out, result.protocol, strategy="oct_hybrid",
-                    seed=SEED)
-    print(f"wrote {args.out}")
-
-    committed = load_knot_table()
-    if (committed.times != result.protocol.times
-            or committed.values != result.protocol.values):
+    matches = (committed.times == result.protocol.times
+               and committed.values == result.protocol.values)
+    if matches or Path(args.out).resolve() != committed_path:
+        save_knot_table(args.out, result.protocol, strategy="oct_hybrid",
+                        seed=SEED)
+        print(f"wrote {args.out}")
+    if not matches:
         print("MISMATCH: regenerated knots differ from the committed table",
               file=sys.stderr)
         return 1

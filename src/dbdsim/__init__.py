@@ -51,13 +51,11 @@ from .interferometer import (
 from .io import ResultTable, ScenarioConfig
 from .multilevel import (
     LevelBasis,
-    PulseEfficiency,
     bare_transform,
-    bs_efficiency,
     build_hamiltonian,
     efficiency_landscape,
     integrated_efficiency,
-    mirror_efficiency,
+    propagate_groups,
     propagate_unitaries,
 )
 from .strategies import (

@@ -222,10 +222,12 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
         nodes, weights = (source.momentum_quadrature(64)
                           if isinstance(source, GaussianWavePacket)
                           else (source, 1.0))
+        # the whole scan in one grouped solve, one group per cell
+        mats = multilevel.propagate_groups(
+            nodes, [(env, protocol) for env in envs], epsilon, n_max=n_max,
+            rtol=rtol, atol=rtol * 1e-2)
         effs = [float(np.sum(weights * multilevel.transfer_efficiency(
-            multilevel.propagate_unitaries(
-                nodes, env, protocol, epsilon, n_max=n_max, rtol=rtol,
-                atol=rtol * 1e-2), full_kind))) for env in envs]
+            u, full_kind))) for u in mats]
 
     table = ResultTable(("tau", "omega", "efficiency"))
     for cell, eff in zip(cells, effs):

@@ -21,8 +21,8 @@ from importlib import resources
 import numpy as np
 from scipy.optimize import minimize
 
-from .multilevel import (integrated_efficiency, propagate_unitaries,
-                         transfer_efficiency)
+from .multilevel import (integrated_efficiency, propagate_groups,
+                         propagate_unitaries, transfer_efficiency)
 from .units import (ConstantDetuning, GaussianWavePacket, KnotDetuning,
                     LinearDetuning, PulseEnvelope)
 
@@ -115,20 +115,9 @@ def bs_cost(candidate, momentum_samples, epsilon_samples=(0.0,), n_max=2,
     the +-2 hbar k_L populations for input |p>.  Zero for a perfect
     50/50 splitter everywhere; 1 for a null pulse.
     """
-    env, protocol = candidate
-    p = np.asarray(momentum_samples, dtype=float)
-    eps = np.asarray(epsilon_samples, dtype=float)
-    if p.size == 0 or eps.size == 0:
-        raise ValueError("sample sets must be non-empty")
-    pp = np.tile(p, eps.size)
-    ee = np.repeat(eps, p.size)
-    u = propagate_unitaries(pp, env, protocol, ee, n_max=n_max,
-                            rtol=rtol, atol=atol)
-    p_plus = np.abs(u[:, 1, 0]) ** 2
-    p_minus = np.abs(u[:, 2, 0]) ** 2
-    terms = (np.abs(0.5 - p_plus) + np.abs(0.5 - p_minus)
-             + np.abs(p_plus - p_minus))
-    return float(np.mean(terms))
+    p, eps = _samples("bs_balanced", momentum_samples, epsilon_samples)
+    return _score("bs_balanced", propagate_unitaries(
+        p, *candidate, eps, n_max=n_max, rtol=rtol, atol=atol))
 
 
 def mirror_cost(candidate, momentum_samples, n_max=2, rtol=1e-9, atol=1e-11):
@@ -137,15 +126,45 @@ def mirror_cost(candidate, momentum_samples, n_max=2, rtol=1e-9, atol=1e-11):
     F_plus is the |p+2> -> |p-2> transfer and F_minus its reverse; a
     null pulse scores 2, a perfect mirror 0.
     """
-    env, protocol = candidate
+    p, eps = _samples("mirror_bidirectional", momentum_samples)
+    return _score("mirror_bidirectional", propagate_unitaries(
+        p, *candidate, eps, n_max=n_max, rtol=rtol, atol=atol))
+
+
+def candidate_costs(target, candidates, momentum_samples,
+                    epsilon_samples=(0.0,), n_max=2, rtol=1e-9, atol=1e-11):
+    """bs_cost or mirror_cost, by target, of every candidate in one solve.
+
+    Each candidate is one group of propagate_groups, so its cost is bit
+    for bit what bs_cost or mirror_cost gives it alone.
+    """
+    p, eps = _samples(target, momentum_samples, epsilon_samples)
+    u = propagate_groups(p, candidates, eps, n_max=n_max, rtol=rtol,
+                         atol=atol)
+    return [_score(target, row) for row in u]
+
+
+def _samples(target, momentum_samples, epsilon_samples=(0.0,)):
+    """(p, epsilon) per system; mirror costs are taken at epsilon = 0."""
     p = np.asarray(momentum_samples, dtype=float)
-    if p.size == 0:
-        raise ValueError("sample set must be non-empty")
-    u = propagate_unitaries(p, env, protocol, 0.0, n_max=n_max,
-                            rtol=rtol, atol=atol)
-    f_plus = transfer_efficiency(u, "mirror_plus")
-    f_minus = transfer_efficiency(u, "mirror_minus")
-    return float(np.mean(np.abs(1.0 - f_plus) + np.abs(1.0 - f_minus)))
+    eps = np.asarray(epsilon_samples if target == "bs_balanced" else (0.0,),
+                     dtype=float)
+    if p.size == 0 or eps.size == 0:
+        raise ValueError("sample sets must be non-empty")
+    return np.tile(p, eps.size), np.repeat(eps, p.size)
+
+
+def _score(target, u):
+    """A candidate's cost from its bare-basis pulse matrices (B, d, d)."""
+    if target == "bs_balanced":
+        p_plus = np.abs(u[:, 1, 0]) ** 2
+        p_minus = np.abs(u[:, 2, 0]) ** 2
+        terms = (np.abs(0.5 - p_plus) + np.abs(0.5 - p_minus)
+                 + np.abs(p_plus - p_minus))
+    else:
+        terms = (np.abs(1.0 - transfer_efficiency(u, "mirror_plus"))
+                 + np.abs(1.0 - transfer_efficiency(u, "mirror_minus")))
+    return float(np.mean(terms))
 
 
 # --- optimizer --------------------------------------------------------
@@ -245,12 +264,12 @@ def optimize(problem, seed=0):
     """Prescan-then-polish simplex search, deterministic per seed.
 
     A structured prescan (constant and ramped knot profiles plus random
-    draws and any warm starts) ranks cheap single evaluations; the best
-    few become Nelder-Mead starting points, and a tight-tolerance simplex
-    touches up the winner.  Every cost evaluation is charged against the
-    budget.  When the budget skips the polish or cuts any stage short,
-    the result is flagged `budget_exhausted` and carries the best
-    candidate seen.
+    draws and any warm starts) ranks cheap single evaluations, all solved
+    in one grouped call; the best few become Nelder-Mead starting points,
+    and a tight-tolerance simplex touches up the winner.  Every cost
+    evaluation is charged against the budget, in order.  When the budget
+    skips the polish or cuts any stage short, the result is flagged
+    `budget_exhausted` and carries the best candidate seen.
     """
     rng = np.random.default_rng(seed)
     times = np.asarray(problem.knot_times, dtype=float)
@@ -273,16 +292,15 @@ def optimize(problem, seed=0):
                                 bound=problem.delta_max)
         return env, protocol
 
+    def costs(xs, rtol):
+        return candidate_costs(problem.target, [build(x) for x in xs],
+                               problem.momentum_samples,
+                               problem.epsilon_samples, problem.n_max, rtol,
+                               rtol * 1e-2)
+
     def evaluate(x, rtol):
         tracker.charge()
-        cand = build(x)
-        if problem.target == "bs_balanced":
-            c = bs_cost(cand, problem.momentum_samples,
-                        problem.epsilon_samples, n_max=problem.n_max,
-                        rtol=rtol, atol=rtol * 1e-2)
-        else:
-            c = mirror_cost(cand, problem.momentum_samples,
-                            n_max=problem.n_max, rtol=rtol, atol=rtol * 1e-2)
+        c = costs([x], rtol)[0]
         tracker.record(x, c)
         return c
 
@@ -310,12 +328,14 @@ def optimize(problem, seed=0):
         else:
             candidates.append(kn)
 
+    # The prescan is one grouped solve, charged and recorded in order.
+    prescan = candidates[:problem.budget]
     scored = []
-    try:
-        for cand in candidates:
-            scored.append((evaluate(cand, problem.rtol), cand))
-    except _OutOfBudget:
-        pass
+    for cand, c in zip(prescan, costs(prescan, problem.rtol)):
+        tracker.charge()
+        tracker.record(cand, c)
+        scored.append((c, cand))
+    tracker.exhausted = len(candidates) > len(prescan)
 
     scored.sort(key=lambda sc: sc[0])
     n_polish = min(4, len(scored))

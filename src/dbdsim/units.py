@@ -102,7 +102,12 @@ class PulseEnvelope:
         return np.where(inside, val, 0.0)
 
     def at(self, t):
-        """evaluate() at one float time, as a float, bit for bit."""
+        """evaluate() at one float time, as a float.
+
+        Bit for bit equal to evaluate() of a 0-d time only.  For an array
+        of times evaluate() squares through np.square instead of pow, so
+        a Gaussian can differ from this one by 1 ulp.
+        """
         lo, hi = self.support
         if not lo <= t <= hi:
             return 0.0

@@ -27,6 +27,8 @@ from dbdsim.units import (
     PulseEnvelope,
 )
 
+import pulse_efficiency
+
 G1 = 0.000357
 G2 = 0.000714
 SIGMA = 0.05
@@ -117,8 +119,8 @@ def test_02_detuning_optima():
     clauses = []
     for eps, ref in DETUNING_OPTIMA.items():
         effs = np.array([
-            multilevel.bs_efficiency(0.0, env, ConstantDetuning(d), eps,
-                                     rtol=1e-8, atol=1e-10).value
+            pulse_efficiency.bs_efficiency(0.0, env, ConstantDetuning(d),
+                                           eps, rtol=1e-8, atol=1e-10).value
             for d in deltas])
         i = int(np.argmax(effs))
         opt = deltas[i]
@@ -344,10 +346,10 @@ def test_09_structural_invariants():
     m_env = PulseEnvelope("gaussian", 2.89, 0.64)
     worst_m = 0.0
     for p in np.linspace(-0.2, 0.2, 9):
-        f_minus = multilevel.mirror_efficiency(p, m_env, FLAT,
-                                               direction="minus").value
-        f_plus = multilevel.mirror_efficiency(-p, m_env, FLAT,
-                                              direction="plus").value
+        f_minus = pulse_efficiency.mirror_efficiency(
+            p, m_env, FLAT, direction="minus").value
+        f_plus = pulse_efficiency.mirror_efficiency(
+            -p, m_env, FLAT, direction="plus").value
         worst_m = max(worst_m, abs(f_minus - f_plus))
     clauses.append(_clause("mirror direction symmetry", worst_m <= 1e-6,
                            f"max |F-(p)-F+(-p)|={worst_m:.1e} <= 1e-6"))

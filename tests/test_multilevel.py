@@ -3,23 +3,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from dbdsim import multilevel
+from dbdsim import multilevel, strategies
 from dbdsim.exceptions import BoundViolation, IntegratorFailure
 from dbdsim.multilevel import (
     LevelBasis,
     bare_transform,
-    bs_efficiency,
-    bs_transfer,
     build_hamiltonian,
     efficiency_landscape,
     integrated_efficiency,
     kinetic_offsets,
-    mirror_efficiency,
     propagate_unitaries,
 )
 from dbdsim.strategies import builtin_strategy
-from dbdsim.units import (ConstantDetuning, GaussianWavePacket, LinearDetuning,
-                          PulseEnvelope, carrier_factor)
+from dbdsim.units import (ConstantDetuning, GaussianWavePacket, KnotDetuning,
+                          LinearDetuning, PulseEnvelope, carrier_factor)
+from pulse_efficiency import bs_efficiency, bs_transfer, mirror_efficiency
 
 FLAT = ConstantDetuning(0.0)
 
@@ -176,17 +174,20 @@ class TestPropagation:
         assert np.max(np.abs(v @ u_sym @ v.T - u_bare)) < 1e-12
 
     def test_solver_keeps_only_the_final_state(self, monkeypatch):
+        # one state per group comes back, no trajectory of accepted steps
         stored = []
         solve_ivp = multilevel.solve_ivp
 
         def spy(*args, **kwargs):
             sol = solve_ivp(*args, **kwargs)
-            stored.append(sol.y.shape[1])
+            stored.append((sol.y.shape, sol.nfev))
             return sol
 
         monkeypatch.setattr(multilevel, "solve_ivp", spy)
         propagate_unitaries(np.array([0.0, 0.1]), box(2.0, 0.6), FLAT)
-        assert stored == [1]
+        [(shape, nfev)] = stored
+        assert shape == (1, 2 * 2 * 5 * 5)  # two 5x5 complex unitaries
+        assert isinstance(nfev, int) and nfev > 0
 
     def test_unknown_basis(self):
         with pytest.raises(ValueError):
@@ -340,3 +341,114 @@ class TestEfficiencies:
             efficiency_landscape(
                 np.array([0.0, 0.1]), np.array([0.0]), "beam_splitter",
                 BrokenEnvelope(), FLAT, rtol=1e-7, atol=1e-9)
+
+
+def builtin_pulses():
+    return [getattr(builtin_strategy(name), pulse)
+            for name in ("c_dbd", "ds_dbd", "oct_hybrid")
+            for pulse in ("bs", "mirror")]
+
+
+class TestGroups:
+    """propagate_groups solves each group as scipy's DOP853 would alone."""
+
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-9])
+    def test_each_group_is_scipy_dop853(self, rtol):
+        pulses = builtin_pulses()
+        rng = np.random.default_rng(3)
+        p = rng.uniform(-0.3, 0.3, (len(pulses), 3))
+        eps = rng.uniform(0.0, 0.05, (len(pulses), 3))
+        windows = []
+        for g, (env, _) in enumerate(pulses):
+            lo, hi = env.support
+            windows.append(env.support if g % 2 else
+                           (lo + 0.1 * (hi - lo), hi - 0.05 * (hi - lo)))
+        u = multilevel.propagate_groups(p, pulses, eps, rtol=rtol,
+                                        atol=rtol * 1e-2, windows=windows)
+        for g, (env, protocol) in enumerate(pulses):
+            ref = reference_unitaries(p[g], env, protocol, eps[g],
+                                      rtol=rtol, atol=rtol * 1e-2,
+                                      window=windows[g])
+            assert np.array_equal(u[g], ref), g
+
+    def test_integrator_is_scipy_dop853_on_any_system(self):
+        # real linear systems with a time factor, on mixed intervals; the
+        # fast rotation makes components cross zero within the last step
+        rng = np.random.default_rng(5)
+        mats = [rng.normal(0.0, 8.0, (4, 4)) for _ in range(5)]
+        t0 = np.array([0.0, -1.0, 0.3, 2.0, 0.0])
+        t1 = np.array([1.0, 0.5, 2.9, 2.1, 3.0])
+        y0 = rng.normal(size=(5, 4))
+
+        def prepare(times, live):
+            def deriv(j, y, out):
+                for i, g in enumerate(live):
+                    out[i] = (mats[g] @ y[i]) * np.cos(times[j, i])
+            return deriv
+
+        for rtol in (1e-6, 1e-9):
+            sol = multilevel.solve_ivp(prepare, t0, t1, y0, rtol, rtol * 1e-2)
+            assert sol.failed is None
+            for g in range(5):
+                ref = solve_ivp(lambda t, y: (mats[g] @ y) * np.cos(t),
+                                (t0[g], t1[g]), y0[g], method="DOP853",
+                                t_eval=[t1[g]], rtol=rtol, atol=rtol * 1e-2)
+                assert np.array_equal(sol.y[g], ref.y[:, -1]), (rtol, g)
+
+    def test_shared_momenta_and_scalar_epsilon(self):
+        pulses = builtin_pulses()[:3]
+        p = np.array([-0.1, 0.05])
+        u = multilevel.propagate_groups(p, pulses, 0.02, rtol=1e-6,
+                                        atol=1e-8, basis="symmetric")
+        assert u.shape == (3, 2, 5, 5)
+        for g, (env, protocol) in enumerate(pulses):
+            ref = reference_unitaries(p, env, protocol, 0.02, rtol=1e-6,
+                                      atol=1e-8, basis="symmetric")
+            assert np.array_equal(u[g], ref), g
+
+    def test_invariant_to_the_number_of_groups(self):
+        # the 93 candidates of a budget-100 mirror prescan, 3 momenta each
+        problem = strategies.oct_mirror_problem(
+            budget=100, momentum_samples=(-0.1, 0.0, 0.1))
+        times = np.asarray(problem.knot_times)
+        knots = strategies._structured_knots(times, problem.delta_max)
+        rng = np.random.default_rng(0)
+        knots += [rng.uniform(-4.0, 4.0, times.size) for _ in range(12)]
+        pulses = [(problem.envelope, KnotDetuning(tuple(times), tuple(k)))
+                  for k in knots]
+        p = np.array(problem.momentum_samples)
+        kw = dict(rtol=1e-6, atol=1e-8)
+        every = multilevel.propagate_groups(p, pulses, **kw)
+        assert every.shape[0] == 93
+        for picks in ([40], [92, 0], [5, 61, 17], list(range(3, 88, 5))):
+            some = multilevel.propagate_groups(
+                p, [pulses[g] for g in picks], **kw)
+            assert np.array_equal(some, every[picks]), picks
+
+    def test_too_small_step_names_the_group(self):
+        # at t = 1e15 the float spacing is 0.125, so scipy's minimum step
+        # of ten spacings is far above the steps this drive needs
+        late = PulseEnvelope("box", 2.0, 5.0, center=1e15)
+        pulses = [(box(2.0, 0.5), FLAT), (late, FLAT)]
+        p = np.array([[0.0, 0.1], [-0.2, 0.15]])
+        with pytest.raises(IntegratorFailure,
+                           match=r"group 1 \(p in \[-0.2, 0.15\]\).*"
+                                 r"step size"):
+            multilevel.propagate_groups(p, pulses, rtol=1e-6, atol=1e-8)
+
+    def test_non_finite_drive_names_the_group(self):
+        class LateNan:
+            """Finite on the check grid, NaN inside the integration."""
+            support = (0.0, 0.5)
+
+            def evaluate(self, t):
+                return np.zeros(np.shape(t))
+
+            def at(self, t):
+                return np.nan if t > 0.2 else 1.0
+
+        pulses = [(box(2.0, 0.5), FLAT), (LateNan(), FLAT)]
+        with pytest.raises(IntegratorFailure,
+                           match=r"group 1 \(p in \[0, 0.1\]\).*not finite"):
+            multilevel.propagate_groups(np.array([0.0, 0.1]), pulses,
+                                        rtol=1e-6, atol=1e-8)

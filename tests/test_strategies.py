@@ -175,12 +175,15 @@ class TestOptimizer:
         target = np.sin(np.arange(8.0))
         rtols = []
 
-        def quadratic(candidate, momentum_samples, n_max=2, rtol=1e-9,
+        def quadratic(problem_target, candidates, momentum_samples,
+                      epsilon_samples=(0.0,), n_max=2, rtol=1e-9,
                       atol=1e-11):
-            rtols.append(rtol)
-            return float(np.sum((candidate[1].values - target) ** 2))
+            rtols.extend([rtol] * len(candidates))
+            return [float(np.sum((c[1].values - target) ** 2))
+                    for c in candidates]
 
-        monkeypatch.setattr(strategies, "mirror_cost", quadratic)
+        # optimize scores every candidate through candidate_costs
+        monkeypatch.setattr(strategies, "candidate_costs", quadratic)
         problem = oct_mirror_problem(budget=300)
         res = optimize(problem, seed=0)
         prescan = 81 + 300 // 8
@@ -190,6 +193,25 @@ class TestOptimizer:
         # the touch-up runs into the budget, and the flag says so
         assert res.evaluations_used == 300
         assert res.budget_exhausted
+
+    def test_fused_prescan_matches_sequential_evaluation(self, monkeypatch):
+        problem = oct_mirror_problem(budget=100,
+                                     momentum_samples=(-0.1, 0.0, 0.1))
+        grouped = strategies.candidate_costs
+        sizes = []
+
+        def spy(target, candidates, *args):
+            sizes.append(len(candidates))
+            return grouped(target, candidates, *args)
+
+        def one_by_one(target, candidates, *args):
+            return [grouped(target, [c], *args)[0] for c in candidates]
+
+        monkeypatch.setattr(strategies, "candidate_costs", spy)
+        fused = optimize(problem, seed=0)
+        assert sizes[0] == 81 + 100 // 8 and set(sizes[1:]) == {1}
+        monkeypatch.setattr(strategies, "candidate_costs", one_by_one)
+        assert optimize(problem, seed=0) == fused
 
 
 class TestKnotTables:
