@@ -55,7 +55,6 @@ from .multilevel import (
     build_hamiltonian,
     efficiency_landscape,
     integrated_efficiency,
-    propagate_groups,
     propagate_unitaries,
 )
 from .strategies import (

@@ -223,9 +223,10 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
                           if isinstance(source, GaussianWavePacket)
                           else (source, 1.0))
         # the whole scan in one grouped solve, one group per cell
-        mats = multilevel.propagate_groups(
-            nodes, [(env, protocol) for env in envs], epsilon, n_max=n_max,
-            rtol=rtol, atol=rtol * 1e-2)
+        mats = multilevel.propagate_unitaries(
+            np.broadcast_to(nodes, (len(envs), np.size(nodes))), envs,
+            [protocol] * len(envs), epsilon, n_max=n_max, rtol=rtol,
+            atol=rtol * 1e-2)
         effs = [float(np.sum(weights * multilevel.transfer_efficiency(
             u, full_kind))) for u in mats]
 

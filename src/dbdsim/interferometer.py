@@ -27,7 +27,7 @@ from scipy.optimize import curve_fit
 
 from . import grid as grid_mod
 from .exceptions import IntegratorFailure, NoExtremaFound, OutOfZone
-from .multilevel import propagate_groups, propagate_unitaries
+from .multilevel import propagate_unitaries
 from .strategies import StrategySpec
 from .units import GaussianWavePacket
 
@@ -360,53 +360,34 @@ def _barycentric(nodes, values, p):
     return (c @ flat).view(complex).reshape((p.size,) + values.shape[1:])
 
 
-def _surrogate_matrices(jobs, config):
+def _surrogate_matrices(p, pulse, label, config):
     """Pulse matrices at momenta p from a Chebyshev surrogate in p.
 
-    jobs holds (p, pulse, label) triples.  Each pulse is solved at the
-    Chebyshev points spanning its own [min p, max p], doubling the
-    degree from _FIRST_DEGREE until its coefficient tail drops to
-    config.rtol, so the interpolation error stays below the solver
-    tolerance.  Past _MAX_DEGREE it raises IntegratorFailure rather than
-    return a coarser answer.  The pulses still refining are solved in
-    one grouped call per degree, one group each, which leaves every
-    pulse's matrices as they are when it is solved alone.  Returns one
-    (matrices, SurrogateFit) pair per job.
+    The pulse is solved in one batch at the Chebyshev points spanning
+    [min p, max p], doubling the degree from _FIRST_DEGREE until the
+    coefficient tail drops to config.rtol, so the interpolation error
+    stays below the solver tolerance.  Past _MAX_DEGREE it raises
+    IntegratorFailure rather than return a coarser answer.
     """
-    spans = [(float(p.min()), float(p.max())) for p, _, _ in jobs]
-    solved = {}
-    pending = list(range(len(jobs)))
+    lo, hi = float(p.min()), float(p.max())
     degree = _FIRST_DEGREE
-    while pending:
+    while True:
         x = np.cos(np.pi * np.arange(degree + 1) / degree)
-        nodes = [0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-                 for lo, hi in (spans[j] for j in pending)]
-        values = propagate_groups(
-            np.array(nodes), [jobs[j][1] for j in pending], config.epsilon,
-            n_max=config.n_max, rtol=config.rtol, atol=config.rtol * 1e-2)
-        refine = []
-        for j, node, value in zip(pending, nodes, values):
-            tail = _chebyshev_tail(value)
-            if tail <= config.rtol:
-                solved[j] = (node, value, tail)
-            elif 2 * degree > _MAX_DEGREE:
-                lo, hi = spans[j]
-                raise IntegratorFailure(
-                    f"{jobs[j][2]} surrogate on p in [{lo:.6g}, {hi:.6g}] "
-                    f"did not converge: Chebyshev tail {tail:.3g} > rtol "
-                    f"{config.rtol:.3g} at {degree + 1} nodes")
-            else:
-                refine.append(j)
-        pending = refine
+        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        values = _solve(nodes, pulse, config)
+        tail = _chebyshev_tail(values)
+        if tail <= config.rtol:
+            break
+        if 2 * degree > _MAX_DEGREE:
+            raise IntegratorFailure(
+                f"{label} surrogate on p in [{lo:.6g}, {hi:.6g}] did not "
+                f"converge: Chebyshev tail {tail:.3g} > rtol "
+                f"{config.rtol:.3g} at {degree + 1} nodes")
         degree *= 2
-    out = []
-    for j, (p, _, label) in enumerate(jobs):
-        nodes, values, tail = solved[j]
-        defect = np.abs(values.conj().swapaxes(1, 2) @ values
-                        - np.eye(values.shape[1]))
-        fit = SurrogateFit(label, nodes.size, tail, float(defect.max()))
-        out.append((_barycentric(nodes, values, p), fit))
-    return out
+    defect = np.abs(values.conj().swapaxes(1, 2) @ values
+                    - np.eye(values.shape[1]))
+    fit = SurrogateFit(label, degree + 1, tail, float(defect.max()))
+    return _barycentric(nodes, values, p), fit
 
 
 def t_scan(config, t_grid):
@@ -417,8 +398,7 @@ def t_scan(config, t_grid):
     splitter at the quadrature nodes p and the final one at p + gT, and
     one mirror surrogate serves p + gT/2.  Each is refined until its
     interpolation error is held below config.rtol, the solver tolerance
-    (see _surrogate_matrices; the two are solved together, one group
-    each, at every degree), and its node count, final tail and
+    (see _surrogate_matrices), and its node count, final tail and
     unitarity defect are recorded in FringeScan.surrogates.
     Free-propagation phases always use exact momenta.  The T grid is
     composed in blocks of about _BLOCK_PAIRS (T, node) pairs, with the
@@ -447,9 +427,10 @@ def t_scan(config, t_grid):
         strat = config.strategy
         p2_all = (p_nodes[None, :] + 0.5 * g * t_grid[:, None]).ravel()
         p3_all = (p_nodes[None, :] + g * t_grid[:, None]).ravel()
-        (bs_all, bs_fit), (mirror_all, mirror_fit) = _surrogate_matrices(
-            [(np.concatenate((p_nodes, p3_all)), strat.bs, "splitter"),
-             (p2_all, strat.mirror, "mirror")], config)
+        bs_all, bs_fit = _surrogate_matrices(
+            np.concatenate((p_nodes, p3_all)), strat.bs, "splitter", config)
+        mirror_all, mirror_fit = _surrogate_matrices(
+            p2_all, strat.mirror, "mirror", config)
         fits = (bs_fit, mirror_fit)
         b1 = bs_all[:n, :, :1]
         b3_all = bs_all[n:].reshape(t_grid.size, n, d, d)

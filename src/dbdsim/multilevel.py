@@ -139,6 +139,7 @@ _E3, _E5 = _dop853.E3, _dop853.E5
 _EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_LOCKSTEP_SYSTEMS = 128  # momenta per lockstep solve, summed over groups
 
 
 @dataclass(frozen=True)
@@ -321,55 +322,74 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol):
     return GroupSolution(out, nfev)
 
 
-def propagate_groups(p, pulses, epsilon=0.0, n_max=2, rtol=DEFAULT_RTOL,
-                     atol=DEFAULT_ATOL, basis="bare", windows=None):
-    """Pulse propagators for G groups of quasi-momenta, one pulse each.
+def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
+                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, basis="bare",
+                        window=None):
+    """Pulse propagators for one or G groups of quasi-momenta.
 
-    A group is the set of momenta that share one ODE system, as in
-    propagate_unitaries.  The groups advance in lockstep through
-    solve_ivp, and row g of the result is bit for bit what
-    propagate_unitaries returns for group g alone, whatever the other
+    Integrates the interaction-picture matrix equation dU/dt = -i Hbar U
+    over the envelope support and reattaches the kinetic ladder phases,
+    so the returned matrices are Schroedinger-picture pulse unitaries
+    (modulo the common exp(-i p**2 dt) phase, see module docstring).
+
+    A group is one ODE system: its momenta share one time grid, which
+    DOP853 steps with one step size and one RMS error norm, bit for bit
+    as scipy's solve_ivp(method="DOP853", t_eval=[t1]) would.  So a
+    unitary can move at the rtol level with the other momenta of its
+    group.  One group per momentum would remove that but is less
+    accurate: measured on the contrast_sweep scenarios, the packet-summed
+    port population error rose from 1.19e-10 to 4.30e-10 (9.72e-11 to
+    1.45e-10 on the probe) and the surrogate Chebyshev tails from about
+    5e-16 to 4e-12 - 1.3e-10.  A 2-D p asks for G groups, one row and
+    one pulse each; they advance in lockstep through solve_ivp, and
+    group g comes out bit for bit as it does alone, whatever the other
     groups of the call.
 
     Parameters
     ----------
     p : float, (B,) or (G, B) array
-        Quasi-momenta, shared by every group or one row per group.
-    pulses : sequence of (PulseEnvelope, DetuningProtocol)
-        One pulse per group.
+        Quasi-momenta: one group, or one row per group.
+    envelope, protocol : PulseEnvelope, DetuningProtocol
+        The pulse; for a 2-D p, sequences of G, one per group.
     epsilon : float, (B,) or (G, B) array
         Polarization imbalance per system.
     basis : {'bare', 'symmetric'}
         Bare ordering is {|p>, |p+2>, |p-2>, ...}; columns are evolved
         input states either way.
-    windows : sequence of (t0, t1), optional
-        Integration window per group; defaults to each envelope's support.
+    window : (t0, t1), optional
+        Integration window override, for a 2-D p a sequence of G;
+        defaults to the envelope support.
 
     Returns
     -------
-    (G, B, d, d) complex array.
+    (B, d, d) complex array, (d, d) if p was scalar, (G, B, d, d) if
+    p was 2-D.
     """
     if basis not in ("bare", "symmetric"):
         raise ValueError(f"unknown basis {basis!r}")
-    pulses = list(pulses)
-    n_groups = len(pulses)
     p_arr = np.asarray(p, dtype=float)
-    if p_arr.ndim < 2:
-        p_arr = np.broadcast_to(p_arr.ravel(), (n_groups, p_arr.size))
-    elif p_arr.shape[0] != n_groups:
-        raise ValueError("p needs one row per group")
-    n_sys = p_arr.shape[1]
+    grouped = p_arr.ndim == 2
+    if grouped:
+        if not len(envelope) == len(protocol) == len(p_arr):
+            raise ValueError("a 2-D p needs one pulse per row")
+        pulses = list(zip(envelope, protocol))
+        windows = window
+    else:
+        p_arr = p_arr.reshape(1, -1)
+        pulses = [(envelope, protocol)]
+        windows = None if window is None else [window]
+    n_groups, n_sys = p_arr.shape
     d = 2 * n_max + 1
     eps = np.broadcast_to(np.asarray(epsilon, float), p_arr.shape)
     if windows is None:
-        windows = [envelope.support for envelope, _ in pulses]
+        windows = [env.support for env, _ in pulses]
     t0, t1 = (np.array(x, dtype=float) for x in zip(*windows))
 
     # One bound check per window; non-finite values would hang DOP853.
-    for g, (envelope, protocol) in enumerate(pulses):
+    for g, (env, prot) in enumerate(pulses):
         grid = np.linspace(t0[g], t1[g], 257)
-        given = (grid, envelope.evaluate(grid), protocol.evaluate(grid),
-                 p_arr[g], eps[g])
+        given = (grid, env.evaluate(grid), prot.evaluate(grid), p_arr[g],
+                 eps[g])
         if not all(np.isfinite(x).all() for x in given):
             raise IntegratorFailure(
                 f"non-finite momentum, epsilon or drive in group {g}")
@@ -379,57 +399,72 @@ def propagate_groups(p, pulses, epsilon=0.0, n_max=2, rtol=DEFAULT_RTOL,
     flat += [j * d + i for i, j, *_ in bands]
     weights = np.array([w for _, _, w, _ in bands] * 2)
     turn = -1j * np.array([rate for *_, rate in bands])
-    work = {"size": None}
 
-    def prepare(times, live):
-        """deriv(j, y, out) of the running groups at the rows of times.
+    def rhs(rows):
+        """prepare(times, live) for solve_ivp over the groups rows."""
+        work = {"size": None}
 
-        The drive of every row is formed at once: the envelope and
-        detuning of each group at its own times, then the carrier and
-        band phases of all rows in one array each.  Constant Doppler
-        couplings go into the work matrix once per set of running
-        groups; the drive entries, every band's upper element and then
-        its mirror image, are written with one put() at fixed indices.
-        """
-        if work["size"] != live.size:
-            p_live = p_arr[live].ravel()
-            a = np.zeros((p_live.size, d, d), dtype=complex)
-            for i, j, rate in doppler:
-                a[:, i, j] = a[:, j, i] = rate * p_live
-            work.update(size=live.size, a=a, eps=eps[live],
-                        slots=(np.arange(p_live.size)[:, None] * d * d
-                               + flat).ravel(),
-                        pulses=[pulses[g] for g in live.tolist()])
-        a, slots = work["a"], work["slots"]
-        amp, arg = [], []
-        for (envelope, protocol), column in zip(work["pulses"],
-                                                times.T.tolist()):
-            for t in column:
-                amp.append(envelope.at(t))
-                arg.append((RESONANCE + protocol.at(t)) * t)
-        shape = times.T.shape + (1,)
-        # [i, j]: group i at row j of times
-        drive = (np.array(amp).reshape(shape)
-                 * (np.cos(arg).reshape(shape) + work["eps"][:, None]))
-        ph = np.exp(turn * times[:, :, None])
-        ph = np.concatenate((ph, ph.conj()), axis=2)  # [j, i]
+        def prepare(times, live):
+            """deriv(j, y, out) of the running groups at the rows of times.
 
-        def deriv(j, y, out):
-            a.put(slots, (drive[:, j, :, None] * weights) * ph[j, :, None])
-            u = y.view(complex).reshape(-1, d, d)
-            np.multiply(-1j, _einsum("bij,bjk->bik", a, u).reshape(
-                live.size, -1), out=out.view(complex))
-        return deriv
+            The drive of every row is formed at once: the envelope and
+            detuning of each group at its own times, then the carrier and
+            band phases of all rows in one array each.  Constant Doppler
+            couplings go into the work matrix once per set of running
+            groups; the drive entries, every band's upper element and
+            then its mirror image, are written with one put() at fixed
+            indices.
+            """
+            if work["size"] != live.size:
+                groups = rows[live]
+                p_live = p_arr[groups].ravel()
+                a = np.zeros((p_live.size, d, d), dtype=complex)
+                for i, j, rate in doppler:
+                    a[:, i, j] = a[:, j, i] = rate * p_live
+                work.update(size=live.size, a=a, eps=eps[groups],
+                            slots=(np.arange(p_live.size)[:, None] * d * d
+                                   + flat).ravel(),
+                            pulses=[pulses[g] for g in groups.tolist()])
+            a, slots = work["a"], work["slots"]
+            amp, arg = [], []
+            for (env, prot), column in zip(work["pulses"],
+                                           times.T.tolist()):
+                for t in column:
+                    amp.append(env.at(t))
+                    arg.append((RESONANCE + prot.at(t)) * t)
+            shape = times.T.shape + (1,)
+            # [i, j]: group i at row j of times
+            drive = (np.array(amp).reshape(shape)
+                     * (np.cos(arg).reshape(shape) + work["eps"][:, None]))
+            ph = np.exp(turn * times[:, :, None])
+            ph = np.concatenate((ph, ph.conj()), axis=2)  # [j, i]
 
-    y0 = np.tile(np.eye(d, dtype=complex), (n_groups, n_sys, 1, 1))
-    sol = solve_ivp(prepare, t0, t1, y0.reshape(n_groups, -1).view(float),
-                    rtol, atol)
-    if sol.failed is not None:
-        g = sol.failed
-        raise IntegratorFailure(
-            f"pulse integration failed in group {g} (p in "
-            f"[{p_arr[g].min():.6g}, {p_arr[g].max():.6g}]): {sol.message}")
-    u_int = sol.y.view(complex).reshape(n_groups, n_sys, d, d)
+            def deriv(j, y, out):
+                a.put(slots,
+                      (drive[:, j, :, None] * weights) * ph[j, :, None])
+                u = y.view(complex).reshape(-1, d, d)
+                np.multiply(-1j, _einsum("bij,bjk->bik", a, u).reshape(
+                    live.size, -1), out=out.view(complex))
+            return deriv
+        return prepare
+
+    # At most _LOCKSTEP_SYSTEMS momenta in one lockstep solve, which
+    # bounds the stage matrices held at once; groups are independent,
+    # so the split changes no result.
+    y0 = np.tile(np.eye(d, dtype=complex), (n_sys, 1, 1)).ravel().view(float)
+    u_int = np.empty((n_groups, n_sys, d, d), dtype=complex)
+    per_solve = max(1, _LOCKSTEP_SYSTEMS // n_sys)
+    for first in range(0, n_groups, per_solve):
+        rows = np.arange(first, min(first + per_solve, n_groups))
+        sol = solve_ivp(rhs(rows), t0[rows], t1[rows],
+                        np.tile(y0, (rows.size, 1)), rtol, atol)
+        if sol.failed is not None:
+            g = int(rows[sol.failed])
+            raise IntegratorFailure(
+                f"pulse integration failed in group {g} (p in "
+                f"[{p_arr[g].min():.6g}, {p_arr[g].max():.6g}]): "
+                f"{sol.message}")
+        u_int[rows] = sol.y.view(complex).reshape(rows.size, n_sys, d, d)
 
     # U_S = exp(-i E t1) U_I exp(+i E t0) with E the ladder offsets.
     offsets = kinetic_offsets(n_max)
@@ -439,49 +474,9 @@ def propagate_groups(p, pulses, epsilon=0.0, n_max=2, rtol=DEFAULT_RTOL,
         u_s = np.exp(-1j * offsets[:, None] * t1[g]) * u_int[g] \
             * np.exp(1j * offsets[None, :] * t0[g])
         out[g] = v @ u_s @ v.T if basis == "bare" else u_s
-    return out
-
-
-def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
-                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, basis="bare",
-                        window=None):
-    """Pulse propagators for one group of quasi-momenta.
-
-    Integrates the interaction-picture matrix equation dU/dt = -i Hbar U
-    over the envelope support and reattaches the kinetic ladder phases,
-    so the returned matrices are Schroedinger-picture pulse unitaries
-    (modulo the common exp(-i p**2 dt) phase, see module docstring).
-
-    The batch is one group of propagate_groups: one ODE system, which
-    DOP853 steps with one step size and one RMS error norm, bit for bit
-    as scipy's solve_ivp(method="DOP853", t_eval=[t1]) would.  So a
-    unitary can move at the rtol level with the other momenta of its
-    batch.  One group per momentum would remove that but is less
-    accurate: measured on the contrast_sweep scenarios, the packet-summed
-    port population error rose from 1.19e-10 to 4.30e-10 (9.72e-11 to
-    1.45e-10 on the probe) and the surrogate Chebyshev tails from about
-    5e-16 to 4e-12 - 1.3e-10.
-
-    Parameters
-    ----------
-    p : float or (B,) array
-        Quasi-momenta; the batch shares one time grid.
-    envelope, protocol : PulseEnvelope, DetuningProtocol
-    epsilon : float or (B,) array
-        Polarization imbalance per system.
-    basis : {'bare', 'symmetric'}
-        Bare ordering is {|p>, |p+2>, |p-2>, ...}; columns are evolved
-        input states either way.
-    window : (t0, t1), optional
-        Integration window override; defaults to the envelope support.
-
-    Returns
-    -------
-    (B, d, d) complex array, or (d, d) if p was scalar.
-    """
-    u = propagate_groups(p, [(envelope, protocol)], epsilon, n_max, rtol,
-                         atol, basis, None if window is None else [window])[0]
-    return u[0] if np.ndim(p) == 0 else u
+    if grouped:
+        return out
+    return out[0, 0] if np.ndim(p) == 0 else out[0]
 
 
 def integrated_efficiency(packet, kind, envelope, protocol, epsilon=0.0,

@@ -21,8 +21,8 @@ from importlib import resources
 import numpy as np
 from scipy.optimize import minimize
 
-from .multilevel import (integrated_efficiency, propagate_groups,
-                         propagate_unitaries, transfer_efficiency)
+from .multilevel import (integrated_efficiency, propagate_unitaries,
+                         transfer_efficiency)
 from .units import (ConstantDetuning, GaussianWavePacket, KnotDetuning,
                     LinearDetuning, PulseEnvelope)
 
@@ -135,12 +135,14 @@ def candidate_costs(target, candidates, momentum_samples,
                     epsilon_samples=(0.0,), n_max=2, rtol=1e-9, atol=1e-11):
     """bs_cost or mirror_cost, by target, of every candidate in one solve.
 
-    Each candidate is one group of propagate_groups, so its cost is bit
-    for bit what bs_cost or mirror_cost gives it alone.
+    Each candidate is one group of propagate_unitaries, so its cost is
+    bit for bit what bs_cost or mirror_cost gives it alone.
     """
     p, eps = _samples(target, momentum_samples, epsilon_samples)
-    u = propagate_groups(p, candidates, eps, n_max=n_max, rtol=rtol,
-                         atol=atol)
+    envelopes, protocols = zip(*candidates)
+    u = propagate_unitaries(np.broadcast_to(p, (len(candidates), p.size)),
+                            envelopes, protocols, eps, n_max=n_max,
+                            rtol=rtol, atol=atol)
     return [_score(target, row) for row in u]
 
 
@@ -292,15 +294,16 @@ def optimize(problem, seed=0):
                                 bound=problem.delta_max)
         return env, protocol
 
-    def costs(xs, rtol):
-        return candidate_costs(problem.target, [build(x) for x in xs],
-                               problem.momentum_samples,
-                               problem.epsilon_samples, problem.n_max, rtol,
-                               rtol * 1e-2)
-
     def evaluate(x, rtol):
         tracker.charge()
-        c = costs([x], rtol)[0]
+        cand = build(x)
+        if problem.target == "bs_balanced":
+            c = bs_cost(cand, problem.momentum_samples,
+                        problem.epsilon_samples, n_max=problem.n_max,
+                        rtol=rtol, atol=rtol * 1e-2)
+        else:
+            c = mirror_cost(cand, problem.momentum_samples,
+                            n_max=problem.n_max, rtol=rtol, atol=rtol * 1e-2)
         tracker.record(x, c)
         return c
 
@@ -331,7 +334,10 @@ def optimize(problem, seed=0):
     # The prescan is one grouped solve, charged and recorded in order.
     prescan = candidates[:problem.budget]
     scored = []
-    for cand, c in zip(prescan, costs(prescan, problem.rtol)):
+    for cand, c in zip(prescan, candidate_costs(
+            problem.target, [build(x) for x in prescan],
+            problem.momentum_samples, problem.epsilon_samples,
+            problem.n_max, problem.rtol, problem.rtol * 1e-2)):
         tracker.charge()
         tracker.record(cand, c)
         scored.append((c, cand))

@@ -349,8 +349,17 @@ def builtin_pulses():
             for pulse in ("bs", "mirror")]
 
 
+def grouped(p, pulses, epsilon=0.0, **kw):
+    """propagate_unitaries with one group per pulse; p is shared or 2-D."""
+    p = np.asarray(p, dtype=float)
+    envelopes, protocols = zip(*pulses)
+    return multilevel.propagate_unitaries(
+        np.broadcast_to(p, (len(pulses), p.shape[-1])), envelopes,
+        protocols, epsilon, **kw)
+
+
 class TestGroups:
-    """propagate_groups solves each group as scipy's DOP853 would alone."""
+    """A 2-D p solves each group as scipy's DOP853 would solve it alone."""
 
     @pytest.mark.parametrize("rtol", [1e-6, 1e-9])
     def test_each_group_is_scipy_dop853(self, rtol):
@@ -363,8 +372,8 @@ class TestGroups:
             lo, hi = env.support
             windows.append(env.support if g % 2 else
                            (lo + 0.1 * (hi - lo), hi - 0.05 * (hi - lo)))
-        u = multilevel.propagate_groups(p, pulses, eps, rtol=rtol,
-                                        atol=rtol * 1e-2, windows=windows)
+        u = grouped(p, pulses, eps, rtol=rtol, atol=rtol * 1e-2,
+                    window=windows)
         for g, (env, protocol) in enumerate(pulses):
             ref = reference_unitaries(p[g], env, protocol, eps[g],
                                       rtol=rtol, atol=rtol * 1e-2,
@@ -398,8 +407,8 @@ class TestGroups:
     def test_shared_momenta_and_scalar_epsilon(self):
         pulses = builtin_pulses()[:3]
         p = np.array([-0.1, 0.05])
-        u = multilevel.propagate_groups(p, pulses, 0.02, rtol=1e-6,
-                                        atol=1e-8, basis="symmetric")
+        u = grouped(p, pulses, 0.02, rtol=1e-6, atol=1e-8,
+                    basis="symmetric")
         assert u.shape == (3, 2, 5, 5)
         for g, (env, protocol) in enumerate(pulses):
             ref = reference_unitaries(p, env, protocol, 0.02, rtol=1e-6,
@@ -418,12 +427,35 @@ class TestGroups:
                   for k in knots]
         p = np.array(problem.momentum_samples)
         kw = dict(rtol=1e-6, atol=1e-8)
-        every = multilevel.propagate_groups(p, pulses, **kw)
+        every = grouped(p, pulses, **kw)
         assert every.shape[0] == 93
         for picks in ([40], [92, 0], [5, 61, 17], list(range(3, 88, 5))):
-            some = multilevel.propagate_groups(
-                p, [pulses[g] for g in picks], **kw)
+            some = grouped(p, [pulses[g] for g in picks], **kw)
             assert np.array_equal(some, every[picks]), picks
+
+    def test_split_into_lockstep_solves_changes_nothing(self, monkeypatch):
+        pulses = builtin_pulses()
+        p = np.random.default_rng(4).uniform(-0.2, 0.2, (len(pulses), 4))
+        kw = dict(rtol=1e-6, atol=1e-8)
+        whole = grouped(p, pulses, **kw)
+        calls = []
+        solve = multilevel.solve_ivp
+        monkeypatch.setattr(multilevel, "solve_ivp", lambda fun, t0, *a:
+                            calls.append(len(t0)) or solve(fun, t0, *a))
+        for cap, sizes in ((9, [2, 2, 2]), (3, [1] * 6)):
+            calls.clear()
+            monkeypatch.setattr(multilevel, "_LOCKSTEP_SYSTEMS", cap)
+            assert np.array_equal(grouped(p, pulses, **kw), whole), cap
+            assert calls == sizes
+
+    def test_one_pulse_per_row(self):
+        env, protocol = builtin_pulses()[0]
+        with pytest.raises(ValueError, match="one pulse per row"):
+            multilevel.propagate_unitaries(np.zeros((2, 3)), [env, env],
+                                           [protocol], rtol=1e-6)
+        with pytest.raises(ValueError, match="one pulse per row"):
+            multilevel.propagate_unitaries(np.zeros((3, 3)), [env, env],
+                                           [protocol, protocol], rtol=1e-6)
 
     def test_too_small_step_names_the_group(self):
         # at t = 1e15 the float spacing is 0.125, so scipy's minimum step
@@ -434,7 +466,7 @@ class TestGroups:
         with pytest.raises(IntegratorFailure,
                            match=r"group 1 \(p in \[-0.2, 0.15\]\).*"
                                  r"step size"):
-            multilevel.propagate_groups(p, pulses, rtol=1e-6, atol=1e-8)
+            grouped(p, pulses, rtol=1e-6, atol=1e-8)
 
     def test_non_finite_drive_names_the_group(self):
         class LateNan:
@@ -450,5 +482,4 @@ class TestGroups:
         pulses = [(box(2.0, 0.5), FLAT), (LateNan(), FLAT)]
         with pytest.raises(IntegratorFailure,
                            match=r"group 1 \(p in \[0, 0.1\]\).*not finite"):
-            multilevel.propagate_groups(np.array([0.0, 0.1]), pulses,
-                                        rtol=1e-6, atol=1e-8)
+            grouped(np.array([0.0, 0.1]), pulses, rtol=1e-6, atol=1e-8)

@@ -175,15 +175,18 @@ class TestOptimizer:
         target = np.sin(np.arange(8.0))
         rtols = []
 
-        def quadratic(problem_target, candidates, momentum_samples,
-                      epsilon_samples=(0.0,), n_max=2, rtol=1e-9,
+        def quadratic(candidate, momentum_samples, n_max=2, rtol=1e-9,
                       atol=1e-11):
-            rtols.extend([rtol] * len(candidates))
-            return [float(np.sum((c[1].values - target) ** 2))
+            rtols.append(rtol)
+            return float(np.sum((candidate[1].values - target) ** 2))
+
+        def each(target, candidates, samples, eps, n_max, rtol, atol):
+            return [quadratic(c, samples, n_max, rtol, atol)
                     for c in candidates]
 
-        # optimize scores every candidate through candidate_costs
-        monkeypatch.setattr(strategies, "candidate_costs", quadratic)
+        monkeypatch.setattr(strategies, "mirror_cost", quadratic)
+        # the prescan scores its candidates together, the rest one by one
+        monkeypatch.setattr(strategies, "candidate_costs", each)
         problem = oct_mirror_problem(budget=300)
         res = optimize(problem, seed=0)
         prescan = 81 + 300 // 8
@@ -204,12 +207,13 @@ class TestOptimizer:
             sizes.append(len(candidates))
             return grouped(target, candidates, *args)
 
-        def one_by_one(target, candidates, *args):
-            return [grouped(target, [c], *args)[0] for c in candidates]
+        def one_by_one(target, candidates, samples, eps, n_max, rtol, atol):
+            return [strategies.mirror_cost(c, samples, n_max, rtol, atol)
+                    for c in candidates]
 
         monkeypatch.setattr(strategies, "candidate_costs", spy)
         fused = optimize(problem, seed=0)
-        assert sizes[0] == 81 + 100 // 8 and set(sizes[1:]) == {1}
+        assert sizes == [81 + 100 // 8]
         monkeypatch.setattr(strategies, "candidate_costs", one_by_one)
         assert optimize(problem, seed=0) == fused
 
