@@ -30,22 +30,17 @@ from .grid import (
 from .interferometer import (
     ContrastResult,
     FluctuationResult,
-    FringeFit,
     FringeScan,
     MzConfig,
     contrast_sweep,
     default_t_grid,
     extract_contrast,
-    fit_fringe,
     fluctuation_robustness,
     free_phases,
     ideal_bs_matrix,
     ideal_mirror_matrix,
     oracle_fringe,
-    port_populations,
-    semiclassical_phase,
     t_scan,
-    three_path_amplitudes,
     total_s_matrix,
 )
 from .io import ResultTable, ScenarioConfig

@@ -105,15 +105,6 @@ class GridState:
     def norm(self):
         return float(np.sum(np.abs(self.amp) ** 2))
 
-    def momentum_centroid(self):
-        w = np.abs(self.amp) ** 2
-        return float(np.sum(w * self.momenta()) / np.sum(w))
-
-    def momentum_variance(self):
-        w = np.abs(self.amp) ** 2
-        dev = self.momenta() - self.momentum_centroid()
-        return float(np.sum(w * dev**2) / np.sum(w))
-
 
 @dataclass(frozen=True)
 class MomentumPortHistogram:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft
-from scipy.optimize import curve_fit
 
 from . import grid as grid_mod
 from .exceptions import IntegratorFailure, NoExtremaFound, OutOfZone
@@ -123,14 +122,6 @@ class ContrastResult:
 
 
 @dataclass(frozen=True)
-class FringeFit:
-    frequency: float  # vs T^2
-    phase: float
-    amplitude: float
-    offset: float
-
-
-@dataclass(frozen=True)
 class FluctuationResult:
     """Per-shot contrasts with their mean and population std.
 
@@ -141,11 +132,6 @@ class FluctuationResult:
     std: float
     contrasts: tuple
     seed: int
-
-
-def semiclassical_phase(a, T):
-    """Leading-order phase 4 a T^2 for effective momentum 4 k_L."""
-    return 4.0 * a * np.asarray(T, dtype=float) ** 2
 
 
 def ideal_bs_matrix(n_max=2):
@@ -257,31 +243,6 @@ def _solve(p, pulse, config):
                                atol=config.rtol * 1e-2, basis="bare")
 
 
-def three_path_amplitudes(b1, m, b3, g, p, T):
-    """Closed-form reduced amplitudes from the three spatially closed paths.
-
-    Writes the output column for input port 0 as three explicit terms,
-    one per closed path (stay central; down-then-up; up-then-down),
-    with the free-fall phase theta(x) = -(T x^2 + g T^2 x / 2) attached
-    to each segment momentum by hand.  Deliberately independent of the
-    matrix composition so the two can be compared.
-    """
-    p2 = p + 0.5 * g * T
-
-    def theta(x):
-        return -(T * x**2 + 0.5 * g * T**2 * x)
-
-    paths = (
-        (0, 0, theta(p) + theta(p2)),
-        (1, 2, theta(p - 2.0) + theta(p2 + 2.0)),
-        (2, 1, theta(p + 2.0) + theta(p2 - 2.0)),
-    )
-    out = np.zeros(b1.shape[0], dtype=complex)
-    for l, k, phase in paths:
-        out += b3[:, l] * m[l, k] * b1[k, 0] * np.exp(1j * phase)
-    return out
-
-
 def total_s_matrix(config, p, T=None, matrices=None):
     """Full (2 n_max + 1)-square sequence matrix at quasi-momentum p.
 
@@ -308,21 +269,6 @@ def total_s_matrix(config, p, T=None, matrices=None):
         m = _solve(p2, strat.mirror, config)
         b3 = _solve(p3, strat.bs, config)
     return _compose(config, b1, _detected(config, m), b3, p, T)
-
-
-def port_populations(config, T=None, p=None):
-    """(P1, P2, P3) for one shot: central, +2, -2 ports.
-
-    With p given, plane-wave populations at that quasi-momentum;
-    otherwise integrated over the source packet by Gauss-Legendre
-    quadrature on its support.
-    """
-    if p is not None:
-        s = total_s_matrix(config, p, T)
-        return (abs(s[0, 0]) ** 2, abs(s[1, 0]) ** 2, abs(s[2, 0]) ** 2)
-    T_val = config.T if T is None else T
-    scan = t_scan(config, np.array([T_val]))
-    return (float(scan.p1[0]), float(scan.p2[0]), float(scan.p3[0]))
 
 
 def _chebyshev_tail(values):
@@ -518,28 +464,6 @@ def extract_contrast(scan):
     t_min = math.sqrt(x_min / (4.0 * abs(g)))
     contrast = float(np.clip(y_max - y_min, 0.0, 1.0))
     return ContrastResult(contrast, t_max, t_min, residual)
-
-
-def fit_fringe(scan, freq_guess=None):
-    """Least-squares cosine fit of P_sum against T^2.
-
-    Model a0 + A cos(omega T^2 + phi); the frequency of an ideal fringe
-    equals 4g.  freq_guess defaults to the semiclassical value.
-    """
-    y = scan.t_grid**2
-    sig = scan.p_sum
-    w0 = 4.0 * abs(scan.config.g) if freq_guess is None else freq_guess
-
-    def model(yy, a0, a, w, ph):
-        return a0 + a * np.cos(w * yy + ph)
-
-    p0 = [float(np.mean(sig)), 0.5 * float(np.ptp(sig)), w0, math.pi]
-    popt, _ = curve_fit(model, y, sig, p0=p0, maxfev=20000)
-    a0, a, w, ph = popt
-    if a < 0:
-        a, ph = -a, ph + math.pi
-    return FringeFit(float(w), float(ph % (2 * math.pi)), float(a),
-                     float(a0))
 
 
 def contrast_sweep(config, axis, values, t_grid=None):

@@ -47,22 +47,6 @@ class StrategySpec:
     bs: tuple  # (PulseEnvelope, DetuningProtocol)
     mirror: tuple
 
-    @property
-    def bs_envelope(self):
-        return self.bs[0]
-
-    @property
-    def bs_protocol(self):
-        return self.bs[1]
-
-    @property
-    def mirror_envelope(self):
-        return self.mirror[0]
-
-    @property
-    def mirror_protocol(self):
-        return self.mirror[1]
-
 
 def _bs_envelope():
     return PulseEnvelope("gaussian", BS_OMEGA, BS_TAU)

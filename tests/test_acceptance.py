@@ -27,6 +27,7 @@ from dbdsim.units import (
     PulseEnvelope,
 )
 
+import checks
 import pulse_efficiency
 
 G1 = 0.000357
@@ -93,11 +94,11 @@ def test_01_pulse_efficiency_table():
     for name, (bs_ref, mirror_ref) in EFFICIENCY_TABLE.items():
         spec = strategies.builtin_strategy(name)
         bs = multilevel.integrated_efficiency(
-            packet, "beam_splitter", spec.bs_envelope, spec.bs_protocol,
-            rtol=1e-9, atol=1e-11)
+            packet, "beam_splitter", checks.bs_envelope(spec),
+            checks.bs_protocol(spec), rtol=1e-9, atol=1e-11)
         mirror = multilevel.integrated_efficiency(
-            packet, "mirror_plus", spec.mirror_envelope,
-            spec.mirror_protocol, rtol=1e-9, atol=1e-11)
+            packet, "mirror_plus", checks.mirror_envelope(spec),
+            checks.mirror_protocol(spec), rtol=1e-9, atol=1e-11)
         clauses.append(_clause(
             f"{name} splitter", abs(bs - bs_ref) <= EFFICIENCY_TOL,
             f"{bs:.4f} vs {bs_ref:.4f} +-{EFFICIENCY_TOL}"))
@@ -182,7 +183,7 @@ def test_04_resolved_contrast_and_path_identity():
         s = itf.total_s_matrix(
             itf.MzConfig(**{**cfg.__dict__, "g": g}), p, T=T,
             matrices=(b1, m, b3))
-        direct = itf.three_path_amplitudes(b1, m, b3, g, p, T)
+        direct = checks.three_path_amplitudes(b1, m, b3, g, p, T)
         worst = max(worst, float(np.max(np.abs(s[:, 0] - direct))))
     clauses.append(_clause("three-path identity", worst < 1e-10,
                            f"max|diff|={worst:.2e} < 1e-10, 50 draws"))
@@ -280,11 +281,11 @@ def test_08_limit_identities():
                        ideal_pulses=True)
     t_grid = itf.default_t_grid(G1)
     scan = itf.t_scan(cfg, t_grid)
-    x = itf.semiclassical_phase(G1, t_grid)
+    x = checks.semiclassical_phase(G1, t_grid)
     fringe_err = float(np.max(np.abs(scan.p_sum - 0.5 * (1 - np.cos(x)))))
     clauses.append(_clause("lossless fringe", fringe_err < 1e-10,
                            f"max dev {fringe_err:.2e} < 1e-10"))
-    fit = itf.fit_fringe(scan)
+    fit = checks.fit_fringe(scan)
     rel = abs(fit.frequency - 4.0 * G1) / (4.0 * G1)
     clauses.append(_clause("fitted frequency", rel < 1e-6,
                            f"rel err {rel:.2e} < 1e-6"))

@@ -20,6 +20,8 @@ from dbdsim.strategies import builtin_strategy
 from dbdsim.units import (ConstantDetuning, GaussianWavePacket, PulseEnvelope,
                           carrier_factor)
 
+from checks import momentum_centroid, momentum_variance
+
 FLAT = ConstantDetuning(0.0)
 SMALL = GridSpec(2048, 64.0 * math.pi, 0.001)
 
@@ -111,8 +113,8 @@ class TestPreparation:
     def test_norm_and_moments(self):
         state = prepare_wavepacket(SMALL, GaussianWavePacket(0.1, 0.05))
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        assert state.momentum_centroid() == pytest.approx(0.1, abs=1e-9)
-        assert state.momentum_variance() == pytest.approx(0.05**2, rel=1e-6)
+        assert momentum_centroid(state) == pytest.approx(0.1, abs=1e-9)
+        assert momentum_variance(state) == pytest.approx(0.05**2, rel=1e-6)
 
     def test_too_narrow_for_box(self):
         with pytest.raises(ResolutionError):
@@ -131,7 +133,7 @@ class TestNodePacket:
         state = node_wavepacket(SMALL, GaussianWavePacket(0.1, 0.005), 16)
         assert state.q.size == 16
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        assert state.momentum_centroid() == pytest.approx(0.1, abs=1e-9)
+        assert momentum_centroid(state) == pytest.approx(0.1, abs=1e-9)
 
     @pytest.mark.parametrize("pulse", ["bs", "mirror"])
     @pytest.mark.parametrize("name", ["ds_dbd", "c_dbd"])
@@ -270,7 +272,7 @@ class TestFreeFall:
         g, T = 0.001, 30.0
         out = free_propagate_analytic(state, g, T)
         assert out.q == pytest.approx(state.q + 0.5 * g * T)
-        assert out.momentum_centroid() == pytest.approx(0.5 * g * T,
+        assert momentum_centroid(out) == pytest.approx(0.5 * g * T,
                                                         abs=1e-9)
         assert out.time == pytest.approx(T)
 

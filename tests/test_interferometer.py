@@ -11,16 +11,12 @@ from dbdsim.interferometer import (
     MzConfig,
     default_t_grid,
     extract_contrast,
-    fit_fringe,
     fluctuation_robustness,
     free_phases,
     ideal_bs_matrix,
     ideal_mirror_matrix,
     oracle_fringe,
     port_offsets,
-    port_populations,
-    semiclassical_phase,
-    three_path_amplitudes,
     t_scan,
     total_s_matrix,
 )
@@ -28,6 +24,9 @@ from dbdsim.grid import GridSpec
 from dbdsim.multilevel import propagate_unitaries
 from dbdsim.strategies import builtin_strategy
 from dbdsim.units import GaussianWavePacket, PolarizationError
+
+from checks import (fit_fringe, port_populations, semiclassical_phase,
+                    three_path_amplitudes)
 
 G_SMALL = 0.000357
 

@@ -483,3 +483,55 @@ class TestGroups:
         with pytest.raises(IntegratorFailure,
                            match=r"group 1 \(p in \[0, 0.1\]\).*not finite"):
             grouped(np.array([0.0, 0.1]), pulses, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_groups_dropping_out_rebuild_the_work_arrays(self, n_max):
+        # four groups whose windows end at four different times: each
+        # finish compacts the running groups and rebuilds the (d, d, B)
+        # work arrays, and every stage row of k is a strided view
+        pulses = builtin_pulses()[:4]
+        rng = np.random.default_rng(n_max)
+        p = rng.uniform(-0.3, 0.3, (len(pulses), 5))
+        windows = []
+        for g, (env, _) in enumerate(pulses):
+            lo, hi = env.support
+            windows.append((lo, hi - 0.1 * g * (hi - lo)))
+        kw = dict(n_max=n_max, rtol=1e-7, atol=1e-9)
+        u = grouped(p, pulses, 0.01, window=windows, **kw)
+        for g, (env, protocol) in enumerate(pulses):
+            ref = reference_unitaries(p[g], env, protocol, 0.01,
+                                      window=windows[g], **kw)
+            assert np.array_equal(u[g], ref), g
+
+
+class TestLadderProduct:
+    """The batch-innermost product is the batch-outermost einsum."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 9, 64, 65, 128, 129, 837])
+    def test_matches_the_batch_outermost_einsum(self, batch, n_max):
+        d = 2 * n_max + 1
+        rng = np.random.default_rng(10 * batch + n_max)
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        bands, doppler = multilevel._bands(n_max)
+        banded = np.zeros((batch, d, d), dtype=complex)
+        for i, j, *_ in bands + doppler:
+            banded[:, i, j], banded[:, j, i] = draw(batch), draw(batch)
+        u = draw(batch, d, d)
+        for a in (banded, draw(batch, d, d)):
+            expected = -1j * np.einsum("bij,bjk->bik", a, u)
+            a_t = np.ascontiguousarray(a.transpose(1, 2, 0))
+            for groups in (1, 3):
+                if batch % groups:
+                    continue
+                shape = (groups, batch // groups, d, d)
+                # out strided as a stage row of solve_ivp's k
+                k = np.zeros((groups, 3, 2 * u[0].size * shape[1]))
+                out = k[:, 1].view(complex).reshape(shape)
+                product = multilevel._ladder_product(a_t, groups)
+                product(u.reshape(shape), out)
+                assert np.array_equal(out.reshape(u.shape), expected), groups
+                assert not k[:, 0].any() and not k[:, 2].any()

@@ -28,35 +28,37 @@ from dbdsim.units import (
     PulseEnvelope,
 )
 
+from checks import bs_envelope, bs_protocol, mirror_envelope, mirror_protocol
+
 NULL = (PulseEnvelope("box", 0.0, 0.5), ConstantDetuning(0.0))
 
 
 class TestBuiltins:
     def test_shared_beam_splitter_envelope(self):
         for name in ("c_dbd", "cd_dbd", "ds_dbd"):
-            env = builtin_strategy(name).bs_envelope
+            env = bs_envelope(builtin_strategy(name))
             assert env.shape == "gaussian"
             assert env.peak == BS_OMEGA
             assert env.width == BS_TAU
 
     def test_c_dbd_is_resonant(self):
         spec = builtin_strategy("c_dbd")
-        assert spec.bs_protocol.evaluate(0.3) == 0.0
-        assert spec.mirror_protocol.evaluate(-0.5) == 0.0
-        assert spec.mirror_envelope.peak == MIRROR_OMEGA
-        assert spec.mirror_envelope.width == MIRROR_TAU
+        assert bs_protocol(spec).evaluate(0.3) == 0.0
+        assert mirror_protocol(spec).evaluate(-0.5) == 0.0
+        assert mirror_envelope(spec).peak == MIRROR_OMEGA
+        assert mirror_envelope(spec).width == MIRROR_TAU
 
     def test_cd_dbd_offsets_only_the_splitter(self):
         spec = builtin_strategy("cd_dbd")
-        assert spec.bs_protocol.evaluate(0.0) == CD_BS_DELTA
-        assert spec.mirror_protocol.evaluate(0.0) == 0.0
+        assert bs_protocol(spec).evaluate(0.0) == CD_BS_DELTA
+        assert mirror_protocol(spec).evaluate(0.0) == 0.0
 
     def test_ds_dbd_sweeps(self):
         spec = builtin_strategy("ds_dbd")
-        assert spec.bs_protocol.evaluate(0.0) == pytest.approx(0.315)
+        assert bs_protocol(spec).evaluate(0.0) == pytest.approx(0.315)
         # mirror sweep spans far outside the first band and needs the
         # wide bound: the same ramp under the default bound must refuse
-        assert spec.mirror_protocol.evaluate(-3.84) == pytest.approx(-8.5)
+        assert mirror_protocol(spec).evaluate(-3.84) == pytest.approx(-8.5)
         tight = LinearDetuning(0.75, -4.0, width=MIRROR_TAU)
         with pytest.raises(BoundViolation):
             tight.evaluate(-3.84)
@@ -71,8 +73,8 @@ class TestBuiltins:
     def test_oct_hybrid_uses_packaged_knots(self):
         spec = builtin_strategy("oct_hybrid")
         table = load_knot_table()
-        assert isinstance(spec.mirror_protocol, KnotDetuning)
-        assert spec.mirror_protocol.values == table.values
+        assert isinstance(mirror_protocol(spec), KnotDetuning)
+        assert mirror_protocol(spec).values == table.values
         assert np.all(np.abs(table.values) <= table.bound)
 
     def test_unknown_name(self):
