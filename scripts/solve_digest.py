@@ -11,7 +11,10 @@ they are.  The families:
   perfbench/scenarios/cs_*.cfg, the T, P1, P2, P3 and P_sum rows and
   the provenance (surrogate tails, contrast, ...) but its timestamp;
 - optimize: the cost history, final cost and knots of the
-  perfbench/scenarios/pulse_design.cfg mirror search at seed 1.
+  perfbench/scenarios/pulse_design.cfg mirror search at seed 1;
+- oracle: what `dbdsim oracle-compare` writes for every
+  perfbench/scenarios/oracle_*.cfg but its timestamp, and the ports of
+  an unresolved `oracle_fringe` scan of ds_dbd on GridSpec(2048).
 
 Run from the repository root, on the commit before a change and on the
 change, and compare the output:
@@ -28,9 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from dbdsim import cli, strategies
+from dbdsim import cli, interferometer, strategies
+from dbdsim.grid import GridSpec
 from dbdsim.io import ScenarioConfig
 from dbdsim.multilevel import propagate_unitaries
+from dbdsim.units import GaussianWavePacket
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "perfbench" / "scenarios"
@@ -57,19 +62,38 @@ def unitaries_digest():
     return digest.hexdigest()
 
 
-def tscan_digest():
-    digest = hashlib.sha256()
+def _cli_tables(digest, command, pattern):
+    """Run command on every scenario matching pattern and hash what it
+    writes, timestamp excluded."""
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in sorted(SCENARIOS.glob("cs_*.cfg")):
+        for cfg in sorted(SCENARIOS.glob(pattern)):
             out = str(Path(tmp) / f"{cfg.stem}.csv")
-            code = cli.main(["tscan", "--config", str(cfg), "--out", out,
+            code = cli.main([command, "--config", str(cfg), "--out", out,
                              "--seed", "1", "--workers", "1"])
             if code != 0:
-                raise RuntimeError(f"tscan on {cfg.name} exited {code}")
+                raise RuntimeError(f"{command} on {cfg.name} exited {code}")
             lines = Path(out).read_text().splitlines()
             digest.update("\n".join(
                 line for line in lines
                 if not line.startswith("# timestamp")).encode())
+
+
+def tscan_digest():
+    digest = hashlib.sha256()
+    _cli_tables(digest, "tscan", "cs_*.cfg")
+    return digest.hexdigest()
+
+
+def oracle_digest():
+    digest = hashlib.sha256()
+    _cli_tables(digest, "oracle-compare", "oracle_*.cfg")
+    config = interferometer.MzConfig(
+        strategy=strategies.builtin_strategy("ds_dbd"), g=0.000357,
+        source=GaussianWavePacket(0.0, 0.05), n_nodes=32)
+    scan = interferometer.oracle_fringe(config, [30.0, 46.0],
+                                        spec=GridSpec(2048))
+    for ports in (scan.p1, scan.p2, scan.p3):
+        digest.update(ports.tobytes())
     return digest.hexdigest()
 
 
@@ -92,7 +116,8 @@ def optimize_digest():
 def main():
     for name, family in (("propagate_unitaries", unitaries_digest),
                          ("tscan", tscan_digest),
-                         ("optimize", optimize_digest)):
+                         ("optimize", optimize_digest),
+                         ("oracle", oracle_digest)):
         print(f"{name:20s} {family()}", flush=True)
     return 0
 

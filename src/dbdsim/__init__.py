@@ -8,7 +8,6 @@ resonance sits at 4 omega_rec.
 from .exceptions import (
     BoundViolation,
     ConfigError,
-    EmptyState,
     IntegratorFailure,
     NoExtremaFound,
     OutOfZone,
@@ -20,7 +19,6 @@ from .grid import (
     GridSpec,
     GridState,
     MomentumPortHistogram,
-    apply_port_projector,
     free_propagate_analytic,
     momentum_histogram,
     node_wavepacket,

@@ -21,10 +21,6 @@ class SpectralOverflow(RuntimeError):
     """Significant probability reached the edge of the momentum grid."""
 
 
-class EmptyState(RuntimeError):
-    """A projection removed essentially all probability."""
-
-
 class OutOfZone(ValueError):
     """Momentum content leaves the representable first-zone window."""
 
@@ -40,4 +36,4 @@ class ConfigError(ValueError):
 # Numerical trouble, as opposed to bad input: the CLI maps these to exit
 # code 3, and efficiency_landscape records them as failed cells.
 NUMERICAL_ERRORS = (PoleProximity, IntegratorFailure, ResolutionError,
-                    SpectralOverflow, EmptyState, OutOfZone, NoExtremaFound)
+                    SpectralOverflow, OutOfZone, NoExtremaFound)

@@ -21,12 +21,12 @@ orders raises SpectralOverflow instead of wrapping around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
-from .exceptions import EmptyState, ResolutionError, SpectralOverflow
+from .exceptions import ResolutionError, SpectralOverflow
 from .units import carrier_factor
 
 MAX_PULSE_DT = 0.002
@@ -226,17 +226,17 @@ def _ladder_steps(a, p, coeff, h, stop):
     return a * kin_half, edge
 
 
-def momentum_histogram(state, p0=0.0, max_order=5):
+def momentum_histogram(state, p0=0.0):
     """Port-resolved probability around ladder center p0.
 
     Windows are unit half-width half-open intervals [p0+2k-1, p0+2k+1)
-    for |k| <= max_order; they tile that band exactly, and `residual`
-    collects everything outside it.
+    for |k| <= 5; they tile that band exactly, and `residual` collects
+    everything outside it.
     """
     dens = np.abs(state.amp) ** 2
     ports = _ports(state, p0)
     pops = {port: float(np.sum(dens[ports == port]))
-            for port in range(-max_order, max_order + 1)}
+            for port in range(-5, 6)}
     return MomentumPortHistogram(pops,
                                  float(np.sum(dens)) - sum(pops.values()))
 
@@ -244,24 +244,6 @@ def momentum_histogram(state, p0=0.0, max_order=5):
 def _ports(state, p0):
     """Port k of every amplitude: momentum in [p0 + 2k - 1, p0 + 2k + 1)."""
     return np.floor((state.momenta() - p0 + 1.0) / 2.0)
-
-
-def apply_port_projector(state, keep_ports, p0=0.0, renormalize=False):
-    """Zero the amplitude outside the kept port windows.
-
-    Returns (projected_state, removed_probability).  Without
-    renormalization the output norm is 1 - removed, which deliberately
-    breaks the unit-norm convention; detection on subnormalized branches
-    is how path-restricted signals are assembled.
-    """
-    amp = np.where(np.isin(_ports(state, p0), keep_ports), state.amp, 0.0)
-    kept = float(np.sum(np.abs(amp) ** 2))
-    removed = state.norm() - kept
-    if kept < 1e-14:
-        raise EmptyState("projector removed all probability")
-    if renormalize:
-        amp /= math.sqrt(kept)
-    return replace(state, amp=amp), removed
 
 
 def free_propagate_analytic(state, g, T):

@@ -14,6 +14,7 @@ Detection modes: `unresolved` sums every intermediate path;
 `resolved` keeps only the momentum-reversal pairs that stay spatially
 closed: the mirror entries (l, k) whose bare ports carry opposite
 offsets, port_offsets[l] == -port_offsets[k], on a ladder of any size.
+The grid oracle applies the same rule to its ladders (_detected_mirror).
 """
 
 from __future__ import annotations
@@ -211,6 +212,29 @@ def _detected(config, m):
         return m
     off = port_offsets(config.n_max)
     return m * (off[:, None] == -off[None, :])
+
+
+def _detected_mirror(state, mirror, epsilon, center):
+    """The mirror pulse on grid ladders, as resolved detection sees it.
+
+    The ladder form of _detected's mask: by linearity the kept entries
+    make sum_k P(-k) M P(k), where P(k) keeps port k about center.  One
+    masked copy of the ladders per port holding more than
+    grid._KEEP_TOL of the norm (the bound the pulse kernel accepts for
+    the orders it leaves out) runs through one pulse as stacked rows;
+    copy k keeps port -k, and the copies sum back into one state.
+    """
+    ports = grid_mod._ports(state, center)
+    dens = np.abs(state.amp) ** 2
+    held = [k for k in np.unique(ports)
+            if np.sum(dens[ports == k]) > grid_mod._KEEP_TOL * dens.sum()]
+    masked = [np.where(ports == k, state.amp, 0.0) for k in held]
+    stacked = replace(state, q=np.tile(state.q, len(held)),
+                      amp=np.concatenate(masked))
+    out = grid_mod.split_step_pulse(stacked, mirror[0], mirror[1], epsilon)
+    copies = np.split(out.amp, len(held))
+    amp = sum(np.where(ports == -k, a, 0.0) for k, a in zip(held, copies))
+    return replace(out, q=state.q, amp=amp)
 
 
 def _compose(config, b1, m, b3, p, T):
@@ -531,33 +555,33 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
 
 def _oracle_point(job):
     """One interrogation time of the grid interferometer; picklable."""
-    after_bs1, strat, epsilon, g, T, keep_ports, p0 = job
+    after_bs1, strat, epsilon, g, T, detection, p0 = job
     st = grid_mod.free_propagate_analytic(after_bs1, g, T)
-    st = grid_mod.split_step_pulse(st, strat.mirror[0], strat.mirror[1],
-                                   epsilon)
+    if detection == "resolved":
+        st = _detected_mirror(st, strat.mirror, epsilon, p0 + 0.5 * g * T)
+    else:
+        st = grid_mod.split_step_pulse(st, strat.mirror[0], strat.mirror[1],
+                                       epsilon)
     st = grid_mod.free_propagate_analytic(st, g, T)
-    center = p0 + g * T
-    if keep_ports is not None:
-        st, _ = grid_mod.apply_port_projector(st, keep_ports, center)
     st = grid_mod.split_step_pulse(st, strat.bs[0], strat.bs[1], epsilon)
-    hist = grid_mod.momentum_histogram(st, center)
+    hist = grid_mod.momentum_histogram(st, p0 + g * T)
     return (hist.populations[0], hist.populations[1], hist.populations[-1])
 
 
-def oracle_fringe(config, t_grid, spec=None, keep_ports=(-1, 0, 1),
-                  workers=1):
-    """Same interferometer on lattice ladders, no basis truncation.
+def oracle_fringe(config, t_grid, spec=None, workers=1):
+    """t_scan's interferometer on lattice ladders, no basis truncation.
 
     The packet starts on the model's own config.n_nodes quadrature nodes,
     one ladder each (grid.node_wavepacket); spec sets the time step and
     the order cap past which SpectralOverflow is raised.  Pulses run with
     their local clocks over their envelope supports and the inter-pulse
-    separation is applied analytically, mirroring the S-matrix
-    bookkeeping so the two pipelines are comparable point by point.
-    Resolved detection inserts the port projector before the final
-    splitter pulse, the momentum-space stand-in for an absorbing slit.
-    T points are independent; with workers > 1 they run in a process
-    pool and are reassembled in grid order.
+    separation is applied analytically, as in the S-matrix bookkeeping,
+    so the two pipelines compare point by point.  Detection follows the
+    model's rule: resolved detection keeps the mirror's port-reversing
+    paths (_detected_mirror), which costs one stacked mirror pulse over
+    every populated port, about twice the unresolved time.  T points
+    are independent; with workers > 1 they run in a process pool and
+    are reassembled in grid order.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if spec is None:
@@ -565,13 +589,12 @@ def oracle_fringe(config, t_grid, spec=None, keep_ports=(-1, 0, 1),
     strat = config.strategy
     wp = config.source
     g = config.g
-    slit = tuple(keep_ports) if config.detection == "resolved" else None
 
     start = grid_mod.node_wavepacket(spec, wp, config.n_nodes)
     after_bs1 = grid_mod.split_step_pulse(start, strat.bs[0], strat.bs[1],
                                           config.epsilon)
-    jobs = [(after_bs1, strat, config.epsilon, g, float(T), slit, wp.p0)
-            for T in t_grid]
+    jobs = [(after_bs1, strat, config.epsilon, g, float(T), config.detection,
+             wp.p0) for T in t_grid]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

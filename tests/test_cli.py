@@ -370,6 +370,27 @@ source.sigma_p = 0.05
         assert code == 2
         assert seen == []
 
+    def test_mz_resolved_agrees_for_any_worker_count(self, tmp_path,
+                                                     monkeypatch):
+        # both engines count only the mirror's port-reversing paths
+        config = """
+scenario = mz
+strategy = ds_dbd
+g = 0.000357
+source.sigma_p = 0.05
+detection = resolved
+n_nodes = 8
+t.points = 2
+"""
+        code, serial = run(tmp_path, "oracle-compare", config, name="serial")
+        assert code == 0
+        a = ResultTable.read(str(serial))
+        assert float(a.provenance["max_abs_diff"]) <= 1e-3
+        monkeypatch.setenv("DBD_SIM_WORKERS", "2")
+        code, pooled = run(tmp_path, "oracle-compare", config, name="pooled")
+        assert code == 0
+        assert a.equal_payload(ResultTable.read(str(pooled)))
+
     def test_narrow_packet_on_quadrature_nodes(self, tmp_path):
         # sigma_p = 0.005 is below the 2/L a box-sampled packet needs
         config = """

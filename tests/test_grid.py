@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from dbdsim import grid as grid_mod
-from dbdsim.exceptions import EmptyState, ResolutionError, SpectralOverflow
+from dbdsim.exceptions import ResolutionError, SpectralOverflow
 from dbdsim.grid import (
     GridSpec,
     GridState,
-    apply_port_projector,
     free_propagate_analytic,
     momentum_histogram,
     node_wavepacket,
@@ -165,33 +164,10 @@ class TestHistogram:
         assert hist.populations[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_catches_outside_band(self):
-        hist = momentum_histogram(plane_wave(SMALL, 7.0), max_order=2)
+        hist = momentum_histogram(plane_wave(SMALL, 13.0))  # port 7
         assert hist.residual == pytest.approx(1.0, abs=1e-12)
         assert sum(hist.populations.values()) == pytest.approx(0.0,
                                                                abs=1e-12)
-
-
-class TestProjector:
-    def test_keep_and_removed_balance(self):
-        state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
-        pulse = PulseEnvelope("box", 2.0, 0.47)
-        after = split_step_pulse(state, pulse, FLAT)
-        kept, removed = apply_port_projector(after, (0,))
-        hist = momentum_histogram(after)
-        assert kept.norm() == pytest.approx(hist.populations[0], abs=1e-9)
-        assert kept.norm() + removed == pytest.approx(1.0, abs=1e-9)
-
-    def test_renormalize(self):
-        state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
-        pulse = PulseEnvelope("box", 2.0, 0.47)
-        after = split_step_pulse(state, pulse, FLAT)
-        kept, _ = apply_port_projector(after, (-1, 0, 1), renormalize=True)
-        assert kept.norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_projection(self):
-        state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
-        with pytest.raises(EmptyState):
-            apply_port_projector(state, (5,))
 
 
 class TestSplitStep:

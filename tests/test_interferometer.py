@@ -460,3 +460,14 @@ class TestGridOracle:
         oracle = oracle_fringe(cfg, t, spec=spec)
         assert np.max(np.abs(oracle.p_sum - reference.p_sum)) < 2e-2
         assert np.max(np.abs(oracle.p1 - reference.p1)) < 2e-2
+
+    @pytest.mark.parametrize("name", ["c_dbd", "ds_dbd", "oct_hybrid"])
+    def test_resolved_detection_is_the_model_rule(self, name):
+        # the oracle keeps the same port-reversing mirror paths as t_scan
+        cfg = make_config(strategy=builtin_strategy(name), n_nodes=32,
+                          detection="resolved")
+        t = np.array([30.0, 46.0])
+        spec = GridSpec(2048, 64.0 * math.pi, 0.001)
+        reference = t_scan(cfg, t)
+        oracle = oracle_fringe(cfg, t, spec=spec)
+        assert np.max(np.abs(oracle.p_sum - reference.p_sum)) <= 1e-3

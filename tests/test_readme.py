@@ -1,0 +1,19 @@
+"""Every fenced python block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                    re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_example_runs(index):
+    exec(compile(BLOCKS[index], f"README.md[python {index}]", "exec"), {})
