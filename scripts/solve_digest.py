@@ -2,7 +2,9 @@
 """Print one SHA-256 per family of solved numbers, to prove bit identity.
 
 A change that only makes the solver faster must leave these digests as
-they are.  The families:
+they are; the oracle digest alone also changes when the arithmetic of
+the grid kernel changes, and then the other three must not.  The
+families:
 
 - propagate_unitaries: the bs and mirror pulses of the four built-in
   strategies at n_max 1, 2 and 3, in both bases, each pulse alone on a
@@ -14,7 +16,9 @@ they are.  The families:
   perfbench/scenarios/pulse_design.cfg mirror search at seed 1;
 - oracle: what `dbdsim oracle-compare` writes for every
   perfbench/scenarios/oracle_*.cfg but its timestamp, and the ports of
-  an unresolved `oracle_fringe` scan of ds_dbd on GridSpec(2048).
+  an unresolved and a resolved `oracle_fringe` scan of ds_dbd on
+  GridSpec(2048); the resolved one runs the stacked mirror of
+  interferometer._detected_mirror.
 
 Run from the repository root, on the commit before a change and on the
 change, and compare the output:
@@ -87,13 +91,15 @@ def tscan_digest():
 def oracle_digest():
     digest = hashlib.sha256()
     _cli_tables(digest, "oracle-compare", "oracle_*.cfg")
-    config = interferometer.MzConfig(
-        strategy=strategies.builtin_strategy("ds_dbd"), g=0.000357,
-        source=GaussianWavePacket(0.0, 0.05), n_nodes=32)
-    scan = interferometer.oracle_fringe(config, [30.0, 46.0],
-                                        spec=GridSpec(2048))
-    for ports in (scan.p1, scan.p2, scan.p3):
-        digest.update(ports.tobytes())
+    for detection in ("unresolved", "resolved"):
+        config = interferometer.MzConfig(
+            strategy=strategies.builtin_strategy("ds_dbd"), g=0.000357,
+            source=GaussianWavePacket(0.0, 0.05), n_nodes=32,
+            detection=detection)
+        scan = interferometer.oracle_fringe(config, [30.0, 46.0],
+                                            spec=GridSpec(2048))
+        for ports in (scan.p1, scan.p2, scan.p3):
+            digest.update(ports.tobytes())
     return digest.hexdigest()
 
 

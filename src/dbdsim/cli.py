@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import repeat
@@ -152,14 +151,6 @@ def _axis_from(cfg, prefix):
     return np.linspace(lo, hi, n)
 
 
-def _pool_map(fn, workers, items, *args):
-    """list(map(fn, items, *args)); pooled for workers > 1 and 2+ items."""
-    if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, *args))
-    return list(map(fn, items, *args))
-
-
 # --- efficiency-scan -------------------------------------------------
 
 def _oracle_pulse(env, protocol, epsilon, packet, n_nodes,
@@ -211,8 +202,8 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
     if model == "grid_oracle":
         packet = _packet_from(cfg, 0.01)
         # 64 nodes, as integrated_efficiency uses for model = multilevel
-        hists = _pool_map(_oracle_pulse, workers, envs, repeat(protocol),
-                          repeat(epsilon), repeat(packet), repeat(64))
+        hists = itf._pool_map(_oracle_pulse, workers, envs, repeat(protocol),
+                              repeat(epsilon), repeat(packet), repeat(64))
         effs = [h.populations[1] + h.populations[-1] for h in hists]
     elif model == "tls":
         effs = [tls.evolve_tls(tls.TlsState(1.0, 0.0), env, protocol,
@@ -283,8 +274,8 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
     # one contrast_sweep call per (value, strategy) cell, in table order
     cells = [configs[name] for _ in values for name in names]
     cell_values = [[v] for v in values for _ in names]
-    swept = _pool_map(itf.contrast_sweep, workers, cells, repeat(axis),
-                      cell_values, repeat(t_grid))
+    swept = itf._pool_map(itf.contrast_sweep, workers, cells, repeat(axis),
+                          cell_values, repeat(t_grid))
     table = ResultTable((axis,) + tuple(f"contrast_{n}" for n in names))
     for i, v in enumerate(values):
         row = swept[i * len(names):(i + 1) * len(names)]
@@ -379,16 +370,19 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
     env, protocol, mirror_input = _pulse_from(cfg)
     packet = _packet_from(cfg, 0.01)
     rtol = cfg.get_float("rtol", 1e-9)
+    n_max = cfg.get_int("n_max", 2)
+    if not 1 <= n_max <= 5:  # the grid histogram resolves ports |k| <= 5
+        raise ConfigError("n_max: scenario = pulse needs 1 <= n_max <= 5")
     nodes, weights = packet.momentum_quadrature(cfg.get_int("n_nodes", 64))
     mats = multilevel.propagate_unitaries(
-        nodes, env, protocol, epsilon, n_max=cfg.get_int("n_max", 2),
-        rtol=rtol, atol=rtol * 1e-2, basis="bare")
+        nodes, env, protocol, epsilon, n_max=n_max, rtol=rtol,
+        atol=rtol * 1e-2, basis="bare")
     model = weights @ (np.abs(mats[:, :, int(mirror_input)]) ** 2)
     hist = _oracle_pulse(env, protocol, epsilon, packet, nodes.size,
                          mirror_input)
     table = ResultTable(("port", "model", "oracle", "abs_diff"))
     diffs = []
-    for off, mv in zip(itf.port_offsets(2), model):
+    for off, mv in zip(itf.port_offsets(n_max), model):
         ov = hist.populations[round(off / 2)]
         diffs.append(abs(mv - ov))
         table.append((off, mv, ov, diffs[-1]))

@@ -2,9 +2,9 @@
 
 Evolves a packet under H = p^2 + 2 Omega(t) {cos[(4 + Delta(t)) t] + eps}
 cos(2 z) with a second-order Strang splitting: kinetic half step,
-potential full step at the midpoint time, kinetic half step.  No basis
-truncation beyond a momentum cutoff, so this solver arbitrates every
-reduced model in the package.
+potential full step at the midpoint time, kinetic half step; on a
+ladder the potential step is one circulant product.  No truncation but
+the momentum cutoff, so this solver arbitrates every reduced model.
 
 The lattice couples p only to p +- 2, so the exact dynamics is a set of
 independent ladders, one per quasi-momentum q, holding the momenta
@@ -33,8 +33,9 @@ MAX_PULSE_DT = 0.002
 _TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-9  # norm fractions: band-edge overflow, and what the
 _KEEP_TOL = 1e-20  # orders a pulse ladder leaves out may hold
-_FIRST_ORDERS = 32
+_FIRST_ORDERS = 24
 _EDGE_STRIDE = 8  # pulse steps between samples of the outermost orders
+_CIRC_ENTRIES = 2**16  # step circulant entries built at once (1 MB)
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,11 @@ def split_step_pulse(state, env, protocol, epsilon=0.0, window=None):
     evaluated at each step's midpoint time.  Unconditionally stable and
     unitary to rounding.
 
-    All ladders step at once on the m orders around order 0, with
-    batched length-m FFTs.  m doubles from 32 until the orders left out
-    at the start and the two outermost kept orders, sampled through the
-    pulse, hold at most 1e-20 of the norm; the orders left out come back
-    empty.
+    All ladders step at once on the m orders around order 0, one m x m
+    product per step.  m starts at 24 and doubles, capped at the ladder,
+    until the orders left out at the start and the two outermost kept
+    orders, sampled through the pulse, hold at most 1e-20 of the norm;
+    the orders left out come back empty.
     """
     spec = state.spec
     if spec.dt > MAX_PULSE_DT:
@@ -192,7 +193,7 @@ def split_step_pulse(state, env, protocol, epsilon=0.0, window=None):
             a, edge = _ladder_steps(f[:, kept], p[:, kept], coeff, h, stop)
             if edge <= stop:
                 break
-        m *= 2
+        m = min(2 * m, n_orders)
     if edge > _EDGE_TOL * total:
         raise SpectralOverflow(
             "significant amplitude at the spectral band edge during a pulse")
@@ -204,25 +205,29 @@ def split_step_pulse(state, env, protocol, epsilon=0.0, window=None):
 def _ladder_steps(a, p, coeff, h, stop):
     """Strang steps on ladders a[row, cyclic order]; returns the result
     and the largest population of the two outermost orders, sampled every
-    _EDGE_STRIDE steps, stopping early once that exceeds `stop`."""
+    _EDGE_STRIDE steps, stopping early once that exceeds `stop`.  The
+    potential step is a @ C, C[k', k] = f[(k - k') mod m] with f the fft
+    of exp(-i h c cos 2z) over m.  Rows match in any batch of two or more;
+    a lone row goes through gemv and can differ in the last bits."""
     m = a.shape[1]
     kin_half = np.exp(-0.5j * p**2 * h)
     kin_full = kin_half * kin_half
     cos2z = np.cos(_TWO_PI * np.arange(m) / m)  # on the unit cell
-    phase = np.outer(-1j * h * coeff, cos2z)
-    np.exp(phase, out=phase)
+    lag = (np.arange(m) - np.arange(m)[:, None]) % m
     outer = slice(m // 2 - 1, m // 2 + 1)
     edge = 0.0
+    chunk = _EDGE_STRIDE * max(1, _CIRC_ENTRIES // (_EDGE_STRIDE * m * m))
     a = a * kin_half.conj()  # so that every step opens with a full kick
-    for j in range(0, coeff.size, _EDGE_STRIDE):
-        for ph in phase[j:j + _EDGE_STRIDE]:
-            a *= kin_full
-            b = sfft.ifft(a, axis=1, overwrite_x=True)
-            b *= ph
-            a = sfft.fft(b, axis=1, overwrite_x=True)
-        edge = max(edge, float(np.sum(np.abs(a[:, outer]) ** 2)))
-        if edge > stop:
-            break
+    for j in range(0, coeff.size, chunk):
+        phase = np.exp(np.outer(-1j * h * coeff[j:j + chunk], cos2z))
+        circ = (sfft.fft(phase, axis=1) / m)[:, lag]
+        for i in range(0, len(circ), _EDGE_STRIDE):
+            for c in circ[i:i + _EDGE_STRIDE]:
+                a *= kin_full
+                a = a @ c
+            edge = max(edge, float(np.sum(np.abs(a[:, outer]) ** 2)))
+            if edge > stop:
+                return a * kin_half, edge
     return a * kin_half, edge
 
 

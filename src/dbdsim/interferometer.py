@@ -553,6 +553,15 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
 
 # --- grid-oracle pipeline --------------------------------------------
 
+def _pool_map(fn, workers, items, *args):
+    """list(map(fn, items, *args)); pooled for workers > 1 and 2+ items."""
+    if workers > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, *args))
+    return list(map(fn, items, *args))
+
+
 def _oracle_point(job):
     """One interrogation time of the grid interferometer; picklable."""
     after_bs1, strat, epsilon, g, T, detection, p0 = job
@@ -578,28 +587,20 @@ def oracle_fringe(config, t_grid, spec=None, workers=1):
     separation is applied analytically, as in the S-matrix bookkeeping,
     so the two pipelines compare point by point.  Detection follows the
     model's rule: resolved detection keeps the mirror's port-reversing
-    paths (_detected_mirror), which costs one stacked mirror pulse over
-    every populated port, about twice the unresolved time.  T points
-    are independent; with workers > 1 they run in a process pool and
-    are reassembled in grid order.
+    paths (_detected_mirror) with one mirror pulse over a stack of every
+    populated port, whose copies share each step's circulant: about
+    twice the unresolved time.  T points are independent; with
+    workers > 1 they run in a process pool, reassembled in grid order.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if spec is None:
-        spec = grid_mod.GridSpec()
+    spec = grid_mod.GridSpec() if spec is None else spec
     strat = config.strategy
     wp = config.source
-    g = config.g
 
     start = grid_mod.node_wavepacket(spec, wp, config.n_nodes)
     after_bs1 = grid_mod.split_step_pulse(start, strat.bs[0], strat.bs[1],
                                           config.epsilon)
-    jobs = [(after_bs1, strat, config.epsilon, g, float(T), config.detection,
-             wp.p0) for T in t_grid]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_oracle_point, jobs))
-    else:
-        points = [_oracle_point(job) for job in jobs]
-    out = np.asarray(points)
+    jobs = [(after_bs1, strat, config.epsilon, config.g, float(T),
+             config.detection, wp.p0) for T in t_grid]
+    out = np.asarray(_pool_map(_oracle_point, workers, jobs))
     return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config)

@@ -421,6 +421,38 @@ n_nodes = 16
         # the mirror sends the boosted input from port +1 to port -1
         assert table.column("oracle")[2] > 0.9
 
+    def test_pulse_ports_follow_n_max(self, tmp_path):
+        config = """
+scenario = pulse
+strategy = ds_dbd
+pulse = mirror
+source.sigma_p = 0.01
+n_nodes = 16
+n_max = 3
+"""
+        code, out = run(tmp_path, "oracle-compare", config)
+        assert code == 0
+        table = ResultTable.read(str(out))
+        assert table.column("port") == [0.0, 2.0, -2.0, 4.0, -4.0, 6.0, -6.0]
+        diffs = table.column("abs_diff")
+        assert float(table.provenance["max_abs_diff"]) == max(diffs)
+        assert max(diffs) < 1e-2
+
+    @pytest.mark.parametrize("n_max", [0, 6])
+    def test_pulse_n_max_outside_the_histogram_refused(self, tmp_path,
+                                                       monkeypatch, n_max):
+        # the grid histogram resolves ports |k| <= 5
+        monkeypatch.setattr(cli.multilevel, "propagate_unitaries",
+                            refuse_to_run)
+        config = f"""
+scenario = pulse
+strategy = ds_dbd
+pulse = mirror
+n_max = {n_max}
+"""
+        code, _ = run(tmp_path, "oracle-compare", config)
+        assert code == 2
+
 
 # |p0| + 6 sigma_p = 1.2: the packet itself leaves the first zone
 WIDE = "source.sigma_p = 0.2\n"

@@ -15,7 +15,8 @@ from dbdsim.grid import (
     prepare_wavepacket,
     split_step_pulse,
 )
-from dbdsim.strategies import builtin_strategy
+from dbdsim.interferometer import _detected_mirror
+from dbdsim.strategies import BUILTIN_NAMES, builtin_strategy
 from dbdsim.units import (ConstantDetuning, GaussianWavePacket, PulseEnvelope,
                           carrier_factor)
 
@@ -33,6 +34,16 @@ def plane_wave(spec, k):
     return GridState(spec, np.arange(spec.cells) * spec.dk, amp)
 
 
+def pulse_drive(spec, env, protocol, epsilon=0.0):
+    """Step h and the midpoint drive 2 Omega (C + eps) of every step."""
+    t0, t1 = env.support
+    n_steps = max(1, math.ceil((t1 - t0) / spec.dt))
+    h = (t1 - t0) / n_steps
+    t_mid = t0 + (np.arange(n_steps) + 0.5) * h
+    return h, 2.0 * env.evaluate(t_mid) * (
+        carrier_factor(t_mid, protocol.evaluate(t_mid), 0.0) + epsilon)
+
+
 def full_grid_pulse(state, env, protocol, epsilon=0.0):
     """Reference: Strang steps with full-size FFTs over the whole grid.
 
@@ -41,12 +52,8 @@ def full_grid_pulse(state, env, protocol, epsilon=0.0):
     """
     spec = state.spec
     n = spec.n_points
-    t0, t1 = env.support
-    n_steps = max(1, math.ceil((t1 - t0) / spec.dt))
-    h = (t1 - t0) / n_steps
-    t_mid = t0 + (np.arange(n_steps) + 0.5) * h
-    coeff = 2.0 * env.evaluate(t_mid) * (
-        carrier_factor(t_mid, protocol.evaluate(t_mid), 0.0) + epsilon)
+    h, coeff = pulse_drive(spec, env, protocol, epsilon)
+    n_steps = coeff.size
     p = state.momenta().T.ravel()
     kin_half = np.exp(-0.5j * p**2 * h)
     kin_full = kin_half * kin_half
@@ -57,7 +64,40 @@ def full_grid_pulse(state, env, protocol, epsilon=0.0):
         if j < n_steps - 1:
             psi = np.fft.ifft(np.fft.fft(psi) * kin_full)
     amp = (np.fft.fft(psi) * kin_half).reshape(-1, spec.cells).T
-    return GridState(spec, state.q, amp, t1)
+    return GridState(spec, state.q, amp, env.support[1])
+
+
+def fft_pair_steps(a, p, coeff, h):
+    """Reference: the ladder kernel as one ifft, phase, fft round trip
+    per Strang step on the m orders of a[row, cyclic order]."""
+    m = a.shape[1]
+    kin_half = np.exp(-0.5j * p**2 * h)
+    cos2z = np.cos(2.0 * math.pi * np.arange(m) / m)
+    a = a * kin_half.conj()
+    for c in coeff:
+        b = np.fft.ifft(a * kin_half**2, axis=1)
+        a = np.fft.fft(b * np.exp(-1j * h * c * cos2z), axis=1)
+    return a * kin_half
+
+
+def lifted_nodes(spec, sigma_p, lift):
+    """A packet at rest on its 64 quadrature nodes, every q moved by lift
+    (2 for a mirror's input in port +1)."""
+    state = node_wavepacket(spec, GaussianWavePacket(0.0, sigma_p), 64)
+    return replace(state, q=state.q + lift)
+
+
+def width_spy(monkeypatch):
+    """Record the ladder width of every _ladder_steps pass."""
+    widths = []
+    steps = grid_mod._ladder_steps
+
+    def spy(a, *args):
+        widths.append(a.shape[1])
+        return steps(a, *args)
+
+    monkeypatch.setattr(grid_mod, "_ladder_steps", spy)
+    return widths
 
 
 def assert_same_pulse(state, env, protocol, epsilon):
@@ -221,19 +261,76 @@ class TestLadderKernel:
         assert_same_pulse(boosted, env, ConstantDetuning(0.3), 0.05)
 
     def test_far_plane_wave_widens_the_ladder(self, monkeypatch):
-        widths = []
-        steps = grid_mod._ladder_steps
-
-        def spy(a, *args):
-            widths.append(a.shape[1])
-            return steps(a, *args)
-
-        monkeypatch.setattr(grid_mod, "_ladder_steps", spy)
-        # order 20 lies outside the first 32 orders of a 64-order ladder
+        widths = width_spy(monkeypatch)
+        # order 20 lies outside the first 24 orders of a 64-order ladder,
+        # and within the next 48
         assert_same_pulse(plane_wave(GridSpec(4096, 64.0 * math.pi), 40.0),
                           PulseEnvelope("box", 1.0, 0.3),
                           ConstantDetuning(0.3), 0.05)
-        assert widths == [64]
+        assert widths == [48, 64]
+
+    @pytest.mark.parametrize("n_points, k, omega, expected", [
+        (2048, 20.0, 1.0, [24, 32]),
+        (4096, 22.0, 50.0, [24, 48, 64]),
+    ])
+    def test_growth_is_capped_at_the_ladder(self, monkeypatch, n_points, k,
+                                            omega, expected):
+        # the plane wave starts inside the first 24 orders and spreads to
+        # their edge; doubling past the ladder would overlap its halves
+        widths = width_spy(monkeypatch)
+        assert_same_pulse(plane_wave(GridSpec(n_points, 64.0 * math.pi), k),
+                          PulseEnvelope("box", omega, 0.3),
+                          ConstantDetuning(0.3), 0.05)
+        assert widths == expected
+
+    @pytest.mark.parametrize("sigma_p", [0.01, 0.132])
+    def test_builtin_pulses_take_one_pass_at_24(self, monkeypatch, sigma_p):
+        widths = width_spy(monkeypatch)
+        at_rest = lifted_nodes(GridSpec(), sigma_p, 0.0)
+        lifted = lifted_nodes(GridSpec(), sigma_p, 2.0)
+        for name in BUILTIN_NAMES:
+            strat = builtin_strategy(name)
+            split_step_pulse(at_rest, *strat.bs)
+            split_step_pulse(lifted, *strat.mirror)
+        assert widths == [24] * 2 * len(BUILTIN_NAMES)
+
+    @pytest.mark.parametrize("m", [16, 24, 64])
+    def test_matches_the_fft_pair_loop(self, m):
+        spec = GridSpec()
+        env, protocol = builtin_strategy("ds_dbd").mirror
+        state = lifted_nodes(spec, 0.05, 2.0)
+        n = spec.orders.size
+        kept = np.r_[:m // 2, n - m // 2:n]
+        a, p = state.amp[:, kept], state.momenta()[:, kept]
+        h, coeff = pulse_drive(spec, env, protocol, 0.01)
+        out, _ = grid_mod._ladder_steps(a, p, coeff, h, math.inf)
+        ref = fft_pair_steps(a, p, coeff, h)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+
+    def test_rows_do_not_depend_on_the_batch(self, monkeypatch):
+        passes = []
+        steps = grid_mod._ladder_steps
+
+        def spy(a, p, *args):
+            result = steps(a, p, *args)
+            passes.append((a, p, args, result[0]))
+            return result
+
+        monkeypatch.setattr(grid_mod, "_ladder_steps", spy)
+        strat = builtin_strategy("ds_dbd")
+        state = lifted_nodes(GridSpec(), 0.05, 0.0)
+        g, T = 0.000357, 46.0
+        state = free_propagate_analytic(split_step_pulse(state, *strat.bs),
+                                        g, T)
+        _detected_mirror(state, strat.mirror, 0.0, 0.5 * g * T)
+        (a, p, args, out), (sa, sp, sargs, stacked) = passes
+        assert a.shape == (64, 24) and sa.shape == (7 * 64, 24)
+        halves = [steps(a[r], p[r], *args)[0]
+                  for r in (slice(None, 32), slice(32, None))]
+        assert np.array_equal(out, np.concatenate(halves))
+        for r in range(0, sa.shape[0], 64):
+            alone = steps(sa[r:r + 64], sp[r:r + 64], *sargs)[0]
+            assert np.array_equal(stacked[r:r + 64], alone)
 
     def test_edge_population_overflows(self):
         spec = GridSpec(1024, 64.0 * math.pi, 0.001)
