@@ -67,6 +67,8 @@ class MzConfig:
     def __post_init__(self):
         if self.detection not in ("unresolved", "resolved"):
             raise ValueError(f"unknown detection mode {self.detection!r}")
+        if self.n_max < 1:
+            raise ValueError("n_max must be at least 1")
         eps = self.epsilon
         if hasattr(eps, "epsilon"):
             object.__setattr__(self, "epsilon", float(eps.epsilon))

@@ -20,10 +20,12 @@ relative phase the interferometer module consumes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from importlib import util
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop853
+import scipy
 
 from .exceptions import NUMERICAL_ERRORS, BoundViolation, IntegratorFailure
 from .units import RESONANCE
@@ -130,7 +132,20 @@ def _bands(n_max):
     return drive, doppler
 
 
+def _load_dop853_tableau():
+    """scipy's DOP853 tableau module, run from its file: importing it
+    through scipy.integrate would import scipy.optimize, linalg and
+    sparse too, which took most of the package's start-up time."""
+    path = os.path.join(os.path.dirname(scipy.__file__), "integrate", "_ivp",
+                        "dop853_coefficients.py")
+    spec = util.spec_from_file_location("_dop853_coefficients", path)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # scipy's DOP853 (scipy.integrate._ivp.rk): its tableau and step control
+_dop853 = _load_dop853_tableau()
 _STAGES = _dop853.N_STAGES
 _A = [np.ascontiguousarray(_dop853.A[s, :s]) for s in range(_STAGES)]
 _B = _dop853.B
@@ -400,6 +415,8 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     """
     if basis not in ("bare", "symmetric"):
         raise ValueError(f"unknown basis {basis!r}")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     p_arr = np.asarray(p, dtype=float)
     grouped = p_arr.ndim == 2
     if grouped:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .multilevel import (integrated_efficiency, propagate_unitaries,
                          transfer_efficiency)
@@ -257,6 +256,8 @@ def optimize(problem, seed=0):
     skips the polish or cuts any stage short, the result is flagged
     `budget_exhausted` and carries the best candidate seen.
     """
+    from scipy.optimize import minimize  # slow to import; only used here
+
     rng = np.random.default_rng(seed)
     times = np.asarray(problem.knot_times, dtype=float)
     k = times.size

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exceptions import IntegratorFailure, PoleProximity
 from .units import RESONANCE
@@ -88,6 +87,8 @@ def evolve_tls(initial, env, protocol, epsilon=0.0, t_span=None, t_eval=None,
     t_span defaults to the envelope support; t_eval adds interior
     trajectory samples (endpoints always included by solve_ivp rules).
     """
+    from scipy.integrate import solve_ivp  # slow to import; only used here
+
     if t_span is None:
         t_span = env.support
     # One vectorized pass trips any protocol bound violation up front.

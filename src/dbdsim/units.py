@@ -25,7 +25,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .exceptions import BoundViolation, OutOfZone
 
@@ -182,19 +181,59 @@ class LinearDetuning:
         return (self.alpha / self.width) * (t - self.center) + self.beta
 
 
+def _natural_spline(times, values):
+    """Per-interval coefficients, constant term first, of the natural
+    cubic spline through the knots, rounded as scipy's
+    CubicSpline(bc_type="natural").c: the knot slopes solve its
+    tridiagonal system in LAPACK dgtsv's order, row interchanges
+    included, and the intervals take CubicHermiteSpline's formulas.
+    """
+    x, y, n = times, values, len(times)
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
+    # sub-, main and superdiagonal; s is the right-hand side, then the slopes
+    dl = h[1:] + h[-1:]
+    d = [2 * h[0]] + [2 * (a + b) for a, b in zip(h, h[1:])] + [2 * h[-1]]
+    du = h[:1] + h[:-1]
+    s = ([3 * (y[1] - y[0])]
+         + [3 * (h[i] * m[i - 1] + h[i - 1] * m[i]) for i in range(1, n - 1)]
+         + [0.0 + 3 * (y[-1] - y[-2])])
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            s[i + 1] = s[i + 1] - fact * s[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1; dl[i] becomes fill-in
+            fact, d[i], temp = d[i] / dl[i], dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            s[i], s[i + 1] = s[i + 1], s[i] - fact * s[i + 1]
+    s[-1] = s[-1] / d[-1]
+    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1] - dl[i] * s[i + 2]) / d[i]
+    t = [(a + b - 2 * c) / w for a, b, c, w in zip(s, s[1:], m, h)]
+    return [[y[i], s[i], (m[i] - s[i]) / h[i] - t[i], t[i] / h[i]]
+            for i in range(n - 1)]
+
+
 @dataclass(frozen=True)
 class KnotDetuning:
     """Detuning through ordered (t, Delta) knots, natural cubic spline.
 
-    Evaluation clamps the interpolant to [-bound, +bound], so spline
-    overshoot between in-band knots never leaves the band.  Knot values
-    themselves must be in-band.
+    The spline (_natural_spline) has scipy's natural CubicSpline
+    coefficients, and its end cubics extrapolate.  Evaluation clamps the
+    interpolant to [-bound, +bound], so spline overshoot between in-band
+    knots never leaves the band.  Knot values themselves must be in-band.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
     bound: float = DEFAULT_DETUNING_BOUND
-    _spline: CubicSpline = field(init=False, repr=False, compare=False)
     _coeffs: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -212,17 +251,21 @@ class KnotDetuning:
                 f"knot values exceed |Delta| <= {self.bound}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        spline = CubicSpline(times, values, bc_type="natural")
-        object.__setattr__(self, "_spline", spline)
-        # per interval, the coefficients from the constant term up
-        object.__setattr__(self, "_coeffs", spline.c.T[:, ::-1].tolist())
+        object.__setattr__(self, "_coeffs", _natural_spline(times, values))
 
     def evaluate(self, t, check=True):
+        """at() over an array of times, element by element."""
         t = np.asarray(t, dtype=float)
-        return np.clip(self._spline(t), -self.bound, self.bound)
+        i = np.clip(np.searchsorted(self.times, t, side="right") - 1,
+                    0, len(self.times) - 2)
+        s, res, z = t - np.take(self.times, i), 0.0, 1.0
+        for c in np.asarray(self._coeffs).T[:, i]:
+            res, z = res + c * z, z * s
+        return np.clip(res, -self.bound, self.bound)
 
     def at(self, t):
-        """evaluate() at one float time, in scipy's PPoly operation order."""
+        """The spline at one float time: the interval's power sum from the
+        constant term up, clamped to the band."""
         i = min(max(bisect_right(self.times, t) - 1, 0), len(self.times) - 2)
         s, res, z = t - self.times[i], 0.0, 1.0
         for c in self._coeffs[i]:

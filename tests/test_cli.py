@@ -100,6 +100,17 @@ class TestExitCodes:
         code, _ = run(tmp_path, "tscan", IDEAL_TSCAN)
         assert code == 2
 
+    @pytest.mark.parametrize("command,config", [
+        ("tscan", SOLVED_TSCAN),
+        ("efficiency-scan", "model = multilevel\ntau.min = 0.47\n"
+         "tau.max = 0.47\ntau.points = 1\nomega.min = 2\nomega.max = 2\n"
+         "omega.points = 1\n")], ids=["tscan", "efficiency-scan"])
+    def test_n_max_below_one(self, tmp_path, capsys, command, config):
+        code, out = run(tmp_path, command, config + "n_max = 0\n")
+        assert code == 2
+        assert "n_max must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTscan:
     def test_writes_fringe_table(self, tmp_path):
@@ -477,12 +488,17 @@ def test_packet_outside_the_zone_is_a_config_error(tmp_path, capsys,
     assert not (out.parent / (out.name + ".knots.txt")).exists()
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes a third of a second or more to import, so only
-    # `optimize` with packet sampling imports it
+def test_import_leaves_heavy_scipy_out():
+    # numpy and scipy.fft are all a start needs; these are slow to
+    # import, so only the code that uses them imports them (optimize,
+    # evolve_tls, packet sampling)
     src = str(Path(dbdsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    probe = "import sys, dbdsim.cli; sys.exit('scipy.stats' in sys.modules)"
+    heavy = ["scipy." + name for name in ("optimize", "interpolate",
+             "integrate", "linalg", "sparse", "stats")]
+    probe = ("import sys, dbdsim, dbdsim.cli; "
+             f"print(*[m for m in {heavy!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

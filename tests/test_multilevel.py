@@ -361,6 +361,14 @@ def grouped(p, pulses, epsilon=0.0, **kw):
 class TestGroups:
     """A 2-D p solves each group as scipy's DOP853 would solve it alone."""
 
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as scipy_tab
+        loaded = multilevel._dop853
+        assert loaded is not scipy_tab
+        for name in ("A", "B", "C", "E3", "E5", "N_STAGES"):
+            assert np.array_equal(getattr(loaded, name),
+                                  getattr(scipy_tab, name)), name
+
     @pytest.mark.parametrize("rtol", [1e-6, 1e-9])
     def test_each_group_is_scipy_dop853(self, rtol):
         pulses = builtin_pulses()

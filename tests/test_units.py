@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dbdsim.exceptions import BoundViolation
-from dbdsim.strategies import builtin_strategy
+from dbdsim.strategies import builtin_strategy, load_knot_table
 from dbdsim.units import (
     ConstantDetuning,
     GaussianWavePacket,
@@ -13,6 +13,7 @@ from dbdsim.units import (
     LinearDetuning,
     PolarizationError,
     PulseEnvelope,
+    _natural_spline,
     carrier_factor,
 )
 
@@ -118,6 +119,62 @@ class TestProtocols:
     def test_knot_validation(self):
         with pytest.raises(ValueError):
             KnotDetuning((0.0, 0.0, 1.0), (1, 2, 3))
+
+
+def knot_sets(count):
+    """Seeded knot sets of 2 to 11 knots: uniform, random and, with
+    spacings over six decades, ones whose first pivot dgtsv swaps."""
+    rng = np.random.default_rng(5)
+    for k in range(count):
+        n = 2 + k % 10
+        if k % 3 == 0:
+            times = np.linspace(0.0, rng.uniform(0.1, 8.0), n)
+        elif k % 3 == 1:
+            times = np.cumsum(rng.uniform(0.01, 3.0, n)) - 4.0
+        else:
+            times = np.cumsum(10.0 ** rng.uniform(-3.0, 3.0, n))
+        yield tuple(times.tolist()), tuple(rng.uniform(-4.0, 4.0, n).tolist())
+
+
+class TestNaturalSpline:
+    """The in-package spline is scipy's natural CubicSpline, bit for bit."""
+
+    @staticmethod
+    def scipy_spline(times, values):
+        from scipy.interpolate import CubicSpline
+        return CubicSpline(times, values, bc_type="natural")
+
+    def test_coefficients_are_scipys(self):
+        table = load_knot_table()
+        sets = [*knot_sets(2400), (table.times, table.values)]
+        swapped = 0
+        for times, values in sets:
+            want = self.scipy_spline(times, values).c.T[:, ::-1]
+            got = np.array(_natural_spline(times, values))
+            assert got.tobytes() == want.tobytes(), (times, values)
+            swapped += (len(times) > 2
+                        and times[2] - times[1] > 2 * (times[1] - times[0]))
+        assert min(map(len, sets[:10])) == 2
+        assert swapped > 200  # the row-interchange branch is covered
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_evaluate_is_at_and_the_old_spline(self, k):
+        times, values = list(knot_sets(12))[k]
+        if k % 2:  # band-edge knots overshoot, so the clamp acts
+            values = tuple(np.resize([4.0, -4.0, 0.0, 3.9], len(times)))
+        prot = KnotDetuning(times, values)
+        span = times[-1] - times[0]
+        t = np.concatenate([times, times, np.random.default_rng(k).uniform(
+            times[0] - span, times[-1] + span, 400)]).reshape(2, -1)
+        got = prot.evaluate(t)
+        want = np.clip(self.scipy_spline(times, values)(t), -4.0, 4.0)
+        assert got.shape == t.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.array(
+            [[prot.at(float(x)) for x in row] for row in t]).tobytes()
+        for x in (times[0], times[-1], times[0] - span, times[-1] + span):
+            zero_d = prot.evaluate(np.float64(x))
+            assert np.ndim(zero_d) == 0 and zero_d == prot.at(x)
 
 
 class TestWavePacket:
