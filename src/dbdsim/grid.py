@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .exceptions import ResolutionError, SpectralOverflow
 from .units import carrier_factor
@@ -88,7 +87,7 @@ class GridSpec:
     def orders(self):
         """Ladder orders k in cyclic layout (0, 1, ..., -1)."""
         m = self.n_points // self.cells
-        return sfft.fftfreq(m, 1.0 / m)
+        return np.fft.fftfreq(m, 1.0 / m)
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def _ladder_steps(a, p, coeff, h, stop):
     a = a * kin_half.conj()  # so that every step opens with a full kick
     for j in range(0, coeff.size, chunk):
         phase = np.exp(np.outer(-1j * h * coeff[j:j + chunk], cos2z))
-        circ = (sfft.fft(phase, axis=1) / m)[:, lag]
+        circ = (np.fft.fft(phase, axis=1) / m)[:, lag]
         for i in range(0, len(circ), _EDGE_STRIDE):
             for c in circ[i:i + _EDGE_STRIDE]:
                 a *= kin_full

@@ -489,13 +489,13 @@ def test_packet_outside_the_zone_is_a_config_error(tmp_path, capsys,
 
 
 def test_import_leaves_heavy_scipy_out():
-    # numpy and scipy.fft are all a start needs; these are slow to
-    # import, so only the code that uses them imports them (optimize,
-    # evolve_tls, packet sampling)
+    # numpy is all a start needs; these are slow to import, so only the
+    # code that uses them imports them (optimize, evolve_tls, packet
+    # sampling), and numpy.fft stands in for scipy.fft
     src = str(Path(dbdsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     heavy = ["scipy." + name for name in ("optimize", "interpolate",
-             "integrate", "linalg", "sparse", "stats")]
+             "integrate", "linalg", "sparse", "stats", "fft", "special")]
     probe = ("import sys, dbdsim, dbdsim.cli; "
              f"print(*[m for m in {heavy!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,

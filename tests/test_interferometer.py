@@ -344,6 +344,15 @@ class TestSurrogates:
             assert 0.0 <= fit.tail <= scan.config.rtol
             assert 0.0 < fit.unitarity <= 100 * scan.config.rtol
 
+    @pytest.mark.parametrize("n", [8, 63, 64, 128, 129, 256, 512])
+    def test_dct1_is_scipys(self, n):
+        # the tail's DCT-I, numpy's rfft of the even extension, is the
+        # transform scipy.fft.dct(type=1) runs, bit for bit
+        from scipy import fft
+        cols = np.random.default_rng(n).standard_normal((n + 1, 50))
+        assert np.array_equal(interferometer._dct1(cols),
+                              fft.dct(cols, type=1, axis=0))
+
     def test_unconverged_surrogate_raises(self, monkeypatch):
         monkeypatch.setattr(interferometer, "_FIRST_DEGREE", 8)
         monkeypatch.setattr(interferometer, "_MAX_DEGREE", 16)
