@@ -3,7 +3,8 @@
 
 A change that only makes the solver faster must leave these digests as
 they are; the oracle digest alone also changes when the arithmetic of
-the grid kernel changes, and then the other three must not.  The
+the grid kernel changes, and then the others must not, and the tscan
+and ideal digests alone when that of the composition changes.  The
 families:
 
 - propagate_unitaries: the bs and mirror pulses of the four built-in
@@ -12,6 +13,9 @@ families:
 - tscan: what `dbdsim tscan` writes for every
   perfbench/scenarios/cs_*.cfg, the T, P1, P2, P3 and P_sum rows and
   the provenance (surrogate tails, contrast, ...) but its timestamp;
+- ideal: the same for every perfbench/scenarios/ideal_*.cfg, lossless
+  pulses on 2000 T x 256 nodes, so it holds the bits of the
+  composition kernel (interferometer._compose) with no solve in them;
 - optimize: the cost history, final cost and knots of the
   perfbench/scenarios/pulse_design.cfg mirror search at seed 1;
 - oracle: what `dbdsim oracle-compare` writes for every
@@ -25,7 +29,7 @@ change, and compare the output:
 
     PYTHONPATH=src python3 scripts/solve_digest.py
 
-Takes about ten seconds on one core.
+Takes about fifteen seconds on one core.
 """
 
 import hashlib
@@ -88,6 +92,12 @@ def tscan_digest():
     return digest.hexdigest()
 
 
+def ideal_digest():
+    digest = hashlib.sha256()
+    _cli_tables(digest, "tscan", "ideal_*.cfg")
+    return digest.hexdigest()
+
+
 def oracle_digest():
     digest = hashlib.sha256()
     _cli_tables(digest, "oracle-compare", "oracle_*.cfg")
@@ -122,6 +132,7 @@ def optimize_digest():
 def main():
     for name, family in (("propagate_unitaries", unitaries_digest),
                          ("tscan", tscan_digest),
+                         ("ideal", ideal_digest),
                          ("optimize", optimize_digest),
                          ("oracle", oracle_digest)):
         print(f"{name:20s} {family()}", flush=True)
