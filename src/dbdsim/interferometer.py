@@ -169,7 +169,8 @@ def free_phases(p, g, T, n_max=2):
     p = np.asarray(p, dtype=float)[..., None]
     T = np.asarray(T, dtype=float)[..., None]
     z = np.exp(-1j * (4.0 * T * p + g * T**2))
-    return np.exp(-1j * _theta(p, g, T)) * _ladder(z, T, n_max)
+    base = np.exp(-1j * _theta(p, g, T))[..., None, :]
+    return (base * _ladder(z, T, n_max))[..., 0]
 
 
 def _theta(q, g, T):
@@ -177,19 +178,20 @@ def _theta(q, g, T):
 
 
 def _ladder(z, T, n_max):
-    """Free-fall phases of the orders relative to order 0, in
-    port_offsets order: z^k exp(-4iTk^2) at +2k, conj(z)^k exp(-4iTk^2)
-    at -2k.  z and T carry a trailing unit axis, so every product runs
-    through numpy's array loops, never its scalar math, and an element
-    rounds the same whatever the batch around it."""
-    shape = np.broadcast_shapes(z.shape, T.shape)[:-1] + (2 * n_max + 1,)
-    u = np.empty(shape, dtype=complex)
-    u[..., :1] = 1.0
+    """Free-fall phases of the orders relative to order 0, z^k
+    exp(-4iTk^2) at +2k and conj(z)^k exp(-4iTk^2) at -2k, in
+    port_offsets order on an axis before the last of the batch z and T
+    broadcast to.  The batch has an axis, so every product runs through
+    numpy's array loops, never its scalar math, and an element rounds
+    the same whatever the batch around it."""
+    shape = np.broadcast_shapes(z.shape, T.shape)
+    u = np.empty(shape[:-1] + (2 * n_max + 1,) + shape[-1:], dtype=complex)
+    u[..., 0, :] = 1.0
     zk = z
     for k in range(1, n_max + 1):
         w = np.exp(-1j * (4.0 * k * k * T))
-        u[..., 2 * k - 1:2 * k] = zk * w
-        u[..., 2 * k:2 * k + 1] = zk.conj() * w
+        np.multiply(zk, w, out=u[..., 2 * k - 1, :])
+        np.multiply(np.conjugate(zk), w, out=u[..., 2 * k, :])
         zk = zk * z
     return u
 
@@ -239,26 +241,25 @@ def _detected_mirror(state, mirror, epsilon, center):
 
 
 def _compose(config, b1, m, b3, p, T):
-    """B3 U(p + gT/2) M U(p) B1, batched over the leading axes of p, T
-    broadcasting against them.
-
-    m is the detected mirror (see _detected); b1 may hold only the input
-    columns wanted and b3 only the output rows.
-    """
+    """B3 U(p + gT/2) M U(p) B1, less the common phase
+    exp[-i(theta(p) + theta(p + gT/2))], on the (T, momentum) pairs p and
+    T broadcast to, (..., n).  Vectors are (..., d, n), the momenta
+    innermost; b1 is (d, n) or (d, 1) input columns, and m (detected) and
+    b3 (output rows) are one matrix or one per pair, (..., rows, d, n)."""
     g, n_max = config.g, config.n_max
-    p = np.asarray(p, dtype=float)[..., None]
-    T = np.asarray(T, dtype=float)[..., None]
-    # z at p + gT/2 is z exp(-2igT^2); the order-0 phases of both flights
-    # ride on the second, so the pair costs two exponentials
+    # z at p + gT/2 is z exp(-2igT^2): one exponential per pair.  The
+    # temporary stays the left factor: numpy may reuse a large one for
+    # the product, and swapped complex factors can round differently
     z = np.exp(-1j * (4.0 * T * p + g * T**2))
-    base = np.exp(-1j * (_theta(p, g, T) + _theta(p + 0.5 * g * T, g, T)))
-    u1 = _ladder(z, T, n_max)
-    u2 = _ladder(z * np.exp(-2j * g * T**2), T, n_max) * base
-    # the temporary stays the left factor: numpy may reuse a large
-    # temporary operand for the product, and a complex product with its
-    # factors swapped can round differently, so an element's bits would
-    # depend on the size of its block
-    return b3 @ ((m @ (u1[..., None] * b1)) * u2[..., None])
+    v = _apply(m, _ladder(z, T, n_max) * b1)
+    v *= _ladder(z * np.exp(-2j * g * T**2), T, n_max)
+    return _apply(b3, v)
+
+
+def _apply(a, v):
+    """a v, a pair's bits alike in any batch: for one matrix a BLAS
+    product of one shape per leading index of v, else einsum's loops."""
+    return a @ v if a.ndim == 2 else np.einsum("...jkn,...kn->...jn", a, v)
 
 
 def _solve(p, pulse, config):
@@ -293,7 +294,9 @@ def total_s_matrix(config, p, T=None, matrices=None):
         b1 = _solve(p1, strat.bs, config)
         m = _solve(p2, strat.mirror, config)
         b3 = _solve(p3, strat.bs, config)
-    return _compose(config, b1, _detected(config, m), b3, p, T)
+    s = _compose(config, b1, _detected(config, m), b3, np.array([p]),
+                 np.array([T]))  # one pair, broadcast over b1's columns
+    return np.exp(-1j * (_theta(p, g, T) + _theta(p2, g, T))) * s
 
 
 def _chebyshev_tail(values):
@@ -379,9 +382,10 @@ def t_scan(config, t_grid):
     (see _surrogate_matrices), and its node count, final tail and
     unitarity defect are recorded in FringeScan.surrogates.
     Free-propagation phases always use exact momenta.  The T grid is
-    composed in blocks of about _BLOCK_PAIRS (T, node) pairs, with the
-    splitter column of input port 0 and the three detected rows of the
-    last splitter only; a row's bits do not depend on its block.
+    composed in blocks of about _BLOCK_PAIRS (T, node) pairs, the nodes
+    innermost, with the splitter column of input port 0, the three
+    detected rows of the last splitter and no common phase (no
+    population sees it); a row's bits do not depend on its block.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
@@ -396,11 +400,8 @@ def t_scan(config, t_grid):
     if config.ideal_pulses:
         fits = ()
         bs = ideal_bs_matrix(config.n_max)
-        b1 = bs[:, :1]
-        mirror_all = np.broadcast_to(
-            _detected(config, ideal_mirror_matrix(config.n_max)),
-            (t_grid.size, 1, d, d))
-        b3_all = np.broadcast_to(bs, (t_grid.size, 1, d, d))
+        b1, b3 = bs[:, :1], bs[:3]
+        mirror = _detected(config, ideal_mirror_matrix(config.n_max))
     else:
         strat = config.strategy
         p2_all = (p_nodes[None, :] + 0.5 * g * t_grid[:, None]).ravel()
@@ -410,18 +411,19 @@ def t_scan(config, t_grid):
         mirror_all, mirror_fit = _surrogate_matrices(
             p2_all, strat.mirror, "mirror", config)
         fits = (bs_fit, mirror_fit)
-        b1 = bs_all[:n, :, :1]
-        b3_all = bs_all[n:].reshape(t_grid.size, n, d, d)
-        mirror_all = _detected(config,
-                               mirror_all.reshape(t_grid.size, n, d, d))
+        # (T, row, column, node) views, the nodes innermost
+        b1 = bs_all[:n, :, 0].T
+        b3, mirror = (a.reshape(t_grid.size, n, -1, d).transpose(0, 2, 3, 1)
+                      for a in (bs_all[n:, :3], _detected(config, mirror_all)))
 
     out = np.empty((t_grid.size, 3))
     rows = max(1, _BLOCK_PAIRS // n)
     for i in range(0, t_grid.size, rows):
         blk = slice(i, i + rows)
-        amps = _compose(config, b1, mirror_all[blk], b3_all[blk, :, :3],
-                        p_nodes, t_grid[blk, None])
-        out[blk] = weights @ np.abs(amps[..., 0]) ** 2
+        m, b = (a if a.ndim == 2 else a[blk] for a in (mirror, b3))
+        amps = _compose(config, b1, m, b, p_nodes, t_grid[blk, None])
+        pop = np.abs(amps.transpose(0, 2, 1)) ** 2
+        out[blk] = weights @ np.ascontiguousarray(pop)
     return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config, fits)
 
 

@@ -271,6 +271,67 @@ class TestScans:
                          (full.p3, sub.p3)):
                 assert np.array_equal(a[part], b)
 
+    @pytest.mark.parametrize("n_nodes", [256, 7])
+    def test_wide_ladder_rows_independent_of_blocks(self, n_nodes):
+        cfg = make_config(ideal_pulses=True, detection="resolved",
+                          n_nodes=n_nodes, n_max=3)
+        t = np.linspace(10.0, 80.0, 2000)
+        full = t_scan(cfg, t)
+        for part in (slice(1, None), slice(37, 1500, 3), slice(1234, 1235)):
+            sub = t_scan(cfg, t[part])
+            for a, b in ((full.p1, sub.p1), (full.p2, sub.p2),
+                         (full.p3, sub.p3)):
+                assert np.array_equal(a[part], b)
+
+    @pytest.mark.parametrize("layout", ["per_pair", "shared"])
+    @pytest.mark.parametrize("n_nodes", [256, 7])
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_kernel_rows_independent_of_blocks(self, n_max, n_nodes, layout):
+        # _compose on random unitaries in t_scan's layouts: one matrix
+        # per (T, node) pair, as surrogates give, or one for every pair,
+        # as ideal pulses give; each T row comes out the same from blocks
+        # of any width, a lone row included
+        d, n_t = 2 * n_max + 1, 24
+        uni = unitary_group(dim=d, seed=n_max)
+        rng = np.random.default_rng(n_nodes)
+        cfg = make_config(n_max=n_max)
+        p = rng.uniform(-0.2, 0.2, n_nodes)
+        T = np.sort(rng.uniform(10.0, 80.0, n_t))[:, None]
+        if layout == "per_pair":
+            b1 = uni.rvs(size=n_nodes)[:, :, 0].T
+            m, b3 = (uni.rvs(size=n_t * n_nodes)
+                     .reshape(n_t, n_nodes, d, d)[:, :, :rows]
+                     .transpose(0, 2, 3, 1) for rows in (d, 3))
+        else:
+            b1, m, b3 = uni.rvs()[:, :1], uni.rvs(), uni.rvs()[:3]
+        full = interferometer._compose(cfg, b1, m, b3, p, T)
+        assert full.shape == (n_t, 3, n_nodes)
+        for width in (1, 5, 16):
+            for i in range(0, n_t, width):
+                blk = slice(i, i + width)
+                mb, b3b = (a if a.ndim == 2 else a[blk] for a in (m, b3))
+                part = interferometer._compose(cfg, b1, mb, b3b, p, T[blk])
+                assert np.array_equal(part, full[blk])
+
+    @pytest.mark.parametrize("detection", ["unresolved", "resolved"])
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_ideal_scan_is_total_s_matrix(self, n_max, detection):
+        # t_scan's kernel leaves the pairs' common phase out and
+        # total_s_matrix puts it back; the populations are the same
+        cfg = make_config(ideal_pulses=True, n_max=n_max,
+                          detection=detection, n_nodes=16)
+        ideal = (ideal_bs_matrix(n_max), ideal_mirror_matrix(n_max),
+                 ideal_bs_matrix(n_max))
+        p, w = cfg.source.momentum_quadrature(cfg.n_nodes)
+        t = np.array([10.0, 23.5, 41.0, 66.6, 80.0])
+        scan = t_scan(cfg, t)
+        for i, T in enumerate(t):
+            amps = np.array([total_s_matrix(cfg, q, T, matrices=ideal)[:3, 0]
+                             for q in p])
+            pops = w @ np.abs(amps) ** 2
+            for r, ports in enumerate((scan.p1, scan.p2, scan.p3)):
+                assert abs(ports[i] - pops[r]) < 1e-14
+
 
 def direct_p_sum(cfg, T):
     """P_sum at T from exact-momentum solves, composed node by node."""
