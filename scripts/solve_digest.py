@@ -29,7 +29,7 @@ change, and compare the output:
 
     PYTHONPATH=src python3 scripts/solve_digest.py
 
-Takes about fifteen seconds on one core.
+Takes about ten seconds on one core.
 """
 
 import hashlib
