@@ -2,10 +2,9 @@
 """Print one SHA-256 per family of solved numbers, to prove bit identity.
 
 A change that only makes the solver faster must leave these digests as
-they are; the oracle digest alone also changes when the arithmetic of
-the grid kernel changes, and then the others must not, and the tscan
-and ideal digests alone when that of the composition changes.  The
-families:
+they are.  When the arithmetic of the grid kernel changes, the oracle
+digest alone may change; when that of the composition kernel changes,
+the tscan and ideal digests alone may.  The families:
 
 - propagate_unitaries: the bs and mirror pulses of the four built-in
   strategies at n_max 1, 2 and 3, in both bases, each pulse alone on a

@@ -422,7 +422,7 @@ def t_scan(config, t_grid):
         blk = slice(i, i + rows)
         m, b = (a if a.ndim == 2 else a[blk] for a in (mirror, b3))
         amps = _compose(config, b1, m, b, p_nodes, t_grid[blk, None])
-        pop = np.abs(amps.transpose(0, 2, 1)) ** 2
+        pop = np.abs(amps.transpose(0, 2, 1)) ** 2  # one gemv per T row
         out[blk] = weights @ np.ascontiguousarray(pop)
     return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config, fits)
 
