@@ -17,6 +17,9 @@ the tscan and ideal digests alone may.  The families:
   composition kernel (interferometer._compose) with no solve in them;
 - optimize: the cost history, final cost and knots of the
   perfbench/scenarios/pulse_design.cfg mirror search at seed 1;
+- polish: the same for a budget-300 oct_mirror_problem on three
+  momenta at seed 0, the smallest search that runs the Nelder-Mead
+  polish and touch-up (at budget 100 the polish is skipped);
 - oracle: what `dbdsim oracle-compare` writes for every
   perfbench/scenarios/oracle_*.cfg but its timestamp, and the ports of
   an unresolved and a resolved `oracle_fringe` scan of ds_dbd on
@@ -28,7 +31,7 @@ change, and compare the output:
 
     PYTHONPATH=src python3 scripts/solve_digest.py
 
-Takes about ten seconds on one core.
+Takes about ten seconds on one core, four of them in the polish family.
 """
 
 import hashlib
@@ -121,7 +124,16 @@ def optimize_digest():
         momentum_samples=tuple(np.linspace(-half, half,
                                            cfg.get_int("n_samples"))),
         rtol=cfg.get_float("rtol"))
-    result = strategies.optimize(problem, seed=1)
+    return _result_digest(strategies.optimize(problem, seed=1))
+
+
+def polish_digest():
+    problem = strategies.oct_mirror_problem(
+        budget=300, momentum_samples=np.linspace(-0.2, 0.2, 3))
+    return _result_digest(strategies.optimize(problem, seed=0))
+
+
+def _result_digest(result):
     text = [float(c).hex() for c in result.cost_history]
     text += [float(result.cost).hex()]
     text += [float(v).hex() for v in result.protocol.values]
@@ -133,6 +145,7 @@ def main():
                          ("tscan", tscan_digest),
                          ("ideal", ideal_digest),
                          ("optimize", optimize_digest),
+                         ("polish", polish_digest),
                          ("oracle", oracle_digest)):
         print(f"{name:20s} {family()}", flush=True)
     return 0
