@@ -548,12 +548,14 @@ _CELL_ERRORS = (BoundViolation,) + NUMERICAL_ERRORS
 
 def efficiency_landscape(p_values, eps_values, kind, envelope, protocol,
                          n_max=2, **kw):
-    """Dense F(p, epsilon) scan; failed cells become NaN.
+    """Dense F(p, epsilon) scan; failed columns become NaN.
 
     Returns (values, errors) where values has shape
     (len(p_values), len(eps_values)) and errors maps (i, j) -> message.
-    Only bound violations and numerical failures make failed cells; any
-    other exception is a bug and propagates.
+    Each epsilon column is one grouped solve and fails as one, every
+    cell with the column's message.  Only bound violations and numerical
+    failures make failed cells; any other exception is a bug and
+    propagates.
     """
     p_values = np.asarray(p_values, dtype=float)
     eps_values = np.asarray(eps_values, dtype=float)
@@ -564,12 +566,6 @@ def efficiency_landscape(p_values, eps_values, kind, envelope, protocol,
             u = propagate_unitaries(p_values, envelope, protocol, eps,
                                     n_max=n_max, **kw)
             out[:, j] = transfer_efficiency(u, kind)
-        except _CELL_ERRORS:  # batch failed; retry cells one at a time
-            for i, p in enumerate(p_values):
-                try:
-                    u1 = propagate_unitaries(float(p), envelope, protocol,
-                                             eps, n_max=n_max, **kw)
-                    out[i, j] = transfer_efficiency(u1, kind)
-                except _CELL_ERRORS as exc:
-                    errors[(i, j)] = str(exc)
+        except _CELL_ERRORS as exc:
+            errors.update(((i, j), str(exc)) for i in range(p_values.size))
     return out, errors

@@ -96,47 +96,41 @@ def bs_cost(candidate, momentum_samples, epsilon_samples=(0.0,), n_max=2,
 
     <|0.5 - P_plus| + |0.5 - P_minus| + |P_plus - P_minus|>, with P_pm
     the +-2 hbar k_L populations for input |p>.  Zero for a perfect
-    50/50 splitter everywhere; 1 for a null pulse.
+    50/50 splitter everywhere; 1 for a null pulse.  One candidate_costs call.
     """
-    p, eps = _samples("bs_balanced", momentum_samples, epsilon_samples)
-    return _score("bs_balanced", propagate_unitaries(
-        p, *candidate, eps, n_max=n_max, rtol=rtol, atol=atol))
+    return candidate_costs("bs_balanced", [candidate], momentum_samples,
+                           epsilon_samples, n_max, rtol, atol)[0]
 
 
 def mirror_cost(candidate, momentum_samples, n_max=2, rtol=1e-9, atol=1e-11):
     """Bidirectional inversion cost <|1 - F_plus| + |1 - F_minus|>_p.
 
     F_plus is the |p+2> -> |p-2> transfer and F_minus its reverse; a
-    null pulse scores 2, a perfect mirror 0.
+    null pulse scores 2, a perfect mirror 0.  One candidate_costs call.
     """
-    p, eps = _samples("mirror_bidirectional", momentum_samples)
-    return _score("mirror_bidirectional", propagate_unitaries(
-        p, *candidate, eps, n_max=n_max, rtol=rtol, atol=atol))
+    return candidate_costs("mirror_bidirectional", [candidate],
+                           momentum_samples, (0.0,), n_max, rtol, atol)[0]
 
 
 def candidate_costs(target, candidates, momentum_samples,
                     epsilon_samples=(0.0,), n_max=2, rtol=1e-9, atol=1e-11):
     """bs_cost or mirror_cost, by target, of every candidate in one solve.
 
-    Each candidate is one group of propagate_unitaries, so its cost is
-    bit for bit what bs_cost or mirror_cost gives it alone.
+    The one cost kernel, of optimize too; mirror costs are taken at
+    epsilon = 0.  Each candidate is one group of propagate_unitaries, so
+    its cost is bit for bit what it scores alone.
     """
-    p, eps = _samples(target, momentum_samples, epsilon_samples)
-    envelopes, protocols = zip(*candidates)
-    u = propagate_unitaries(np.broadcast_to(p, (len(candidates), p.size)),
-                            envelopes, protocols, eps, n_max=n_max,
-                            rtol=rtol, atol=atol)
-    return [_score(target, row) for row in u]
-
-
-def _samples(target, momentum_samples, epsilon_samples=(0.0,)):
-    """(p, epsilon) per system; mirror costs are taken at epsilon = 0."""
     p = np.asarray(momentum_samples, dtype=float)
     eps = np.asarray(epsilon_samples if target == "bs_balanced" else (0.0,),
                      dtype=float)
     if p.size == 0 or eps.size == 0:
         raise ValueError("sample sets must be non-empty")
-    return np.tile(p, eps.size), np.repeat(eps, p.size)
+    p, eps = np.tile(p, eps.size), np.repeat(eps, p.size)
+    envelopes, protocols = zip(*candidates)
+    u = propagate_unitaries(np.broadcast_to(p, (len(candidates), p.size)),
+                            envelopes, protocols, eps, n_max=n_max,
+                            rtol=rtol, atol=atol)
+    return [_score(target, row) for row in u]
 
 
 def _score(target, u):
@@ -251,10 +245,10 @@ def optimize(problem, seed=0):
     A structured prescan (constant and ramped knot profiles plus random
     draws and any warm starts) ranks cheap single evaluations, all solved
     in one grouped call; the best few become Nelder-Mead starting points,
-    and a tight-tolerance simplex touches up the winner.  Every cost
-    evaluation is charged against the budget, in order.  When the budget
-    skips the polish or cuts any stage short, the result is flagged
-    `budget_exhausted` and carries the best candidate seen.
+    and a tight-tolerance simplex touches up the winner.  Every cost goes
+    through candidate_costs and is charged against the budget, in order.
+    When the budget skips the polish or cuts any stage short, the result
+    is flagged `budget_exhausted` and carries the best candidate seen.
     """
     from scipy.optimize import minimize  # slow to import; only used here
 
@@ -279,18 +273,16 @@ def optimize(problem, seed=0):
                                 bound=problem.delta_max)
         return env, protocol
 
-    def evaluate(x, rtol):
-        tracker.charge()
-        cand = build(x)
-        if problem.target == "bs_balanced":
-            c = bs_cost(cand, problem.momentum_samples,
-                        problem.epsilon_samples, n_max=problem.n_max,
-                        rtol=rtol, atol=rtol * 1e-2)
-        else:
-            c = mirror_cost(cand, problem.momentum_samples,
-                            n_max=problem.n_max, rtol=rtol, atol=rtol * 1e-2)
-        tracker.record(x, c)
-        return c
+    def score(points, rtol):
+        for _ in points:
+            tracker.charge()
+        costs = candidate_costs(
+            problem.target, [build(x) for x in points],
+            problem.momentum_samples, problem.epsilon_samples,
+            problem.n_max, rtol, rtol * 1e-2)
+        for x, c in zip(points, costs):
+            tracker.record(x, c)
+        return costs
 
     tracker = _Tracker(problem.budget)
 
@@ -318,14 +310,7 @@ def optimize(problem, seed=0):
 
     # The prescan is one grouped solve, charged and recorded in order.
     prescan = candidates[:problem.budget]
-    scored = []
-    for cand, c in zip(prescan, candidate_costs(
-            problem.target, [build(x) for x in prescan],
-            problem.momentum_samples, problem.epsilon_samples,
-            problem.n_max, problem.rtol, problem.rtol * 1e-2)):
-        tracker.charge()
-        tracker.record(cand, c)
-        scored.append((c, cand))
+    scored = list(zip(score(prescan, problem.rtol), prescan))
     tracker.exhausted = len(candidates) > len(prescan)
 
     scored.sort(key=lambda sc: sc[0])
@@ -340,7 +325,7 @@ def optimize(problem, seed=0):
 
     try:
         for rank in range(0 if polish_skipped else n_polish):
-            minimize(lambda x: evaluate(x, problem.rtol), scored[rank][1],
+            minimize(lambda x: score([x], problem.rtol)[0], scored[rank][1],
                      method="Nelder-Mead",
                      options=dict(maxfev=per_start, xatol=1e-4, fatol=1e-7))
     except _OutOfBudget:
@@ -350,7 +335,7 @@ def optimize(problem, seed=0):
     # cost is trustworthy, then make sure the stored best reflects it.
     if tracker.best_x is not None and not tracker.exhausted:
         try:
-            minimize(lambda x: evaluate(x, min(problem.rtol, 1e-8)),
+            minimize(lambda x: score([x], min(problem.rtol, 1e-8))[0],
                      tracker.best_x, method="Nelder-Mead",
                      options=dict(maxfev=touch_up, xatol=1e-5, fatol=1e-9))
         except _OutOfBudget:

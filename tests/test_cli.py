@@ -10,6 +10,7 @@ import dbdsim
 from dbdsim import cli, interferometer
 from dbdsim.cli import main
 from dbdsim.io import ResultTable
+from dbdsim.units import ConstantDetuning, PulseEnvelope
 
 IDEAL_TSCAN = """
 strategy = ideal
@@ -282,6 +283,33 @@ epsilon_axis.points = 2
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_p_epsilon_scan(self, tmp_path):
+        config = """
+scan = p_epsilon
+pulse.omega = 2
+pulse.tau = 0.47
+p.min = -0.1
+p.max = 0.1
+p.points = 3
+epsilon_axis.min = 0
+epsilon_axis.max = 0.1
+epsilon_axis.points = 2
+"""
+        code, out = run(tmp_path, "efficiency-scan", config)
+        assert code == 0
+        table = ResultTable.read(str(out))
+        assert table.columns == ("p", "epsilon", "efficiency")
+        assert table.provenance["failed_cells"] == "0"
+        p, eps = np.linspace(-0.1, 0.1, 3), np.linspace(0.0, 0.1, 2)
+        # p-major rows: epsilon runs fastest
+        assert table.column("p") == list(np.repeat(p, 2))
+        assert table.column("epsilon") == list(np.tile(eps, 3))
+        values, errors = cli.multilevel.efficiency_landscape(
+            p, eps, "beam_splitter", PulseEnvelope("box", 2.0, 0.47),
+            ConstantDetuning(0.0, 4.0), rtol=1e-9)
+        assert not errors
+        assert table.column("efficiency") == list(values.ravel())
 
     def test_tls_rejects_mirror_kind(self, tmp_path):
         code, _ = run(tmp_path, "efficiency-scan",

@@ -330,6 +330,27 @@ class TestEfficiencies:
         assert np.all(np.isnan(vals))
         assert len(errors) == 2
 
+    def test_landscape_column_fails_as_one_group(self):
+        env, kw = box(2.0, 0.5), dict(rtol=1e-7, atol=1e-9)
+        # a non-finite momentum fails its whole column, the finite one too
+        vals, errors = efficiency_landscape(
+            np.array([0.1, np.nan]), np.array([0.0]), "beam_splitter",
+            env, FLAT, **kw)
+        assert np.all(np.isnan(vals))
+        assert sorted(errors) == [(0, 0), (1, 0)]
+        assert all(errors.values())
+        p = np.array([-0.1, 0.0, 0.1])
+        eps = np.array([0.0, np.nan, 0.05])
+        vals, errors = efficiency_landscape(p, eps, "beam_splitter", env,
+                                            FLAT, **kw)
+        assert np.all(np.isnan(vals[:, 1]))
+        assert sorted(errors) == [(0, 1), (1, 1), (2, 1)]
+        # the columns that solve are what a lone call at their epsilon gives
+        for j in (0, 2):
+            u = propagate_unitaries(p, env, FLAT, eps[j], **kw)
+            assert np.array_equal(vals[:, j], multilevel.transfer_efficiency(
+                u, "beam_splitter"))
+
     def test_landscape_propagates_programming_errors(self):
         class BrokenEnvelope:
             support = (0.0, 0.5)

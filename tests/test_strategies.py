@@ -186,7 +186,6 @@ class TestOptimizer:
             return [quadratic(c, samples, n_max, rtol, atol)
                     for c in candidates]
 
-        monkeypatch.setattr(strategies, "mirror_cost", quadratic)
         # the prescan scores its candidates together, the rest one by one
         monkeypatch.setattr(strategies, "candidate_costs", each)
         problem = oct_mirror_problem(budget=300)
@@ -209,13 +208,13 @@ class TestOptimizer:
             sizes.append(len(candidates))
             return grouped(target, candidates, *args)
 
-        def one_by_one(target, candidates, samples, eps, n_max, rtol, atol):
-            return [strategies.mirror_cost(c, samples, n_max, rtol, atol)
-                    for c in candidates]
+        def one_by_one(target, candidates, *args):
+            return [grouped(target, [c], *args)[0] for c in candidates]
 
         monkeypatch.setattr(strategies, "candidate_costs", spy)
         fused = optimize(problem, seed=0)
-        assert sizes == [81 + 100 // 8]
+        # the prescan in one call, then the touch-up one point at a time
+        assert sizes == [81 + 100 // 8] + [1] * (len(sizes) - 1)
         monkeypatch.setattr(strategies, "candidate_costs", one_by_one)
         assert optimize(problem, seed=0) == fused
 
