@@ -30,7 +30,6 @@ from .interferometer import (
     FluctuationResult,
     FringeScan,
     MzConfig,
-    contrast_sweep,
     default_t_grid,
     extract_contrast,
     fluctuation_robustness,

@@ -271,16 +271,21 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
                for name in names}
     t_grid = _t_grid_from(cfg, cfg.get_float("g"))
 
-    # one contrast_sweep call per (value, strategy) cell, in table order
-    cells = [configs[name] for _ in values for name in names]
-    cell_values = [[v] for v in values for _ in names]
-    swept = itf._pool_map(itf.contrast_sweep, workers, cells, repeat(axis),
-                          cell_values, repeat(t_grid))
+    # one scenario per (value, strategy) cell, in table order
+    cells = [replace(configs[name], epsilon=float(v)) if axis == "epsilon"
+             else replace(configs[name], source=packet)
+             for v, packet in zip(values, packets) for name in names]
+    contrasts = itf._pool_map(_contrast, workers, cells, repeat(t_grid))
     table = ResultTable((axis,) + tuple(f"contrast_{n}" for n in names))
     for i, v in enumerate(values):
-        row = swept[i * len(names):(i + 1) * len(names)]
-        table.append([float(v)] + [rows[0][1] for rows in row])
+        table.append([float(v)] + contrasts[i * len(names):
+                                            (i + 1) * len(names)])
     return table, {"axis": axis}, 0
+
+
+def _contrast(config, t_grid):
+    """Fringe contrast of one scenario on t_grid; picklable."""
+    return itf.extract_contrast(itf.t_scan(config, t_grid)).contrast
 
 
 # --- fluctuation -----------------------------------------------------
@@ -356,6 +361,8 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
     scenario = cfg.get_str("scenario", "pulse", choices=("pulse", "mz"))
     if scenario == "mz":
         _, mz = _mz_from_config(cfg)
+        if mz.ideal_pulses:
+            raise ConfigError("strategy: ideal has no physical pulse here")
         t_grid = _t_grid_from(cfg, mz.g, points=20)
         model = itf.t_scan(mz, t_grid).p_sum
         oracle = itf.oracle_fringe(mz, t_grid, workers=workers).p_sum

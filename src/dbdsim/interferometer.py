@@ -46,16 +46,13 @@ def port_offsets(n_max):
 
 @dataclass(frozen=True)
 class MzConfig:
-    """One interferometer scenario.
-
-    T may stay None for scan-style use where the grid supplies it.
-    epsilon accepts a float or a PolarizationError.
+    """One interferometer scenario; the interrogation time is given per
+    call.  epsilon accepts a float or a PolarizationError.
     """
 
     strategy: StrategySpec
     g: float
     source: GaussianWavePacket
-    T: float | None = None
     epsilon: float = 0.0
     detection: str = "unresolved"
     n_max: int = 2
@@ -71,8 +68,6 @@ class MzConfig:
         eps = self.epsilon
         if hasattr(eps, "epsilon"):
             object.__setattr__(self, "epsilon", float(eps.epsilon))
-        if self.T is not None and self.T < 0:
-            raise ValueError("interrogation time must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -269,15 +264,15 @@ def _solve(p, pulse, config):
                                atol=config.rtol * 1e-2, basis="bare")
 
 
-def total_s_matrix(config, p, T=None, matrices=None):
-    """Full (2 n_max + 1)-square sequence matrix at quasi-momentum p.
+def total_s_matrix(config, p, T, matrices=None):
+    """Full (2 n_max + 1)-square sequence matrix at quasi-momentum p and
+    interrogation time T >= 0.
 
     matrices optionally supplies pre-built (b1, m, b3) pulse matrices,
     bypassing the solver; useful for cached scans and cross-checks.
     """
-    T = config.T if T is None else T
-    if T is None:
-        raise ValueError("no interrogation time given")
+    if T < 0:
+        raise ValueError("interrogation time must be non-negative")
     g = config.g
     _check_zone(config, T)
     p1, p2, p3 = p, p + 0.5 * g * T, p + g * T
@@ -498,31 +493,6 @@ def extract_contrast(scan):
     t_min = math.sqrt(x_min / (4.0 * abs(g)))
     contrast = float(np.clip(y_max - y_min, 0.0, 1.0))
     return ContrastResult(contrast, t_max, t_min, residual)
-
-
-def contrast_sweep(config, axis, values, t_grid=None):
-    """Contrast versus one scenario knob; rows (axis value, contrast).
-
-    axis is one of sigma_p, p0, epsilon.  Each value rebuilds the
-    scenario, rescans, and re-extracts; failures surface, they are not
-    silently skipped.
-    """
-    if axis not in ("sigma_p", "p0", "epsilon"):
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    if t_grid is None:
-        t_grid = default_t_grid(config.g)
-    rows = []
-    for value in values:
-        if axis == "epsilon":
-            cfg = replace(config, epsilon=float(value))
-        else:
-            wp = config.source
-            kw = {"sigma_p": wp.sigma_p, "p0": wp.p0}
-            kw[axis] = float(value)
-            cfg = replace(config, source=GaussianWavePacket(**kw))
-        result = extract_contrast(t_scan(cfg, t_grid))
-        rows.append((float(value), result.contrast))
-    return rows
 
 
 def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):

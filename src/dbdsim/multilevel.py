@@ -105,8 +105,8 @@ def build_hamiltonian(basis, t, envelope, protocol, epsilon=0.0):
     h = np.zeros((basis.dimension, basis.dimension))
     np.fill_diagonal(h, basis.kinetic_energies())
     t = float(t)
-    omega = envelope.at(t)
-    c = np.cos((RESONANCE + protocol.at(t)) * t) + epsilon
+    omega = envelope.evaluate(t)
+    c = np.cos((RESONANCE + protocol.evaluate(t, check=False)) * t) + epsilon
     drive, doppler = _bands(basis.n_max)
     for i, j, wgt, _ in drive:
         h[i, j] = h[j, i] = wgt * omega * c
@@ -457,13 +457,14 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
         def prepare(times, live):
             """deriv(j, y, out) of the running groups at the rows of times.
 
-            The drive of every row is formed at once: the envelope and
-            detuning of each group at its own times, then the carrier and
-            band phases of all rows in one array each.  The work matrix
-            holds the momentum batch innermost, (d, d, B); its constant
-            Doppler couplings go in once per set of running groups, and
-            the drive entries, every band's upper element and then its
-            mirror image, are written with one put() at fixed indices.
+            The drive of every row is formed at once: one evaluate() of
+            each group's envelope and detuning over its own times, then
+            the carrier and band phases of all rows in one array each.
+            The work matrix holds the momentum batch innermost, (d, d, B);
+            its constant Doppler couplings go in once per set of running
+            groups, and the drive entries, every band's upper element and
+            then its mirror image, are written with one put() at fixed
+            indices.
             """
             if work["size"] != live.size:
                 groups = rows[live]
@@ -477,16 +478,13 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                                    + flat * p_live.size).ravel(),
                             pulses=[pulses[g] for g in groups.tolist()])
             a, slots, product = work["a"], work["slots"], work["product"]
-            amp, arg = [], []
-            for (env, prot), column in zip(work["pulses"],
-                                           times.T.tolist()):
-                for t in column:
-                    amp.append(env.at(t))
-                    arg.append((RESONANCE + prot.at(t)) * t)
-            shape = times.T.shape + (1,)
-            # [i, j]: group i at row j of times
-            drive = (np.array(amp).reshape(shape)
-                     * (np.cos(arg).reshape(shape) + work["eps"][:, None]))
+            cols = np.ascontiguousarray(times.T)  # [i, j]: group i, row j
+            amp, delta = np.empty_like(cols), np.empty_like(cols)
+            for i, (env, prot) in enumerate(work["pulses"]):
+                amp[i] = env.evaluate(cols[i])
+                delta[i] = prot.evaluate(cols[i], check=False)
+            drive = amp[:, :, None] * (np.cos((RESONANCE + delta) * cols)[
+                :, :, None] + work["eps"][:, None])
             ph = np.exp(turn * times[:, :, None])
             ph = np.concatenate((ph, ph.conj()), axis=2)  # [j, i]
             # (G, B, d, d) keeps the strided out a view; (-1, d, d) copies

@@ -67,8 +67,9 @@ def tls_hamiltonian(t, env, delta=0.0, epsilon=0.0):
     + 2 eps exp(-i 4 t)} and its conjugate.
     """
     t = float(t)
-    om = float(env.at(t))
-    de = float(delta.at(t) if hasattr(delta, "at") else delta)  # or a float
+    om = float(env.evaluate(t))
+    de = float(delta.evaluate(t, check=False) if hasattr(delta, "evaluate")
+               else delta)  # or a float
     h = np.zeros((2, 2), dtype=complex)
     h[0, 0] = om**2 * (epsilon / 4.0 - epsilon**2 / 2.0)
     h[1, 1] = om**2 * (-3.0 / 64.0 - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0)

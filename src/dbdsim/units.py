@@ -21,7 +21,6 @@ retro-reflected beams.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,31 +89,20 @@ class PulseEnvelope:
             raise ValueError("support window must have positive duration")
 
     def evaluate(self, t):
+        """Omega at the times t, of any shape, 0-d included.
+
+        The Gaussian squares through np.float_power, libm pow for every
+        element, so a time gives the same bits alone and in any array.
+        """
         t = np.asarray(t, dtype=float)
         lo, hi = self.support
-        inside = (t >= lo) & (t <= hi)
-        if self.shape == "gaussian":
-            val = self.peak * np.exp(-((t - self.center) ** 2) / (2 * self.width**2))
-        else:
-            inside = inside & (t >= self.center) & (t <= self.center + self.width)
-            val = np.full_like(t, self.peak)
-        return np.where(inside, val, 0.0)
-
-    def at(self, t):
-        """evaluate() at one float time, as a float.
-
-        Bit for bit equal to evaluate() of a 0-d time only.  For an array
-        of times evaluate() squares through np.square instead of pow, so
-        a Gaussian can differ from this one by 1 ulp.
-        """
-        lo, hi = self.support
-        if not lo <= t <= hi:
-            return 0.0
         if self.shape == "box":
-            on = self.center <= t <= self.center + self.width
-            return float(self.peak) if on else 0.0
-        return self.peak * np.exp(-((t - self.center) ** 2)
-                                  / (2 * self.width**2))
+            lo, hi = max(lo, self.center), min(hi, self.center + self.width)
+            val = float(self.peak)
+        else:
+            val = self.peak * np.exp(np.float_power(t - self.center, 2)
+                                     / (-2 * self.width**2))
+        return np.where((t >= lo) & (t <= hi), val, 0.0)
 
     def area(self):
         """Integral of Omega(t) over the full (untruncated) pulse."""
@@ -145,9 +133,6 @@ class ConstantDetuning:
         t = np.asarray(t, dtype=float)
         return np.full_like(t, self.value)
 
-    def at(self, t):
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class LinearDetuning:
@@ -176,9 +161,6 @@ class LinearDetuning:
             raise BoundViolation(
                 f"linear sweep reaches |Delta|={worst:.4g} > bound {self.bound}")
         return val
-
-    def at(self, t):
-        return (self.alpha / self.width) * (t - self.center) + self.beta
 
 
 def _natural_spline(times, values):
@@ -234,7 +216,8 @@ class KnotDetuning:
     times: tuple[float, ...]
     values: tuple[float, ...]
     bound: float = DEFAULT_DETUNING_BOUND
-    _coeffs: list = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -251,26 +234,24 @@ class KnotDetuning:
                 f"knot values exceed |Delta| <= {self.bound}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_coeffs", _natural_spline(times, values))
+        # (4, K - 1), constant terms first; + 0.0 turns a -0.0 into the
+        # 0.0 that the power sum 0.0 + c0 + ... would make of it
+        coeffs = np.array(_natural_spline(times, values)).T
+        coeffs[0] += 0.0
+        object.__setattr__(self, "_starts", np.array(times[:-1]))
+        object.__setattr__(self, "_coeffs", coeffs)
 
     def evaluate(self, t, check=True):
-        """at() over an array of times, element by element."""
+        """The spline at the times t, of any shape, 0-d included: each
+        time's interval (the end ones extrapolate), its power sum from
+        the constant term up, clamped to the band.  Never raises."""
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                    0, len(self.times) - 2)
-        s, res, z = t - np.take(self.times, i), 0.0, 1.0
-        for c in np.asarray(self._coeffs).T[:, i]:
-            res, z = res + c * z, z * s
-        return np.clip(res, -self.bound, self.bound)
-
-    def at(self, t):
-        """The spline at one float time: the interval's power sum from the
-        constant term up, clamped to the band."""
-        i = min(max(bisect_right(self.times, t) - 1, 0), len(self.times) - 2)
-        s, res, z = t - self.times[i], 0.0, 1.0
-        for c in self._coeffs[i]:
-            res, z = res + c * z, z * s
-        return min(max(res, -self.bound), self.bound)
+        i = np.searchsorted(self._starts[1:], t, side="right")
+        c0, c1, c2, c3 = self._coeffs[:, i]
+        s = t - self._starts[i]
+        z = s * s
+        res = c0 + c1 * s + c2 * z + c3 * (z * s)
+        return np.minimum(np.maximum(res, -self.bound), self.bound)
 
 
 # Any of the concrete protocol flavors above.

@@ -54,8 +54,9 @@ def three_path_amplitudes(b1, m, b3, g, p, T):
     return out
 
 
-def port_populations(config, T=None, p=None):
-    """(P1, P2, P3) for one shot: central, +2, -2 ports.
+def port_populations(config, T, p=None):
+    """(P1, P2, P3), the central, +2 and -2 ports, for one shot at
+    interrogation time T.
 
     With p given, plane-wave populations at that quasi-momentum;
     otherwise integrated over the source packet by Gauss-Legendre
@@ -64,8 +65,7 @@ def port_populations(config, T=None, p=None):
     if p is not None:
         s = total_s_matrix(config, p, T)
         return (abs(s[0, 0]) ** 2, abs(s[1, 0]) ** 2, abs(s[2, 0]) ** 2)
-    T_val = config.T if T is None else T
-    scan = t_scan(config, np.array([T_val]))
+    scan = t_scan(config, np.array([T]))
     return (float(scan.p1[0]), float(scan.p2[0]), float(scan.p3[0]))
 
 

@@ -388,8 +388,8 @@ source.sigma_p = 0.05
             return interferometer.t_scan(config, t_grid)
 
         monkeypatch.setattr(interferometer, "oracle_fringe", oracle)
-        config = IDEAL_TSCAN.replace("t.min = 10\nt.max = 80\n", "")
-        config = config.replace("t.points = 41", "t.points = 3")
+        config = SOLVED_TSCAN.replace("t.min = 10\nt.max = 80\n", "")
+        config = config.replace("t.points = 9", "t.points = 3")
         code, out = run(tmp_path, "oracle-compare",
                         "scenario = mz\n" + config)
         assert code == 0
@@ -404,10 +404,21 @@ source.sigma_p = 0.05
         seen = []
         monkeypatch.setattr(interferometer, "oracle_fringe",
                             lambda *args, **kwargs: seen.append(args))
-        config = IDEAL_TSCAN.replace("t.points = 41\n", "")
+        config = SOLVED_TSCAN.replace("t.points = 9\n", "")
         code, _ = run(tmp_path, "oracle-compare", "scenario = mz\n" + config)
         assert code == 2
         assert seen == []
+
+    def test_mz_ideal_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the grid has no ideal pulses to run against the ideal fringe
+        monkeypatch.setattr(interferometer, "t_scan", refuse_to_run)
+        monkeypatch.setattr(interferometer, "oracle_fringe", refuse_to_run)
+        config = IDEAL_TSCAN.replace("t.min = 10\nt.max = 80\n", "")
+        code, out = run(tmp_path, "oracle-compare", "scenario = mz\n"
+                        + config.replace("t.points = 41", "t.points = 3"))
+        assert code == 2
+        assert "ideal" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mz_resolved_agrees_for_any_worker_count(self, tmp_path,
                                                      monkeypatch):

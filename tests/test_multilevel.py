@@ -201,9 +201,10 @@ class TestPropagation:
 
 def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                         rtol=1e-10, atol=1e-12, basis="bare", window=None):
-    """propagate_unitaries with the array drive evaluation it replaced:
-    the rhs calls evaluate() and carrier_factor() on 0-d arrays and takes
-    one exp per band."""
+    """propagate_unitaries written plainly on scipy's solve_ivp: the rhs
+    calls evaluate() and carrier_factor() at one 0-d time and takes one
+    exp per band, where the package reads the drive in columns of stage
+    times."""
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     nsys, d = p_arr.size, 2 * n_max + 1
     eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (nsys,))
@@ -275,9 +276,6 @@ class TestNonFiniteDrive:
 
             def evaluate(self, t):
                 return np.full(np.shape(t), np.nan)
-
-            def at(self, t):
-                return np.nan
 
         with pytest.raises(IntegratorFailure, match="non-finite"):
             propagate_unitaries([0.0, 0.1], NanEnvelope(), FLAT)
@@ -501,12 +499,11 @@ class TestGroups:
         class LateNan:
             """Finite on the check grid, NaN inside the integration."""
             support = (0.0, 0.5)
+            check_grid = np.linspace(0.0, 0.5, 257)
 
             def evaluate(self, t):
-                return np.zeros(np.shape(t))
-
-            def at(self, t):
-                return np.nan if t > 0.2 else 1.0
+                late = (np.asarray(t) > 0.2) & ~np.isin(t, self.check_grid)
+                return np.where(late, np.nan, 1.0)
 
         pulses = [(box(2.0, 0.5), FLAT), (LateNan(), FLAT)]
         with pytest.raises(IntegratorFailure,

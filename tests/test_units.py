@@ -170,11 +170,11 @@ class TestNaturalSpline:
         want = np.clip(self.scipy_spline(times, values)(t), -4.0, 4.0)
         assert got.shape == t.shape
         assert got.tobytes() == want.tobytes()
-        assert got.tobytes() == np.array(
-            [[prot.at(float(x)) for x in row] for row in t]).tobytes()
         for x in (times[0], times[-1], times[0] - span, times[-1] + span):
             zero_d = prot.evaluate(np.float64(x))
-            assert np.ndim(zero_d) == 0 and zero_d == prot.at(x)
+            assert np.ndim(zero_d) == 0
+            assert zero_d == np.clip(self.scipy_spline(times, values)(x),
+                                     -4.0, 4.0)
 
 
 class TestWavePacket:
@@ -225,8 +225,9 @@ def test_constructors_refuse_non_finite_parameters(make):
 
 
 class TestScalarEvaluation:
-    """`at(t)` is what the ladder solver calls at every step; it must
-    give evaluate(t) bit for bit at one float time."""
+    """evaluate() of one time alone, 0-d or a float, gives bit for bit
+    that time's element in a 1-D and in a 2-D array of times: the ladder
+    solver reads the drive in short columns, the grid in long rows."""
 
     @staticmethod
     def times(window, extra=()):
@@ -237,10 +238,23 @@ class TestScalarEvaluation:
                 *rng.uniform(lo - 0.05 * span, hi + 0.05 * span, 1000)]
 
     @staticmethod
-    def assert_bitwise(scalar, array, times):
-        for t in map(float, times):
-            assert np.float64(scalar(t)).tobytes() == \
-                np.float64(array(t)).tobytes(), t
+    def assert_bitwise(evaluate, times):
+        times = np.array(times[:len(times) // 2 * 2])
+        alone = []
+        for t in times:
+            zero_d = evaluate(t)
+            assert np.ndim(zero_d) == 0
+            assert np.float64(evaluate(float(t))).tobytes() == \
+                zero_d.tobytes(), t
+            alone.append(zero_d)
+        alone = np.array(alone)
+        # a row, a 2-D array and its strided transpose
+        for shape in (lambda x: x, lambda x: x.reshape(2, -1),
+                      lambda x: x.reshape(2, -1).T):
+            got, want = evaluate(shape(times)), shape(alone)
+            assert got.shape == want.shape
+            bad = got.view(np.int64) != want.view(np.int64)
+            assert not bad.any(), shape(times)[bad]
 
     @pytest.mark.parametrize("env", [
         PulseEnvelope("gaussian", 2.0, 0.47),
@@ -249,9 +263,10 @@ class TestScalarEvaluation:
         PulseEnvelope("box", 1.5, 2.0, 0.0, support=(0.5, 3.0)),
     ])
     def test_envelopes(self, env):
-        edges = (env.center, env.center + env.width)
-        self.assert_bitwise(env.at, env.evaluate,
-                            self.times(env.support, edges))
+        # squared as x * x inside an array, this time would round 1 ulp
+        # away from its pow square alone on the first envelope
+        edges = (env.center, env.center + env.width, -0.9894197700229684)
+        self.assert_bitwise(env.evaluate, self.times(env.support, edges))
 
     @pytest.mark.parametrize("name,pulse", [
         ("c_dbd", "bs"), ("cd_dbd", "bs"), ("ds_dbd", "bs"),
@@ -259,8 +274,7 @@ class TestScalarEvaluation:
     def test_builtin_protocols(self, name, pulse):
         env, protocol = getattr(builtin_strategy(name), pulse)
         knots = getattr(protocol, "times", ())
-        self.assert_bitwise(protocol.at,
-                            lambda t: protocol.evaluate(t, check=False),
+        self.assert_bitwise(lambda t: protocol.evaluate(t, check=False),
                             self.times(env.support, knots))
 
     def test_clamped_spline(self):
@@ -270,11 +284,10 @@ class TestScalarEvaluation:
         times = tuple(np.sort(rng.uniform(0.0, 3.0, 9)))
         values = tuple(rng.choice([-4.0, 4.0, 0.0, 3.9], 9))
         prot = KnotDetuning(times, values)
-        self.assert_bitwise(prot.at, prot.evaluate,
-                            self.times((0.0, 3.0), times))
-        assert prot.at(times[0] - 5.0) == prot.evaluate(times[0] - 5.0)
+        self.assert_bitwise(prot.evaluate, self.times(
+            (0.0, 3.0), (*times, times[0] - 5.0, times[-1] + 5.0)))
 
     def test_linear_sweep_outside_its_band(self):
         sweep = LinearDetuning(30.0, 0.2, 0.5)
-        self.assert_bitwise(sweep.at, lambda t: sweep.evaluate(t, False),
+        self.assert_bitwise(lambda t: sweep.evaluate(t, False),
                             self.times((-1.0, 1.0)))
