@@ -21,6 +21,10 @@ digests alone may.  The families:
 - polish: the same for a budget-300 oct_mirror_problem on three
   momenta at seed 0, the smallest search that runs the Nelder-Mead
   polish and touch-up (at budget 100 the polish is skipped);
+- tls: the final amplitudes of tls.evolve_tls at rtol 1e-10, for the
+  bs pulse of every built-in strategy at epsilon 0 and 0.05, and for a
+  5 x 5 grid of Gaussian pulses (tau 0.3 to 0.6, peak 1 to 3) at
+  constant detuning 0;
 - oracle: what `dbdsim oracle-compare` writes for every
   perfbench/scenarios/oracle_*.cfg but its timestamp, and the ports of
   an unresolved and a resolved `oracle_fringe` scan of ds_dbd on
@@ -42,11 +46,11 @@ from pathlib import Path
 
 import numpy as np
 
-from dbdsim import cli, interferometer, strategies
+from dbdsim import cli, interferometer, strategies, tls
 from dbdsim.grid import GridSpec
 from dbdsim.io import ScenarioConfig
 from dbdsim.multilevel import propagate_unitaries
-from dbdsim.units import GaussianWavePacket
+from dbdsim.units import ConstantDetuning, GaussianWavePacket, PulseEnvelope
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "perfbench" / "scenarios"
@@ -134,6 +138,21 @@ def polish_digest():
     return _result_digest(strategies.optimize(problem, seed=0))
 
 
+def tls_digest():
+    pulses = [(*strategies.builtin_strategy(name).bs, eps)
+              for name in STRATEGIES for eps in (0.0, 0.05)]
+    pulses += [(PulseEnvelope("gaussian", omega, tau), ConstantDetuning(0.0),
+                0.0)
+               for tau in np.linspace(0.3, 0.6, 5)
+               for omega in np.linspace(1.0, 3.0, 5)]
+    digest = hashlib.sha256()
+    for env, protocol, eps in pulses:
+        final = tls.evolve_tls(tls.TlsState(1.0, 0.0), env, protocol, eps,
+                               rtol=1e-10).final
+        digest.update(np.array([final.c0, final.c1]).tobytes())
+    return digest.hexdigest()
+
+
 def _result_digest(result):
     text = [float(c).hex() for c in result.cost_history]
     text += [float(result.cost).hex()]
@@ -147,6 +166,7 @@ def main():
                          ("ideal", ideal_digest),
                          ("optimize", optimize_digest),
                          ("polish", polish_digest),
+                         ("tls", tls_digest),
                          ("oracle", oracle_digest)):
         print(f"{name:20s} {family()}", flush=True)
     return 0
