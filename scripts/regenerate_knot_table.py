@@ -25,14 +25,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-from scipy.stats import norm
-
 from dbdsim.strategies import (
     integrated_mirror_efficiency,
     load_knot_table,
     oct_mirror_problem,
     optimize,
+    packet_quantiles,
     save_knot_table,
 )
 
@@ -48,11 +46,6 @@ WARM_STARTS = (
 )
 
 
-def quantile_samples(n=25, sigma_p=0.05):
-    """Packet momentum quantiles: equal-probability sample points."""
-    return tuple(norm.ppf((np.arange(n) + 0.5) / n, scale=sigma_p))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     committed_path = (Path(__file__).resolve().parent.parent / "src"
@@ -63,7 +56,7 @@ def main(argv=None):
     committed = load_knot_table(committed_path)
 
     problem = oct_mirror_problem(budget=BUDGET,
-                                 momentum_samples=quantile_samples(),
+                                 momentum_samples=packet_quantiles(25, 0.05),
                                  warm_starts=WARM_STARTS)
     t0 = time.perf_counter()
     result = optimize(problem, seed=SEED)

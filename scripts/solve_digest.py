@@ -148,7 +148,7 @@ def tls_digest():
     digest = hashlib.sha256()
     for env, protocol, eps in pulses:
         final = tls.evolve_tls(tls.TlsState(1.0, 0.0), env, protocol, eps,
-                               rtol=1e-10).final
+                               rtol=1e-10)
         digest.update(np.array([final.c0, final.c1]).tobytes())
     return digest.hexdigest()
 

@@ -66,7 +66,6 @@ from .strategies import (
 from .tls import (
     AcStarkCoefficients,
     TlsState,
-    TlsTrajectory,
     ac_stark_coefficients,
     differential_detuning,
     evolve_tls,

@@ -205,9 +205,10 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
         hists = itf._pool_map(_oracle_pulse, workers, envs, repeat(protocol),
                               repeat(epsilon), repeat(packet), repeat(64))
         effs = [h.populations[1] + h.populations[-1] for h in hists]
-    elif model == "tls":
-        effs = [tls.evolve_tls(tls.TlsState(1.0, 0.0), env, protocol,
-                               epsilon).final.population(1) for env in envs]
+    elif model == "tls":  # the whole scan in one grouped solve
+        effs = [s.population(1) for s in tls.evolve_tls(
+            tls.TlsState(1.0, 0.0), envs, [protocol] * len(envs), epsilon,
+            rtol=rtol, atol=rtol * 1e-2)]
     else:  # packet-averaged when source.sigma_p is set, else a plane wave
         source = _packet_from(cfg, 0.0)
         nodes, weights = (source.momentum_quadrature(64)
@@ -328,9 +329,7 @@ def _cmd_optimize(cfg, args, seed, workers):
         half = cfg.get_float("sample_halfwidth", 0.2)
         samples = tuple(np.linspace(-half, half, n_samples))
     else:
-        from scipy.stats import norm
-        samples = tuple(norm.ppf((np.arange(n_samples) + 0.5) / n_samples,
-                                 scale=sigma_p))
+        samples = strategies.packet_quantiles(n_samples, sigma_p)
     # a problem the optimizer refuses (ValueError) is exit 2 in main
     problem = strategies.oct_mirror_problem(
         budget=budget, delta_max=cfg.get_float("delta.max", 4.0),

@@ -571,7 +571,10 @@ def oracle_fringe(config, t_grid, spec=None, workers=1):
     populated port, whose copies share each step's circulant: about
     twice the unresolved time.  T points are independent; with
     workers > 1 they run in a process pool, reassembled in grid order.
+    The grid runs physical pulses only: ideal_pulses raises ValueError.
     """
+    if config.ideal_pulses:
+        raise ValueError("oracle_fringe has no ideal_pulses to run")
     t_grid = np.asarray(t_grid, dtype=float)
     spec = grid_mod.GridSpec() if spec is None else spec
     strat = config.strategy

@@ -268,7 +268,7 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol):
             min_step = 10 * abs(math.nextafter(t_i, math.inf) - t_i)
             if not rejected[i]:
                 h_abs[i] = max(h_abs[i], min_step)
-            elif h_abs[i] < min_step:
+            elif not h_abs[i] >= min_step:  # a NaN step fails here too
                 message = _TOO_SMALL_STEP
                 if not math.isfinite(err[i]):
                     message += " The error estimate was not finite."

@@ -407,6 +407,12 @@ def oct_mirror_problem(budget=5000, delta_max=4.0, n_knots=8,
                                warm_starts=tuple(warm_starts))
 
 
+def packet_quantiles(n, sigma_p):
+    """Momentum samples of a packet at rest: (k + 1/2)/n of N(0, sigma_p)."""
+    from scipy.stats import norm  # slow to import; only used here
+    return tuple(norm.ppf((np.arange(n) + 0.5) / n, scale=sigma_p))
+
+
 def integrated_mirror_efficiency(candidate, sigma_p=0.05, n_nodes=64,
                                  n_max=2, rtol=1e-9):
     """Packet-averaged mirror transfer for a candidate (env, protocol)."""

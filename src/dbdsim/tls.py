@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import IntegratorFailure, PoleProximity
-from .units import RESONANCE
+from .multilevel import _einsum, solve_ivp
+from .units import RESONANCE, PulseEnvelope
 
 POLE_GUARD = 1e-6
 _S2H = math.sqrt(2.0) / 2.0
@@ -35,19 +36,6 @@ class TlsState:
 
 
 @dataclass(frozen=True)
-class TlsTrajectory:
-    times: np.ndarray
-    amplitudes: np.ndarray  # (N, 2) complex
-
-    @property
-    def final(self):
-        return TlsState(*self.amplitudes[-1])
-
-    def population(self, level):
-        return np.abs(self.amplitudes[:, 1 if level else 0]) ** 2
-
-
-@dataclass(frozen=True)
 class AcStarkCoefficients:
     """Drive-induced level shifts (recoil units) with their inputs."""
 
@@ -58,53 +46,57 @@ class AcStarkCoefficients:
     epsilon: float
 
 
-def tls_hamiltonian(t, env, delta=0.0, epsilon=0.0):
-    """2x2 effective matrix at time t.
+def tls_hamiltonian(t, env, protocol, epsilon=0.0):
+    """2x2 effective matrices at the times t, of any shape: (..., 2, 2).
 
     Diagonal: Omega(t)**2 (eps/4 - eps**2/2) and
     Omega(t)**2 (-3/64 - eps/4 + 5 eps**2/12).  Off-diagonal:
     (sqrt2/2) Omega(t) {exp(i Delta t) + exp(-i (Delta+8) t)
-    + 2 eps exp(-i 4 t)} and its conjugate.
+    + 2 eps exp(-i 4 t)} and its conjugate, with Delta(t) read from the
+    detuning protocol.
     """
-    t = float(t)
-    om = float(env.evaluate(t))
-    de = float(delta.evaluate(t, check=False) if hasattr(delta, "evaluate")
-               else delta)  # or a float
-    h = np.zeros((2, 2), dtype=complex)
-    h[0, 0] = om**2 * (epsilon / 4.0 - epsilon**2 / 2.0)
-    h[1, 1] = om**2 * (-3.0 / 64.0 - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0)
+    t = np.asarray(t, dtype=float)
+    om, de = env.evaluate(t), protocol.evaluate(t, check=False)
+    d0 = om**2 * (epsilon / 4.0 - epsilon**2 / 2.0)
+    d1 = om**2 * (-3.0 / 64.0 - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0)
     coupling = _S2H * om * (np.exp(1j * de * t)
                             + np.exp(-1j * (de + 2 * RESONANCE) * t)
                             + 2.0 * epsilon * np.exp(-1j * RESONANCE * t))
-    h[0, 1] = coupling
-    h[1, 0] = np.conj(coupling)
-    return h
+    return np.stack((d0, coupling, coupling.conj(), d1),
+                    axis=-1).reshape(t.shape + (2, 2))
 
 
-def evolve_tls(initial, env, protocol, epsilon=0.0, t_span=None, t_eval=None,
-               rtol=1e-10, atol=1e-12):
-    """Integrate i dpsi/dt = H(t) psi through a pulse.
+def evolve_tls(initial, env, protocol, epsilon=0.0, rtol=1e-10, atol=1e-12):
+    """Integrate i dpsi/dt = H(t) psi over the envelope support.
 
-    t_span defaults to the envelope support; t_eval adds interior
-    trajectory samples (endpoints always included by solve_ivp rules).
+    Returns the final TlsState.  Sequences of G envelopes and G
+    protocols give a list of G final states from one lockstep solve of
+    multilevel.solve_ivp, each bit for bit what its pulse gives alone.
+    A failed group raises IntegratorFailure naming it.
     """
-    from scipy.integrate import solve_ivp  # slow to import; only used here
+    grouped = not isinstance(env, PulseEnvelope)
+    envs, protocols = (env, protocol) if grouped else ([env], [protocol])
+    pulses = list(zip(envs, protocols, strict=True))
+    windows = np.array([e.support for e, _ in pulses])
+    # One vectorized pass per window trips any protocol bound violation.
+    for (_, prot), (lo, hi) in zip(pulses, windows):
+        prot.evaluate(np.linspace(lo, hi, 257))
 
-    if t_span is None:
-        t_span = env.support
-    # One vectorized pass trips any protocol bound violation up front.
-    if hasattr(protocol, "evaluate"):
-        protocol.evaluate(np.linspace(t_span[0], t_span[1], 257))
+    def prepare(times, live):
+        """deriv(j, y, out) of the running groups at the rows of times."""
+        h = -1j * np.stack([tls_hamiltonian(times[:, i], *pulses[g], epsilon)
+                            for i, g in enumerate(live.tolist())], axis=1)
 
-    def rhs(t, y):
-        return -1j * (tls_hamiltonian(t, env, protocol, epsilon) @ y)
+        def deriv(j, y, out):
+            _einsum("gij,gj->gi", h[j], y.view(complex), out=out.view(complex))
+        return deriv
 
-    y0 = np.array([initial.c0, initial.c1], dtype=complex)
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    t_eval=t_eval)
-    if not sol.success:
-        raise IntegratorFailure(f"two-level integration failed: {sol.message}")
-    return TlsTrajectory(sol.t, sol.y.T.copy())
+    y0 = np.array([[initial.c0, initial.c1]] * len(pulses), complex)
+    sol = solve_ivp(prepare, *windows.T, y0.view(float), rtol, atol)
+    if sol.failed is not None:
+        raise IntegratorFailure(f"two-level group {sol.failed}: {sol.message}")
+    states = [TlsState(*y) for y in sol.y.view(complex)]
+    return states if grouped else states[0]
 
 
 def differential_detuning(omega, delta):

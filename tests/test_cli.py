@@ -311,6 +311,16 @@ epsilon_axis.points = 2
         assert not errors
         assert table.column("efficiency") == list(values.ravel())
 
+    def test_tls_reads_rtol(self, tmp_path):
+        tables = []
+        for rtol in ("1e-4", "1e-12"):
+            code, out = run(tmp_path, "efficiency-scan",
+                            TLS_SCAN + f"rtol = {rtol}\n", name=rtol)
+            assert code == 0
+            tables.append(ResultTable.read(str(out)).column("efficiency"))
+        assert tables[0] != tables[1]
+        assert np.max(np.abs(np.subtract(*tables))) < 1e-3
+
     def test_tls_rejects_mirror_kind(self, tmp_path):
         code, _ = run(tmp_path, "efficiency-scan",
                       TLS_SCAN.replace("kind = bs", "kind = mirror_plus"))
@@ -527,17 +537,35 @@ def test_packet_outside_the_zone_is_a_config_error(tmp_path, capsys,
     assert not (out.parent / (out.name + ".knots.txt")).exists()
 
 
-def test_import_leaves_heavy_scipy_out():
-    # numpy is all a start needs; these are slow to import, so only the
-    # code that uses them imports them (optimize, evolve_tls, packet
-    # sampling), and numpy.fft stands in for scipy.fft
+def loaded_after(code, modules):
+    """The modules of the list that a fresh interpreter has loaded after
+    running code with the package on its path."""
     src = str(Path(dbdsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    heavy = ["scipy." + name for name in ("optimize", "interpolate",
-             "integrate", "linalg", "sparse", "stats", "fft", "special")]
-    probe = ("import sys, dbdsim, dbdsim.cli; "
-             f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    probe = (f"import sys; {code}; "
+             f"print(*[m for m in {modules!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_import_leaves_heavy_scipy_out():
+    # numpy is all a start needs; these are slow to import, so only the
+    # code that uses them imports them (strategies.optimize, packet
+    # sampling), and numpy.fft stands in for scipy.fft
+    heavy = ["scipy." + name for name in ("optimize", "interpolate",
+             "integrate", "linalg", "sparse", "stats", "fft", "special")]
+    assert loaded_after("import dbdsim, dbdsim.cli", heavy) == []
+
+
+def test_tls_scan_leaves_heavy_scipy_out(tmp_path):
+    # the two-level model runs on the package's own DOP853
+    cfg = tmp_path / "tls.cfg"
+    cfg.write_text(TLS_SCAN)
+    argv = ["efficiency-scan", "--config", str(cfg), "--out",
+            str(tmp_path / "tls.csv")]
+    heavy = ["scipy." + name for name in ("integrate", "optimize", "sparse",
+                                          "linalg")]
+    code = f"from dbdsim.cli import main; assert main({argv!r}) == 0"
+    assert loaded_after(code, heavy) == []

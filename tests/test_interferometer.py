@@ -540,3 +540,13 @@ class TestGridOracle:
         reference = t_scan(cfg, t)
         oracle = oracle_fringe(cfg, t, spec=spec)
         assert np.max(np.abs(oracle.p_sum - reference.p_sum)) <= 1e-3
+
+    def test_ideal_pulses_are_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ideal pulses must be refused first")
+
+        monkeypatch.setattr(interferometer.grid_mod, "split_step_pulse",
+                            refuse)
+        cfg = make_config(n_nodes=8, ideal_pulses=True)
+        with pytest.raises(ValueError, match="ideal_pulses"):
+            oracle_fringe(cfg, [20.0, 40.0], spec=GridSpec(2048))
