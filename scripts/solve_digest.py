@@ -25,6 +25,12 @@ digests alone may.  The families:
   bs pulse of every built-in strategy at epsilon 0 and 0.05, and for a
   5 x 5 grid of Gaussian pulses (tau 0.3 to 0.6, peak 1 to 3) at
   constant detuning 0;
+- escan: what `dbdsim efficiency-scan` writes for a tau x omega scan of
+  the multilevel model on a packet (source.sigma_p), the same on a
+  plane wave at source.p0, and a tau x omega scan of the two-level
+  model;
+- pescan: what `dbdsim efficiency-scan` writes for p x epsilon scans of
+  a box splitter (kind bs) and a Gaussian mirror (kind mirror_plus);
 - oracle: what `dbdsim oracle-compare` writes for every
   perfbench/scenarios/oracle_*.cfg but its timestamp, and the ports of
   an unresolved and a resolved `oracle_fringe` scan of ds_dbd on
@@ -77,11 +83,43 @@ def unitaries_digest():
     return digest.hexdigest()
 
 
-def _cli_tables(digest, command, pattern):
-    """Run command on every scenario matching pattern and hash what it
-    writes, timestamp excluded."""
+# efficiency-scan configs: tau x omega scans, then p x epsilon scans
+TAU_OMEGA = """
+kind = bs
+pulse.shape = gaussian
+tau.min = 0.35
+tau.max = 0.55
+tau.points = 3
+omega.min = 1.5
+omega.max = 2.5
+omega.points = 3
+"""
+ESCANS = ("model = multilevel\nsource.sigma_p = 0.05\n" + TAU_OMEGA,
+          "model = multilevel\nsource.p0 = 0.05\n" + TAU_OMEGA,
+          "model = tls\n" + TAU_OMEGA)
+P_EPSILON = """
+scan = p_epsilon
+p.min = -0.2
+p.max = 0.2
+p.points = 9
+epsilon_axis.min = 0
+epsilon_axis.max = 0.1
+epsilon_axis.points = 5
+"""
+PESCANS = ("kind = bs\npulse.omega = 2\npulse.tau = 0.47\n" + P_EPSILON,
+           "kind = mirror_plus\npulse.shape = gaussian\npulse.omega = 4\n"
+           "pulse.tau = 0.3\n" + P_EPSILON)
+
+
+def _cli_tables(digest, command, pattern=None, texts=()):
+    """Run command on every scenario matching pattern, or on each config
+    text, and hash what it writes, timestamp excluded."""
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in sorted(SCENARIOS.glob(pattern)):
+        configs = sorted(SCENARIOS.glob(pattern)) if pattern else []
+        for i, text in enumerate(texts):
+            configs.append(Path(tmp) / f"config_{i}.cfg")
+            configs[-1].write_text(text)
+        for cfg in configs:
             out = str(Path(tmp) / f"{cfg.stem}.csv")
             code = cli.main([command, "--config", str(cfg), "--out", out,
                              "--seed", "1", "--workers", "1"])
@@ -117,6 +155,18 @@ def oracle_digest():
                                             spec=GridSpec(2048))
         for ports in (scan.p1, scan.p2, scan.p3):
             digest.update(ports.tobytes())
+    return digest.hexdigest()
+
+
+def escan_digest():
+    digest = hashlib.sha256()
+    _cli_tables(digest, "efficiency-scan", texts=ESCANS)
+    return digest.hexdigest()
+
+
+def pescan_digest():
+    digest = hashlib.sha256()
+    _cli_tables(digest, "efficiency-scan", texts=PESCANS)
     return digest.hexdigest()
 
 
@@ -167,6 +217,8 @@ def main():
                          ("optimize", optimize_digest),
                          ("polish", polish_digest),
                          ("tls", tls_digest),
+                         ("escan", escan_digest),
+                         ("pescan", pescan_digest),
                          ("oracle", oracle_digest)):
         print(f"{name:20s} {family()}", flush=True)
     return 0
