@@ -45,7 +45,6 @@ from .multilevel import (
     LevelBasis,
     bare_transform,
     build_hamiltonian,
-    efficiency_landscape,
     integrated_efficiency,
     propagate_unitaries,
 )
@@ -79,7 +78,6 @@ from .units import (
     GaussianWavePacket,
     KnotDetuning,
     LinearDetuning,
-    PolarizationError,
     PulseEnvelope,
     carrier_factor,
 )

@@ -34,6 +34,6 @@ class ConfigError(ValueError):
 
 
 # Numerical trouble, as opposed to bad input: the CLI maps these to exit
-# code 3, and efficiency_landscape fails every cell of their column.
+# code 3.
 NUMERICAL_ERRORS = (PoleProximity, IntegratorFailure, ResolutionError,
                     SpectralOverflow, OutOfZone, NoExtremaFound)

@@ -178,7 +178,7 @@ def split_step_pulse(state, env, protocol, epsilon=0.0, window=None):
     t_mid = t0 + (np.arange(n_steps) + 0.5) * h
     om = env.evaluate(t_mid)
     delta = protocol.evaluate(t_mid)  # bound check happens here
-    coeff = 2.0 * om * (carrier_factor(t_mid, delta, 0.0) + epsilon)
+    coeff = 2.0 * om * carrier_factor(t_mid, delta, epsilon)
 
     f, p = state.amp, state.momenta()
     n_orders = f.shape[1]

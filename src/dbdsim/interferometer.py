@@ -47,7 +47,7 @@ def port_offsets(n_max):
 @dataclass(frozen=True)
 class MzConfig:
     """One interferometer scenario; the interrogation time is given per
-    call.  epsilon accepts a float or a PolarizationError.
+    call.  epsilon, the polarization imbalance, lies in [0, 1].
     """
 
     strategy: StrategySpec
@@ -65,9 +65,8 @@ class MzConfig:
             raise ValueError(f"unknown detection mode {self.detection!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        eps = self.epsilon
-        if hasattr(eps, "epsilon"):
-            object.__setattr__(self, "epsilon", float(eps.epsilon))
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError("epsilon must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ def _solve(p, pulse, config):
     """Bare-basis pulse matrices at momenta p, at the config's tolerance."""
     return propagate_unitaries(p, pulse[0], pulse[1], config.epsilon,
                                n_max=config.n_max, rtol=config.rtol,
-                               atol=config.rtol * 1e-2, basis="bare")
+                               basis="bare")
 
 
 def total_s_matrix(config, p, T, matrices=None):

@@ -27,8 +27,8 @@ from importlib import util
 import numpy as np
 import scipy
 
-from .exceptions import NUMERICAL_ERRORS, BoundViolation, IntegratorFailure
-from .units import RESONANCE
+from .exceptions import IntegratorFailure
+from .units import carrier_factor
 
 try:  # what np.einsum calls without `optimize`, minus about 3 us of wrapper
     from numpy._core.einsumfunc import c_einsum as _einsum
@@ -36,7 +36,6 @@ except ImportError:  # numpy < 2
     _einsum = np.einsum
 
 DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def build_hamiltonian(basis, t, envelope, protocol, epsilon=0.0):
     np.fill_diagonal(h, basis.kinetic_energies())
     t = float(t)
     omega = envelope.evaluate(t)
-    c = np.cos((RESONANCE + protocol.evaluate(t, check=False)) * t) + epsilon
+    c = carrier_factor(t, protocol.evaluate(t, check=False), epsilon)
     drive, doppler = _bands(basis.n_max)
     for i, j, wgt, _ in drive:
         h[i, j] = h[j, i] = wgt * omega * c
@@ -363,7 +362,7 @@ def _ladder_product(a, groups):
 
 
 def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
-                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, basis="bare",
+                        rtol=DEFAULT_RTOL, atol=None, basis="bare",
                         window=None):
     """Pulse propagators for one or G groups of quasi-momenta.
 
@@ -401,6 +400,9 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
         The pulse; for a 2-D p, sequences of G, one per group.
     epsilon : float, (B,) or (G, B) array
         Polarization imbalance per system.
+    rtol, atol : float
+        DOP853 tolerances; atol defaults to rtol * 1e-2, the rule of
+        every solve in the package.
     basis : {'bare', 'symmetric'}
         Bare ordering is {|p>, |p+2>, |p-2>, ...}; columns are evolved
         input states either way.
@@ -430,6 +432,8 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
         windows = None if window is None else [window]
     n_groups, n_sys = p_arr.shape
     d = 2 * n_max + 1
+    if atol is None:
+        atol = rtol * 1e-2
     eps = np.broadcast_to(np.asarray(epsilon, float), p_arr.shape)
     if windows is None:
         windows = [env.support for env, _ in pulses]
@@ -483,8 +487,8 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
             for i, (env, prot) in enumerate(work["pulses"]):
                 amp[i] = env.evaluate(cols[i])
                 delta[i] = prot.evaluate(cols[i], check=False)
-            drive = amp[:, :, None] * (np.cos((RESONANCE + delta) * cols)[
-                :, :, None] + work["eps"][:, None])
+            drive = amp[:, :, None] * carrier_factor(
+                cols[:, :, None], delta[:, :, None], work["eps"][:, None])
             ph = np.exp(turn * times[:, :, None])
             ph = np.concatenate((ph, ph.conj()), axis=2)  # [j, i]
             # (G, B, d, d) keeps the strided out a view; (-1, d, d) copies
@@ -539,31 +543,3 @@ def integrated_efficiency(packet, kind, envelope, protocol, epsilon=0.0,
     p, w = packet.momentum_quadrature(n_nodes)
     u = propagate_unitaries(p, envelope, protocol, epsilon, n_max=n_max, **kw)
     return float(np.sum(w * transfer_efficiency(u, kind)))
-
-
-_CELL_ERRORS = (BoundViolation,) + NUMERICAL_ERRORS
-
-
-def efficiency_landscape(p_values, eps_values, kind, envelope, protocol,
-                         n_max=2, **kw):
-    """Dense F(p, epsilon) scan; failed columns become NaN.
-
-    Returns (values, errors) where values has shape
-    (len(p_values), len(eps_values)) and errors maps (i, j) -> message.
-    Each epsilon column is one grouped solve and fails as one, every
-    cell with the column's message.  Only bound violations and numerical
-    failures make failed cells; any other exception is a bug and
-    propagates.
-    """
-    p_values = np.asarray(p_values, dtype=float)
-    eps_values = np.asarray(eps_values, dtype=float)
-    out = np.full((p_values.size, eps_values.size), np.nan)
-    errors = {}
-    for j, eps in enumerate(eps_values):
-        try:
-            u = propagate_unitaries(p_values, envelope, protocol, eps,
-                                    n_max=n_max, **kw)
-            out[:, j] = transfer_efficiency(u, kind)
-        except _CELL_ERRORS as exc:
-            errors.update(((i, j), str(exc)) for i in range(p_values.size))
-    return out, errors

@@ -91,7 +91,7 @@ def builtin_strategy(name):
 # --- cost functionals -------------------------------------------------
 
 def bs_cost(candidate, momentum_samples, epsilon_samples=(0.0,), n_max=2,
-            rtol=1e-9, atol=1e-11):
+            rtol=1e-9):
     """Balanced-splitting cost averaged over (p, epsilon) samples.
 
     <|0.5 - P_plus| + |0.5 - P_minus| + |P_plus - P_minus|>, with P_pm
@@ -99,21 +99,21 @@ def bs_cost(candidate, momentum_samples, epsilon_samples=(0.0,), n_max=2,
     50/50 splitter everywhere; 1 for a null pulse.  One candidate_costs call.
     """
     return candidate_costs("bs_balanced", [candidate], momentum_samples,
-                           epsilon_samples, n_max, rtol, atol)[0]
+                           epsilon_samples, n_max, rtol)[0]
 
 
-def mirror_cost(candidate, momentum_samples, n_max=2, rtol=1e-9, atol=1e-11):
+def mirror_cost(candidate, momentum_samples, n_max=2, rtol=1e-9):
     """Bidirectional inversion cost <|1 - F_plus| + |1 - F_minus|>_p.
 
     F_plus is the |p+2> -> |p-2> transfer and F_minus its reverse; a
     null pulse scores 2, a perfect mirror 0.  One candidate_costs call.
     """
     return candidate_costs("mirror_bidirectional", [candidate],
-                           momentum_samples, (0.0,), n_max, rtol, atol)[0]
+                           momentum_samples, (0.0,), n_max, rtol)[0]
 
 
 def candidate_costs(target, candidates, momentum_samples,
-                    epsilon_samples=(0.0,), n_max=2, rtol=1e-9, atol=1e-11):
+                    epsilon_samples=(0.0,), n_max=2, rtol=1e-9):
     """bs_cost or mirror_cost, by target, of every candidate in one solve.
 
     The one cost kernel, of optimize too; mirror costs are taken at
@@ -129,7 +129,7 @@ def candidate_costs(target, candidates, momentum_samples,
     envelopes, protocols = zip(*candidates)
     u = propagate_unitaries(np.broadcast_to(p, (len(candidates), p.size)),
                             envelopes, protocols, eps, n_max=n_max,
-                            rtol=rtol, atol=atol)
+                            rtol=rtol)
     return [_score(target, row) for row in u]
 
 
@@ -279,7 +279,7 @@ def optimize(problem, seed=0):
         costs = candidate_costs(
             problem.target, [build(x) for x in points],
             problem.momentum_samples, problem.epsilon_samples,
-            problem.n_max, rtol, rtol * 1e-2)
+            problem.n_max, rtol)
         for x, c in zip(points, costs):
             tracker.record(x, c)
         return costs
@@ -418,5 +418,4 @@ def integrated_mirror_efficiency(candidate, sigma_p=0.05, n_nodes=64,
     """Packet-averaged mirror transfer for a candidate (env, protocol)."""
     packet = GaussianWavePacket(0.0, sigma_p)
     return integrated_efficiency(packet, "mirror_plus", candidate[0],
-                                 candidate[1], n_max=n_max, rtol=rtol,
-                                 atol=rtol * 1e-2)
+                                 candidate[1], n_max=n_max, rtol=rtol)

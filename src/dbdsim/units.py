@@ -301,14 +301,3 @@ class GaussianWavePacket:
         p = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         weights = 0.5 * (hi - lo) * w * self.density(p)
         return p, weights / weights.sum()
-
-
-@dataclass(frozen=True)
-class PolarizationError:
-    """Residual polarization imbalance epsilon in [0, 1]."""
-
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")

@@ -255,6 +255,19 @@ omega.points = 1
 """
 
 
+P_EPSILON_SCAN = """
+scan = p_epsilon
+pulse.omega = 2
+pulse.tau = 0.47
+p.min = -0.1
+p.max = 0.1
+p.points = 3
+epsilon_axis.min = 0
+epsilon_axis.max = 0.1
+epsilon_axis.points = 2
+"""
+
+
 class TestEfficiencyScan:
     def test_tls_grid(self, tmp_path):
         code, out = run(tmp_path, "efficiency-scan", TLS_SCAN)
@@ -266,7 +279,7 @@ class TestEfficiencyScan:
 
     def test_epsilon_axis_outside_the_unit_interval(self, tmp_path, capsys,
                                                     monkeypatch):
-        monkeypatch.setattr(cli.multilevel, "efficiency_landscape",
+        monkeypatch.setattr(cli.multilevel, "propagate_unitaries",
                             refuse_to_run)
         config = """
 scan = p_epsilon
@@ -285,31 +298,34 @@ epsilon_axis.points = 2
         assert not out.exists()
 
     def test_p_epsilon_scan(self, tmp_path):
-        config = """
-scan = p_epsilon
-pulse.omega = 2
-pulse.tau = 0.47
-p.min = -0.1
-p.max = 0.1
-p.points = 3
-epsilon_axis.min = 0
-epsilon_axis.max = 0.1
-epsilon_axis.points = 2
-"""
-        code, out = run(tmp_path, "efficiency-scan", config)
+        code, out = run(tmp_path, "efficiency-scan", P_EPSILON_SCAN)
         assert code == 0
         table = ResultTable.read(str(out))
         assert table.columns == ("p", "epsilon", "efficiency")
-        assert table.provenance["failed_cells"] == "0"
         p, eps = np.linspace(-0.1, 0.1, 3), np.linspace(0.0, 0.1, 2)
         # p-major rows: epsilon runs fastest
         assert table.column("p") == list(np.repeat(p, 2))
         assert table.column("epsilon") == list(np.tile(eps, 3))
-        values, errors = cli.multilevel.efficiency_landscape(
-            p, eps, "beam_splitter", PulseEnvelope("box", 2.0, 0.47),
-            ConstantDetuning(0.0, 4.0), rtol=1e-9)
-        assert not errors
-        assert table.column("efficiency") == list(values.ravel())
+        values = np.reshape(table.column("efficiency"), (3, 2))
+        assert np.all((values >= 0) & (values <= 1))
+        # the scan is p-symmetric at epsilon = 0
+        assert values[0, 0] == pytest.approx(values[2, 0], abs=1e-8)
+        # one grouped solve, one group per epsilon column
+        u = cli.multilevel.propagate_unitaries(
+            np.tile(p, (2, 1)), [PulseEnvelope("box", 2.0, 0.47)] * 2,
+            [ConstantDetuning(0.0, 4.0)] * 2, np.repeat(eps[:, None], 3, 1),
+            rtol=1e-9)
+        assert np.array_equal(
+            values, cli.multilevel.transfer_efficiency(u, "beam_splitter").T)
+
+    def test_p_epsilon_failure_exits_3(self, tmp_path, capsys):
+        # a pulse at t = 1e15 leaves DOP853 no representable step
+        config = P_EPSILON_SCAN.replace("pulse.tau = 0.47",
+                                        "pulse.tau = 5\npulse.center = 1e15")
+        code, out = run(tmp_path, "efficiency-scan", config)
+        assert code == 3
+        assert "IntegratorFailure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tls_reads_rtol(self, tmp_path):
         tables = []

@@ -23,7 +23,7 @@ from dbdsim.interferometer import (
 from dbdsim.grid import GridSpec
 from dbdsim.multilevel import propagate_unitaries
 from dbdsim.strategies import builtin_strategy
-from dbdsim.units import GaussianWavePacket, PolarizationError
+from dbdsim.units import GaussianWavePacket
 
 from checks import (fit_fringe, port_populations, semiclassical_phase,
                     three_path_amplitudes)
@@ -52,7 +52,7 @@ class TestConfig:
             total_s_matrix(make_config(), 0.0, -1.0)
 
     def test_polarization_object_coerced(self):
-        cfg = make_config(epsilon=PolarizationError(0.15))
+        cfg = make_config(epsilon=0.15)
         assert cfg.epsilon == 0.15
 
 

@@ -9,7 +9,6 @@ from dbdsim.multilevel import (
     LevelBasis,
     bare_transform,
     build_hamiltonian,
-    efficiency_landscape,
     integrated_efficiency,
     kinetic_offsets,
     propagate_unitaries,
@@ -216,7 +215,7 @@ def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
 
     def rhs(t, y):
         u = y.view(complex).reshape(nsys, d, d)
-        c = carrier_factor(t, protocol.evaluate(t, check=False), 0.0) + eps
+        c = carrier_factor(t, protocol.evaluate(t, check=False), eps)
         drive = envelope.evaluate(t) * c
         for (i, j, wgt, rate) in bands:
             ph = np.exp(-1j * rate * t)
@@ -258,6 +257,14 @@ def test_scalar_drive_matches_the_array_reference(name, pulse, n_max):
             u = propagate_unitaries(rtol=1e-6, atol=1e-8, **kw)
             ref = reference_unitaries(rtol=1e-6, atol=1e-8, **kw)
             assert np.array_equal(u, ref), kw
+
+
+def test_atol_defaults_to_a_hundredth_of_rtol():
+    env, protocol = builtin_strategy("ds_dbd").bs
+    p = np.array([-0.1, 0.0, 0.1])
+    derived = propagate_unitaries(p, env, protocol, 0.02, rtol=1e-6)
+    given = propagate_unitaries(p, env, protocol, 0.02, rtol=1e-6, atol=1e-8)
+    assert np.array_equal(derived, given)
 
 
 class TestNonFiniteDrive:
@@ -309,57 +316,6 @@ class TestEfficiencies:
         with pytest.raises(ValueError):
             integrated_efficiency(GaussianWavePacket(0.0, 0.05), "phase",
                                   box(1.0, 0.5), FLAT)
-
-    def test_landscape_shape_and_range(self):
-        vals, errors = efficiency_landscape(
-            np.array([-0.1, 0.0, 0.1]), np.array([0.0, 0.1]),
-            "beam_splitter", box(2.0, 0.5), FLAT, rtol=1e-7, atol=1e-9)
-        assert vals.shape == (3, 2)
-        assert not errors
-        assert np.all((vals >= 0) & (vals <= 1))
-        # the landscape is p-symmetric at epsilon = 0
-        assert vals[0, 0] == pytest.approx(vals[2, 0], abs=1e-8)
-
-    def test_landscape_collects_errors(self):
-        sweep = LinearDetuning(40.0, 0.0, width=0.5)
-        vals, errors = efficiency_landscape(
-            np.array([0.0, 0.1]), np.array([0.0]), "mirror_plus",
-            box(1.0, 0.5), sweep, rtol=1e-7, atol=1e-9)
-        assert np.all(np.isnan(vals))
-        assert len(errors) == 2
-
-    def test_landscape_column_fails_as_one_group(self):
-        env, kw = box(2.0, 0.5), dict(rtol=1e-7, atol=1e-9)
-        # a non-finite momentum fails its whole column, the finite one too
-        vals, errors = efficiency_landscape(
-            np.array([0.1, np.nan]), np.array([0.0]), "beam_splitter",
-            env, FLAT, **kw)
-        assert np.all(np.isnan(vals))
-        assert sorted(errors) == [(0, 0), (1, 0)]
-        assert all(errors.values())
-        p = np.array([-0.1, 0.0, 0.1])
-        eps = np.array([0.0, np.nan, 0.05])
-        vals, errors = efficiency_landscape(p, eps, "beam_splitter", env,
-                                            FLAT, **kw)
-        assert np.all(np.isnan(vals[:, 1]))
-        assert sorted(errors) == [(0, 1), (1, 1), (2, 1)]
-        # the columns that solve are what a lone call at their epsilon gives
-        for j in (0, 2):
-            u = propagate_unitaries(p, env, FLAT, eps[j], **kw)
-            assert np.array_equal(vals[:, j], multilevel.transfer_efficiency(
-                u, "beam_splitter"))
-
-    def test_landscape_propagates_programming_errors(self):
-        class BrokenEnvelope:
-            support = (0.0, 0.5)
-
-            def evaluate(self, t):
-                return None  # a bug: no Rabi frequency comes back
-
-        with pytest.raises(TypeError):
-            efficiency_landscape(
-                np.array([0.0, 0.1]), np.array([0.0]), "beam_splitter",
-                BrokenEnvelope(), FLAT, rtol=1e-7, atol=1e-9)
 
 
 def builtin_pulses():

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dbdsim.exceptions import BoundViolation
+from dbdsim.interferometer import MzConfig
 from dbdsim.strategies import builtin_strategy, load_knot_table
 from dbdsim.units import (
     ConstantDetuning,
     GaussianWavePacket,
     KnotDetuning,
     LinearDetuning,
-    PolarizationError,
     PulseEnvelope,
     _natural_spline,
     carrier_factor,
@@ -204,11 +204,15 @@ class TestWavePacket:
 
 
 def test_polarization_error_range():
-    assert PolarizationError(0.2).epsilon == 0.2
-    with pytest.raises(ValueError):
-        PolarizationError(-0.1)
-    with pytest.raises(ValueError):
-        PolarizationError(1.5)
+    # an interferometer scenario holds epsilon in [0, 1]
+    def config(epsilon):
+        return MzConfig(builtin_strategy("c_dbd"), 0.000357,
+                        GaussianWavePacket(0.0, 0.05), epsilon=epsilon)
+
+    assert config(0.2).epsilon == 0.2
+    for bad in (-0.1, 1.5, 5.0, math.nan):
+        with pytest.raises(ValueError):
+            config(bad)
 
 
 @pytest.mark.parametrize("make", [
