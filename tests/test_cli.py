@@ -281,17 +281,8 @@ class TestEfficiencyScan:
                                                     monkeypatch):
         monkeypatch.setattr(cli.multilevel, "propagate_unitaries",
                             refuse_to_run)
-        config = """
-scan = p_epsilon
-pulse.omega = 2
-pulse.tau = 0.47
-p.min = 0
-p.max = 0.1
-p.points = 2
-epsilon_axis.min = 0
-epsilon_axis.max = 1.5
-epsilon_axis.points = 2
-"""
+        config = P_EPSILON_SCAN.replace("epsilon_axis.max = 0.1",
+                                        "epsilon_axis.max = 1.5")
         code, out = run(tmp_path, "efficiency-scan", config)
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
