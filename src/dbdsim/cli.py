@@ -51,6 +51,15 @@ def _epsilons(key, values):
     return values
 
 
+def _momenta(key, values):
+    """values, read from key; a momentum outside the first zone, |p| >= 1,
+    is a ConfigError, as a packet reaching the zone edge is."""
+    if not all(abs(value) < 1.0 for value in values):
+        raise ConfigError(f"{key}: momentum must lie in the first zone, "
+                          "|p| < 1")
+    return values
+
+
 def _epsilon_from(cfg):
     return _epsilons("epsilon", [cfg.get_float("epsilon", 0.0)])[0]
 
@@ -175,7 +184,7 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
 
     if scan == "p_epsilon":
         env, protocol = _envelope_from(cfg), _detuning_from(cfg)
-        p_axis = _axis_from(cfg, "p")
+        p_axis = _momenta("p.min/p.max", _axis_from(cfg, "p"))
         e_axis = _epsilons("epsilon_axis", _axis_from(cfg, "epsilon_axis"))
         # the whole scan in one grouped solve, one group per epsilon column
         p_grid, e_grid = np.meshgrid(p_axis, e_axis)
@@ -206,9 +215,11 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
             tls.TlsState(1.0, 0.0), envs, [protocol] * len(envs), epsilon,
             rtol=rtol)]
     else:  # packet-averaged when source.sigma_p is set, else a plane wave
-        nodes, weights = (_packet_from(cfg).momentum_quadrature(64)
-                          if cfg.has("source.sigma_p")
-                          else (cfg.get_float("source.p0", 0.0), 1.0))
+        if cfg.has("source.sigma_p"):
+            nodes, weights = _packet_from(cfg).momentum_quadrature(64)
+        else:
+            p0 = cfg.get_float("source.p0", 0.0)
+            nodes, weights = _momenta("source.p0", [p0])[0], 1.0
         # the whole scan in one grouped solve, one group per cell
         mats = multilevel.propagate_unitaries(
             np.broadcast_to(nodes, (len(envs), np.size(nodes))), envs,
@@ -251,10 +262,8 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
     values = cfg.get_float_list("values")
     if axis == "epsilon":
         _epsilons("values", values)
-    raw_names = cfg.get_str("strategies", cfg.get_str("strategy", None))
-    if raw_names is None:
-        raise ConfigError("strategies: required key is missing")
-    names = [n.strip() for n in raw_names.split(",") if n.strip()]
+    names = [n.strip() for n in cfg.get_str("strategies").split(",")
+             if n.strip()]
     allowed = ("ideal",) + strategies.BUILTIN_NAMES
     for n in names:
         if n not in allowed:

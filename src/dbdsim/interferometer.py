@@ -114,7 +114,6 @@ class ContrastResult:
     t_max: float
     t_min: float
     fit_residual: float
-    method: str = "fringe-fit windowed extrema"
 
 
 @dataclass(frozen=True)
@@ -421,13 +420,12 @@ def t_scan(config, t_grid):
     return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config, fits)
 
 
-def default_t_grid(g, x_lo=0.05 * math.pi, x_hi=2.6 * math.pi,
-                   max_step=math.pi / 40.0):
-    """T samples uniform in x = 4|g|T^2, dense enough for extrema work."""
+def default_t_grid(g):
+    """103 T samples uniform in x = 4|g|T^2 over [0.05 pi, 2.6 pi], so
+    steps of pi / 40 in x: dense enough for extrema work."""
     if g == 0:
         raise ValueError("need a non-zero acceleration for a fringe grid")
-    n = max(2, math.ceil((x_hi - x_lo) / max_step) + 1)
-    x = np.linspace(x_lo, x_hi, n)
+    x = np.linspace(0.05 * math.pi, 2.6 * math.pi, 103)
     return np.sqrt(x / (4.0 * abs(g)))
 
 
@@ -560,11 +558,11 @@ def oracle_fringe(config, t_grid, spec=None, workers=1):
     """t_scan's interferometer on lattice ladders, no basis truncation.
 
     The packet starts on the model's own config.n_nodes quadrature nodes,
-    one ladder each (grid.node_wavepacket); spec sets the time step and
-    the order cap past which SpectralOverflow is raised.  Pulses run with
-    their local clocks over their envelope supports and the inter-pulse
-    separation is applied analytically, as in the S-matrix bookkeeping,
-    so the two pipelines compare point by point.  Detection follows the
+    one ladder each (grid.node_wavepacket); spec sets the order cap past
+    which SpectralOverflow is raised.  Pulses run with their local
+    clocks over their envelope supports and the inter-pulse separation
+    is applied analytically, as in the S-matrix bookkeeping, so the two
+    pipelines compare point by point.  Detection follows the
     model's rule: resolved detection keeps the mirror's port-reversing
     paths (_detected_mirror) with one mirror pulse over a stack of every
     populated port, whose copies share each step's circulant: about

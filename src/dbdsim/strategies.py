@@ -90,8 +90,7 @@ def builtin_strategy(name):
 
 # --- cost functionals -------------------------------------------------
 
-def bs_cost(candidate, momentum_samples, epsilon_samples=(0.0,), n_max=2,
-            rtol=1e-9):
+def bs_cost(candidate, momentum_samples, epsilon_samples=(0.0,), rtol=1e-9):
     """Balanced-splitting cost averaged over (p, epsilon) samples.
 
     <|0.5 - P_plus| + |0.5 - P_minus| + |P_plus - P_minus|>, with P_pm
@@ -99,26 +98,26 @@ def bs_cost(candidate, momentum_samples, epsilon_samples=(0.0,), n_max=2,
     50/50 splitter everywhere; 1 for a null pulse.  One candidate_costs call.
     """
     return candidate_costs("bs_balanced", [candidate], momentum_samples,
-                           epsilon_samples, n_max, rtol)[0]
+                           epsilon_samples, rtol)[0]
 
 
-def mirror_cost(candidate, momentum_samples, n_max=2, rtol=1e-9):
+def mirror_cost(candidate, momentum_samples, rtol=1e-9):
     """Bidirectional inversion cost <|1 - F_plus| + |1 - F_minus|>_p.
 
     F_plus is the |p+2> -> |p-2> transfer and F_minus its reverse; a
     null pulse scores 2, a perfect mirror 0.  One candidate_costs call.
     """
     return candidate_costs("mirror_bidirectional", [candidate],
-                           momentum_samples, (0.0,), n_max, rtol)[0]
+                           momentum_samples, (0.0,), rtol)[0]
 
 
 def candidate_costs(target, candidates, momentum_samples,
-                    epsilon_samples=(0.0,), n_max=2, rtol=1e-9):
+                    epsilon_samples=(0.0,), rtol=1e-9):
     """bs_cost or mirror_cost, by target, of every candidate in one solve.
 
-    The one cost kernel, of optimize too; mirror costs are taken at
-    epsilon = 0.  Each candidate is one group of propagate_unitaries, so
-    its cost is bit for bit what it scores alone.
+    The one cost kernel, of optimize too, on the 5-level ladder; mirror
+    costs are taken at epsilon = 0.  Each candidate is one group of
+    propagate_unitaries, so its cost is bit for bit what it scores alone.
     """
     p = np.asarray(momentum_samples, dtype=float)
     eps = np.asarray(epsilon_samples if target == "bs_balanced" else (0.0,),
@@ -128,8 +127,7 @@ def candidate_costs(target, candidates, momentum_samples,
     p, eps = np.tile(p, eps.size), np.repeat(eps, p.size)
     envelopes, protocols = zip(*candidates)
     u = propagate_unitaries(np.broadcast_to(p, (len(candidates), p.size)),
-                            envelopes, protocols, eps, n_max=n_max,
-                            rtol=rtol)
+                            envelopes, protocols, eps, rtol=rtol)
     return [_score(target, row) for row in u]
 
 
@@ -166,7 +164,6 @@ class OptimizationProblem:
     delta_max: float = 4.0
     envelope_bounds: dict | None = None
     budget: int = 5000
-    n_max: int = 2
     rtol: float = 1e-6
     warm_starts: tuple = ()
 
@@ -278,8 +275,7 @@ def optimize(problem, seed=0):
             tracker.charge()
         costs = candidate_costs(
             problem.target, [build(x) for x in points],
-            problem.momentum_samples, problem.epsilon_samples,
-            problem.n_max, rtol)
+            problem.momentum_samples, problem.epsilon_samples, rtol)
         for x, c in zip(points, costs):
             tracker.record(x, c)
         return costs
@@ -413,9 +409,9 @@ def packet_quantiles(n, sigma_p):
     return tuple(norm.ppf((np.arange(n) + 0.5) / n, scale=sigma_p))
 
 
-def integrated_mirror_efficiency(candidate, sigma_p=0.05, n_nodes=64,
-                                 n_max=2, rtol=1e-9):
-    """Packet-averaged mirror transfer for a candidate (env, protocol)."""
+def integrated_mirror_efficiency(candidate, sigma_p):
+    """Packet-averaged mirror transfer for a candidate (env, protocol),
+    on 64 nodes of the 5-level ladder at rtol 1e-9."""
     packet = GaussianWavePacket(0.0, sigma_p)
     return integrated_efficiency(packet, "mirror_plus", candidate[0],
-                                 candidate[1], n_max=n_max, rtol=rtol)
+                                 candidate[1], rtol=1e-9)

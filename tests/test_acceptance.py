@@ -11,7 +11,6 @@ tolerance next to them.  Scans reuse a module-level contrast cache so
 repeated scenarios are only integrated once.
 """
 
-import math
 import time
 
 import numpy as np
@@ -233,7 +232,7 @@ def test_06_amplitude_noise_robustness():
 def test_07_solver_vs_grid_oracle():
     t0 = time.perf_counter()
     clauses = []
-    spec = grid_mod.GridSpec(4096, 64.0 * math.pi, 0.001)
+    spec = grid_mod.GridSpec(4096)
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(25):
@@ -330,7 +329,7 @@ def test_09_structural_invariants():
                            f"200 draws, max defect {worst_h:.1e}"))
 
     state = grid_mod.prepare_wavepacket(
-        grid_mod.GridSpec(2048, 64.0 * math.pi, 0.001),
+        grid_mod.GridSpec(2048),
         GaussianWavePacket(0.0, SIGMA))
     out = grid_mod.split_step_pulse(state, PulseEnvelope("box", 2.0, 2.0),
                                     FLAT)

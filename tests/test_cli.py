@@ -288,6 +288,21 @@ class TestEfficiencyScan:
         assert "epsilon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, config", [
+        ("source.p0", TLS_SCAN.replace("model = tls", "model = multilevel")
+         + "source.p0 = 1.5\n"),
+        ("p.min/p.max", P_EPSILON_SCAN.replace("p.min = -0.1", "p.min = 0.5")
+         .replace("p.max = 0.1", "p.max = 1.5")),
+    ], ids=["multilevel", "p_epsilon"])
+    def test_plane_wave_outside_the_zone(self, tmp_path, capsys, monkeypatch,
+                                         key, config):
+        monkeypatch.setattr(cli.multilevel, "propagate_unitaries",
+                            refuse_to_run)
+        code, out = run(tmp_path, "efficiency-scan", config)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_epsilon_scan(self, tmp_path):
         code, out = run(tmp_path, "efficiency-scan", P_EPSILON_SCAN)
         assert code == 0

@@ -524,7 +524,7 @@ class TestGridOracle:
     def test_ports_match_s_matrix_pipeline(self):
         cfg = make_config(n_nodes=32)
         t = np.array([30.0, 46.0])
-        spec = GridSpec(2048, 64.0 * math.pi, 0.001)
+        spec = GridSpec(2048)
         reference = t_scan(cfg, t)
         oracle = oracle_fringe(cfg, t, spec=spec)
         assert np.max(np.abs(oracle.p_sum - reference.p_sum)) < 2e-2
@@ -536,7 +536,7 @@ class TestGridOracle:
         cfg = make_config(strategy=builtin_strategy(name), n_nodes=32,
                           detection="resolved")
         t = np.array([30.0, 46.0])
-        spec = GridSpec(2048, 64.0 * math.pi, 0.001)
+        spec = GridSpec(2048)
         reference = t_scan(cfg, t)
         oracle = oracle_fringe(cfg, t, spec=spec)
         assert np.max(np.abs(oracle.p_sum - reference.p_sum)) <= 1e-3

@@ -2,15 +2,16 @@
 
 perfbench/layers.py installs its wrappers through `owner.__dict__[attr]`,
 so renaming or removing one of those names breaks only the traced
-benchmark run.  This test installs the same tracer around a small scan.
+benchmark run.  These tests install the same tracer around small calls.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
-from dbdsim import interferometer, strategies
+from dbdsim import grid, interferometer, strategies
 from dbdsim.strategies import builtin_strategy
 from dbdsim.units import GaussianWavePacket
 
@@ -62,3 +63,17 @@ def test_tracer_counts_a_cost_evaluation():
     assert np.isfinite(cost)
     assert tracer.count["nfev"] > 0
     assert tracer.count["strategies.cost.calls"] == 1
+
+
+def test_tracer_counts_a_grid_pulse():
+    # the traced oracle's grid.steps and grid.points read spec.dt and
+    # spec.n_points off the state the pulse receives
+    env, protocol = builtin_strategy("ds_dbd").bs
+    state = grid.prepare_wavepacket(grid.GridSpec(1024),
+                                    GaussianWavePacket(0.0, 0.05))
+    with load_tracer()() as tracer:
+        grid.split_step_pulse(state, env, protocol)
+    t0, t1 = env.support
+    assert tracer.count["grid.split_step.calls"] == 1
+    assert tracer.count["grid.steps"] == math.ceil((t1 - t0) / 0.001)
+    assert tracer.count["grid.points"] == 1024

@@ -177,12 +177,12 @@ class TestOptimizer:
         target = np.sin(np.arange(8.0))
         rtols = []
 
-        def quadratic(candidate, momentum_samples, n_max=2, rtol=1e-9):
+        def quadratic(candidate, momentum_samples, rtol=1e-9):
             rtols.append(rtol)
             return float(np.sum((candidate[1].values - target) ** 2))
 
-        def each(target, candidates, samples, eps, n_max, rtol):
-            return [quadratic(c, samples, n_max, rtol) for c in candidates]
+        def each(target, candidates, samples, eps, rtol):
+            return [quadratic(c, samples, rtol) for c in candidates]
 
         # the prescan scores its candidates together, the rest one by one
         monkeypatch.setattr(strategies, "candidate_costs", each)

@@ -69,6 +69,11 @@ class TestPulseEnvelope:
         with pytest.raises(ValueError):
             PulseEnvelope("box", 1.0, 0.0)
 
+    def test_rejects_empty_support(self):
+        # grid.split_step_pulse steps over the support and relies on this
+        with pytest.raises(ValueError, match="positive duration"):
+            PulseEnvelope("box", 1.0, 0.5, support=(1.0, 1.0))
+
     @given(st.floats(0.1, 5.0), st.floats(0.1, 3.0), st.floats(0.1, 4.0))
     def test_scaling_is_linear(self, peak, width, factor):
         env = PulseEnvelope("gaussian", peak, width)
