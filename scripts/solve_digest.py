@@ -5,7 +5,8 @@ A change that only makes the solver faster must leave these digests as
 they are.  When the arithmetic of the grid kernel changes, or how the
 grid rounds the drive it samples, the oracle digest alone may change;
 when that of the composition kernel changes, the tscan and ideal
-digests alone may.  The families:
+digests alone may; when the nodes of t_scan's pulse surrogates change,
+the tscan digest alone may.  The families:
 
 - propagate_unitaries: the bs and mirror pulses of the four built-in
   strategies at n_max 1, 2 and 3, in both bases, each pulse alone on a

@@ -30,9 +30,10 @@ from .multilevel import propagate_unitaries
 from .strategies import StrategySpec
 from .units import GaussianWavePacket
 
-# Polynomial degrees of the per-scan pulse surrogates: the first try,
-# and the cap past which refinement gives up (doubling in between).
-_FIRST_DEGREE = 64
+# Polynomial degrees of the pulse surrogates on the first zone: the
+# first try, and the cap past which refinement gives up (doubling in
+# between).  At degree 64 no built-in pulse reaches a tail of 1e-9.
+_FIRST_DEGREE = 128
 _MAX_DEGREE = 512
 # (T, node) pairs that t_scan composes at once.
 _BLOCK_PAIRS = 4096
@@ -71,12 +72,13 @@ class MzConfig:
 
 @dataclass(frozen=True)
 class SurrogateFit:
-    """How one per-scan pulse surrogate converged.
+    """How one pulse surrogate on the first zone, p in [-1, 1], converged.
 
-    nodes is the number of Chebyshev points solved; tail is the largest
-    Chebyshev coefficient, over all matrix elements, in the top eighth
-    of the final degree range; unitarity is the largest |U^dagger U - I|
-    entry over the solved nodes.
+    nodes is the number of Chebyshev points, of which the (nodes + 1) / 2
+    with p >= 0 are solved and the rest filled in by the p -> -p fold;
+    tail is the largest Chebyshev coefficient, over all matrix elements,
+    in the top eighth of the final degree range; unitarity is the
+    largest |U^dagger U - I| entry over the solved nodes.
     """
 
     pulse: str  # splitter | mirror
@@ -315,80 +317,86 @@ def _dct1(cols):
 def _barycentric(nodes, values, p):
     """Evaluate the interpolant through (nodes, values) at momenta p.
 
-    Barycentric formula for Chebyshev points of the second kind;
-    momenta that coincide with a node take its value exactly.
+    Barycentric formula for Chebyshev points of the second kind (Berrut
+    & Trefethen, SIAM Rev. 46, 501 (2004)); momenta that coincide with a
+    node take its value exactly.  p is (..., n), one BLAS product of one
+    shape per leading index, so a row's bits do not depend on its batch.
     """
     n = nodes.size - 1
     w = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
     w[0] *= 0.5
     w[-1] *= 0.5
-    diff = p[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    c = w / diff
-    rows = hit.any(axis=1)
-    c[rows] = 0.0
-    c[rows, hit[rows].argmax(axis=1)] = 1.0
-    c /= c.sum(axis=1, keepdims=True)
+    c = p[..., None] - nodes
+    hit = c == 0.0
+    c[hit] = 1.0
+    np.divide(w, c, out=c)
+    c[hit.any(axis=-1)] = 0.0
+    c[hit] = 1.0
+    c /= c.sum(axis=-1, keepdims=True)
     flat = np.ascontiguousarray(values).reshape(n + 1, -1).view(float)
-    return (c @ flat).view(complex).reshape((p.size,) + values.shape[1:])
+    return (c @ flat).view(complex).reshape(p.shape + values.shape[1:])
 
 
-def _surrogate_matrices(p, pulse, label, config):
-    """Pulse matrices at momenta p from a Chebyshev surrogate in p.
+def _surrogate_matrices(pulse, label, config):
+    """Chebyshev surrogate of a pulse on the whole first zone, p in [-1, 1].
 
-    The pulse is solved in one batch at the Chebyshev points spanning
-    [min p, max p], doubling the degree from _FIRST_DEGREE until the
-    coefficient tail drops to config.rtol, so the interpolation error
-    stays below the solver tolerance.  Past _MAX_DEGREE it raises
-    IntegratorFailure rather than return a coarser answer.
+    The degree doubles from _FIRST_DEGREE until the coefficient tail
+    drops to config.rtol, so the interpolation error stays below the
+    solver tolerance; past _MAX_DEGREE it raises IntegratorFailure rather
+    than return a coarser answer.  Only the points with p >= 0 are
+    solved, in one batch: U(-p) = R U(p) R, with R swapping the bare
+    ports |p + 2n> and |p - 2n>, since the carrier does not depend on p.
+    _check_zone keeps every momentum a scan composes inside the zone.
+    Returns the nodes, the matrices there and the SurrogateFit.
     """
-    lo, hi = float(p.min()), float(p.max())
+    d = 2 * config.n_max + 1
+    r = np.arange(d)
+    r[1:] = r[1:].reshape(-1, 2)[:, ::-1].ravel()
     degree = _FIRST_DEGREE
     while True:
-        x = np.cos(np.pi * np.arange(degree + 1) / degree)
-        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        values = _solve(nodes, pulse, config)
+        half = np.cos(np.pi * np.arange(degree // 2 + 1) / degree)
+        half[-1] = 0.0
+        solved = _solve(half, pulse, config)
+        nodes = np.concatenate((half, -half[-2::-1]))
+        values = np.concatenate((solved, solved[-2::-1][:, r[:, None], r]))
         tail = _chebyshev_tail(values)
         if tail <= config.rtol:
             break
         if 2 * degree > _MAX_DEGREE:
             raise IntegratorFailure(
-                f"{label} surrogate on p in [{lo:.6g}, {hi:.6g}] did not "
-                f"converge: Chebyshev tail {tail:.3g} > rtol "
-                f"{config.rtol:.3g} at {degree + 1} nodes")
+                f"{label} surrogate on the first zone did not converge: "
+                f"Chebyshev tail {tail:.3g} > rtol {config.rtol:.3g} at "
+                f"{degree + 1} nodes")
         degree *= 2
-    defect = np.abs(values.conj().swapaxes(1, 2) @ values
-                    - np.eye(values.shape[1]))
+    defect = np.abs(solved.conj().swapaxes(1, 2) @ solved - np.eye(d))
     fit = SurrogateFit(label, degree + 1, tail, float(defect.max()))
-    return _barycentric(nodes, values, p), fit
+    return nodes, values, fit
 
 
 def t_scan(config, t_grid):
-    """Fringe signals over an ascending grid of interrogation times.
+    """Fringe signals over an ascending grid of interrogation times T >= 0.
 
-    Pulse matrices come from two Chebyshev surrogates in momentum, built
-    afresh for each call: one splitter surrogate serves the first
-    splitter at the quadrature nodes p and the final one at p + gT, and
-    one mirror surrogate serves p + gT/2.  Each is refined until its
-    interpolation error is held below config.rtol, the solver tolerance
-    (see _surrogate_matrices), and its node count, final tail and
-    unitarity defect are recorded in FringeScan.surrogates.
-    Free-propagation phases always use exact momenta.  The T grid is
-    composed in blocks of about _BLOCK_PAIRS (T, node) pairs, the nodes
-    innermost, with the splitter column of input port 0, the three
-    detected rows of the last splitter and no common phase (no
-    population sees it); a row's bits do not depend on its block.
+    Pulse matrices come from two Chebyshev surrogates on the first zone
+    (see _surrogate_matrices), which no T grid changes: one splitter
+    surrogate serves the first splitter at the quadrature nodes p and the
+    final one at p + gT, and one mirror surrogate serves p + gT/2.  Each
+    holds its interpolation error below config.rtol, the solver
+    tolerance, and its node count, final tail and unitarity defect are
+    recorded in FringeScan.surrogates.  Free-propagation phases always
+    use exact momenta.  The T grid is interpolated and composed in
+    blocks of about _BLOCK_PAIRS (T, node) pairs, the nodes innermost,
+    with the splitter column of input port 0, the three detected rows of
+    the last splitter and no common phase (no population sees it); a
+    row's bits do not depend on its block or on the rest of the grid.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be non-empty and ascending")
+    if t_grid.size == 0 or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be non-empty, ascending and >= 0")
     g = config.g
     _check_zone(config, float(t_grid[-1]))
     wp = config.source
     p_nodes, weights = wp.momentum_quadrature(config.n_nodes)
     n = p_nodes.size
-    d = 2 * config.n_max + 1
 
     if config.ideal_pulses:
         fits = ()
@@ -397,26 +405,27 @@ def t_scan(config, t_grid):
         mirror = _detected(config, ideal_mirror_matrix(config.n_max))
     else:
         strat = config.strategy
-        p2_all = (p_nodes[None, :] + 0.5 * g * t_grid[:, None]).ravel()
-        p3_all = (p_nodes[None, :] + g * t_grid[:, None]).ravel()
-        bs_all, bs_fit = _surrogate_matrices(
-            np.concatenate((p_nodes, p3_all)), strat.bs, "splitter", config)
-        mirror_all, mirror_fit = _surrogate_matrices(
-            p2_all, strat.mirror, "mirror", config)
-        fits = (bs_fit, mirror_fit)
-        # (T, row, column, node) views, the nodes innermost
-        b1 = bs_all[:n, :, 0].T
-        b3, mirror = (a.reshape(t_grid.size, n, -1, d).transpose(0, 2, 3, 1)
-                      for a in (bs_all[n:, :3], _detected(config, mirror_all)))
+        bs_nodes, bs_values, bs_fit = _surrogate_matrices(
+            strat.bs, "splitter", config)
+        m_nodes, m_values, m_fit = _surrogate_matrices(
+            strat.mirror, "mirror", config)
+        fits = (bs_fit, m_fit)
+        b1 = _barycentric(bs_nodes, bs_values[:, :, :1], p_nodes)[:, :, 0].T
 
     out = np.empty((t_grid.size, 3))
     rows = max(1, _BLOCK_PAIRS // n)
     for i in range(0, t_grid.size, rows):
-        blk = slice(i, i + rows)
-        m, b = (a if a.ndim == 2 else a[blk] for a in (mirror, b3))
-        amps = _compose(config, b1, m, b, p_nodes, t_grid[blk, None])
+        T = t_grid[i:i + rows, None]
+        if config.ideal_pulses:
+            m, b = mirror, b3
+        else:  # (T, row, column, node) views, the nodes innermost
+            m, b = (a.transpose(0, 2, 3, 1) for a in (
+                _detected(config, _barycentric(m_nodes, m_values,
+                                               p_nodes + 0.5 * g * T)),
+                _barycentric(bs_nodes, bs_values[:, :3], p_nodes + g * T)))
+        amps = _compose(config, b1, m, b, p_nodes, T)
         pop = np.abs(amps.transpose(0, 2, 1)) ** 2  # one gemv per T row
-        out[blk] = weights @ np.ascontiguousarray(pop)
+        out[i:i + rows] = weights @ np.ascontiguousarray(pop)
     return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config, fits)
 
 

@@ -376,10 +376,11 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     as scipy's solve_ivp(method="DOP853", t_eval=[t1]) would.  So a
     unitary can move at the rtol level with the other momenta of its
     group.  One group per momentum would remove that but is less
-    accurate: measured on the contrast_sweep scenarios, the packet-summed
-    port population error rose from 1.19e-10 to 4.30e-10 (9.72e-11 to
-    1.45e-10 on the probe) and the surrogate Chebyshev tails from about
-    5e-16 to 4e-12 - 1.3e-10.  A 2-D p asks for G groups, one row and
+    accurate: measured on the contrast_sweep scenarios with t_scan's
+    first-zone surrogates, the packet-summed port population error rose
+    from 7.25e-11 to 3.26e-10 (1.78e-11 to 1.45e-10 on the probe) and the
+    surrogate Chebyshev tails from about 6e-16 to 5e-12 - 1.5e-10.  A
+    2-D p asks for G groups, one row and
     one pulse each; they advance in lockstep through solve_ivp, and
     group g comes out bit for bit as it does alone, whatever the other
     groups of the call.

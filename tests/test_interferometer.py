@@ -210,6 +210,8 @@ class TestScans:
             t_scan(cfg, np.array([]))
         with pytest.raises(ValueError):
             t_scan(cfg, np.array([3.0, 2.0, 1.0]))
+        with pytest.raises(ValueError):
+            t_scan(cfg, np.array([-1.0, 2.0]))
 
     def test_default_grid(self):
         t = default_t_grid(G_SMALL)
@@ -390,17 +392,85 @@ class TestSurrogates:
         t = default_t_grid(G_SMALL)
         full = t_scan(cfg, t)
         sub = t_scan(cfg, t[10:60:7])
-        assert np.max(np.abs(full.p_sum[10:60:7] - sub.p_sum)) < 1e-8
+        for a, b in ((full.p1, sub.p1), (full.p2, sub.p2), (full.p3, sub.p3)):
+            assert np.array_equal(a[10:60:7], b)
         again = t_scan(cfg, t)
         assert np.array_equal(full.p_sum, again.p_sum)
         assert np.array_equal(full.p1, again.p1)
+
+    @pytest.mark.parametrize("width", [1, 5, 16])
+    def test_solved_rows_independent_of_blocks(self, monkeypatch, width):
+        # the surrogates are interpolated block by block; a row comes
+        # out the same from blocks of any width, a lone T row included
+        cfg = make_config(strategy=builtin_strategy("ds_dbd"), n_nodes=24)
+        t = default_t_grid(G_SMALL)[::4]
+        full = t_scan(cfg, t)
+        monkeypatch.setattr(interferometer, "_BLOCK_PAIRS", width * 24)
+        for part in (slice(None), slice(7, 8)):
+            sub = t_scan(cfg, t[part])
+            for a, b in ((full.p1, sub.p1), (full.p2, sub.p2),
+                         (full.p3, sub.p3)):
+                assert np.array_equal(a[part], b)
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_negative_nodes_are_reflections(self, n_max):
+        # U(-p) = R U(p) R, R swapping the bare ports |p+2n> and |p-2n>
+        cfg = make_config(strategy=builtin_strategy("ds_dbd"), n_max=n_max,
+                          epsilon=0.1)
+        nodes, values, _ = interferometer._surrogate_matrices(
+            cfg.strategy.bs, "splitter", cfg)
+        big_n = nodes.size - 1
+        r = np.arange(2 * n_max + 1)
+        r[1:] = np.stack((r[2::2], r[1::2]), axis=1).ravel()
+        assert nodes[0] == 1.0 and nodes[big_n // 2] == 0.0
+        for k in range(big_n // 2):
+            assert nodes[big_n - k] == -nodes[k]
+            assert np.array_equal(values[big_n - k],
+                                  values[k][np.ix_(r, r)])
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("n_max", [2, 3])
+    @pytest.mark.parametrize("name, pulse", [
+        ("ds_dbd", "bs"), ("ds_dbd", "mirror"), ("oct_hybrid", "mirror")])
+    def test_folded_surrogate_matches_direct_solves(self, name, pulse,
+                                                    n_max, epsilon):
+        # (oct_hybrid's splitter is ds_dbd's)
+        cfg = make_config(strategy=builtin_strategy(name), n_max=n_max,
+                          epsilon=epsilon)
+        env, protocol = getattr(cfg.strategy, pulse)
+        nodes, values, _ = interferometer._surrogate_matrices(
+            (env, protocol), pulse, cfg)
+        p = np.array([0.013, 0.1234, 0.5, 0.87, 0.999])
+        p = np.concatenate((p, -p))
+        direct = propagate_unitaries(p, env, protocol, epsilon, n_max=n_max,
+                                     rtol=cfg.rtol)
+        interp = interferometer._barycentric(nodes, values, p)
+        assert np.max(np.abs(interp - direct)) < 1e-8
+
+    def test_one_half_solve_per_pulse(self, monkeypatch):
+        # the surrogates solve only the p >= 0 half of the zone's
+        # Chebyshev points, in one call per pulse whatever the T grid
+        calls = []
+
+        def recording(p, *args, **kwargs):
+            calls.append(np.array(p))
+            return propagate_unitaries(p, *args, **kwargs)
+
+        monkeypatch.setattr(interferometer, "propagate_unitaries", recording)
+        cfg = make_config(strategy=builtin_strategy("oct_hybrid"),
+                          source=GaussianWavePacket(0.0, 0.132), n_nodes=16)
+        scan = t_scan(cfg, default_t_grid(G_SMALL))
+        assert len(calls) == 2
+        for p, fit in zip(calls, scan.surrogates):
+            assert p.shape == ((fit.nodes + 1) // 2,)
+            assert p.min() == 0.0 and p.max() == 1.0
 
     def test_diagnostics_recorded(self):
         scan = t_scan(make_config(n_nodes=8), default_t_grid(G_SMALL)[::20])
         assert [fit.pulse for fit in scan.surrogates] == ["splitter",
                                                           "mirror"]
         for fit in scan.surrogates:
-            assert fit.nodes >= interferometer._FIRST_DEGREE + 1
+            assert fit.nodes == interferometer._FIRST_DEGREE + 1
             assert 0.0 <= fit.tail <= scan.config.rtol
             assert 0.0 < fit.unitarity <= 100 * scan.config.rtol
 
