@@ -8,7 +8,7 @@ return (table, extra provenance, exit code); main stamps the provenance
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical
 failure, 4 optimizer budget exhausted (best-so-far still written).
-DBD_SIM_WORKERS overrides --workers.  Identical config and seed give
+--workers alone sets the process count.  Identical config and seed give
 identical numeric payloads for any worker count: parallel work items
 are reassembled in grid order.
 """
@@ -16,7 +16,6 @@ are reassembled in grid order.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -36,12 +35,12 @@ from .units import ConstantDetuning, GaussianWavePacket, PulseEnvelope
 # --- config -> domain objects ----------------------------------------
 
 def _strategy_from(cfg, name=None):
+    """(name, StrategySpec) of name, or of the `strategy` key; the ideal
+    strategy has no pulses."""
     if name is None:
         name = cfg.get_str("strategy",
                            choices=("ideal",) + strategies.BUILTIN_NAMES)
-    ideal = name == "ideal"
-    strat = strategies.builtin_strategy("c_dbd" if ideal else name)
-    return name, strat, ideal
+    return name, strategies.builtin_strategy(name)
 
 
 def _epsilons(key, values):
@@ -82,7 +81,7 @@ def _packet_from(cfg, default=None, **fixed):
 def _mz_from_config(cfg, name=None, source=None):
     """(strategy name, MzConfig); name and source stand in for the
     `strategy` and `source.*` keys when given."""
-    name, strat, ideal = _strategy_from(cfg, name)
+    name, strat = _strategy_from(cfg, name)
     g = cfg.get_float("g")
     if source is None:
         source = _packet_from(cfg)
@@ -92,7 +91,7 @@ def _mz_from_config(cfg, name=None, source=None):
         strategy=strat, g=g, source=source, epsilon=_epsilon_from(cfg),
         detection=detection, n_max=cfg.get_int("n_max", 2),
         rtol=cfg.get_float("rtol", 1e-9),
-        n_nodes=cfg.get_int("n_nodes", 64), ideal_pulses=ideal)
+        n_nodes=cfg.get_int("n_nodes", 64))
     return name, mz
 
 
@@ -136,8 +135,8 @@ def _pulse_from(cfg):
     (bs or mirror; a mirror's input is port +1) or of the pulse.* keys."""
     if not cfg.has("strategy"):
         return _envelope_from(cfg), _detuning_from(cfg), False
-    _, strat, ideal = _strategy_from(cfg)
-    if ideal:
+    _, strat = _strategy_from(cfg)
+    if strat.bs is None:
         raise ConfigError("strategy: ideal has no physical pulse here")
     which = cfg.get_str("pulse", "bs", choices=("bs", "mirror"))
     return (*getattr(strat, which), which == "mirror")
@@ -264,6 +263,8 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
         _epsilons("values", values)
     names = [n.strip() for n in cfg.get_str("strategies").split(",")
              if n.strip()]
+    if not names:
+        raise ConfigError("strategies: name at least one strategy")
     allowed = ("ideal",) + strategies.BUILTIN_NAMES
     for n in names:
         if n not in allowed:
@@ -363,7 +364,7 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
     scenario = cfg.get_str("scenario", "pulse", choices=("pulse", "mz"))
     if scenario == "mz":
         _, mz = _mz_from_config(cfg)
-        if mz.ideal_pulses:
+        if mz.strategy.bs is None:
             raise ConfigError("strategy: ideal has no physical pulse here")
         t_grid = _t_grid_from(cfg, mz.g, points=20)
         model = itf.t_scan(mz, t_grid).p_sum
@@ -424,23 +425,8 @@ def _parse_args(argv):
         p.add_argument("--format", default="csv", choices=("csv", "json"))
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the seed key in the config")
-        p.add_argument("--workers", type=int, default=None,
-                       help="process count; DBD_SIM_WORKERS overrides")
+        p.add_argument("--workers", type=int, default=1, help="process count")
     return parser.parse_args(argv)
-
-
-def _resolve_workers(args):
-    env = os.environ.get("DBD_SIM_WORKERS")
-    workers = 1 if args.workers is None else args.workers
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError("DBD_SIM_WORKERS: expected an integer, "
-                              f"got {env!r}") from None
-    if workers < 1:
-        raise ConfigError("workers: must be at least 1")
-    return workers
 
 
 def main(argv=None):
@@ -448,9 +434,10 @@ def main(argv=None):
     try:
         cfg = ScenarioConfig.from_file(args.config)
         seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
-        workers = _resolve_workers(args)
+        if args.workers < 1:
+            raise ConfigError("workers: must be at least 1")
         table, extra, code = _HANDLERS[args.command](cfg, args, seed,
-                                                     workers)
+                                                     args.workers)
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         for key, value in {"command": args.command, "version": __version__,
                            "seed": seed, "config_hash": cfg.config_hash(),

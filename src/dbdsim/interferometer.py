@@ -48,7 +48,8 @@ def port_offsets(n_max):
 @dataclass(frozen=True)
 class MzConfig:
     """One interferometer scenario; the interrogation time is given per
-    call.  epsilon, the polarization imbalance, lies in [0, 1].
+    call.  epsilon, the polarization imbalance, lies in [0, 1].  The
+    ideal strategy, which has no pulses, composes the ideal matrices.
     """
 
     strategy: StrategySpec
@@ -59,7 +60,6 @@ class MzConfig:
     n_max: int = 2
     rtol: float = 1e-9
     n_nodes: int = 64
-    ideal_pulses: bool = False
 
     def __post_init__(self):
         if self.detection not in ("unresolved", "resolved"):
@@ -281,7 +281,7 @@ def total_s_matrix(config, p, T, matrices=None):
             raise OutOfZone(f"quasi-momentum {q:.3f} leaves the first zone")
     if matrices is not None:
         b1, m, b3 = matrices
-    elif config.ideal_pulses:
+    elif config.strategy.bs is None:
         b1 = b3 = ideal_bs_matrix(config.n_max)
         m = ideal_mirror_matrix(config.n_max)
     else:
@@ -398,7 +398,8 @@ def t_scan(config, t_grid):
     p_nodes, weights = wp.momentum_quadrature(config.n_nodes)
     n = p_nodes.size
 
-    if config.ideal_pulses:
+    ideal = config.strategy.bs is None
+    if ideal:
         fits = ()
         bs = ideal_bs_matrix(config.n_max)
         b1, b3 = bs[:, :1], bs[:3]
@@ -416,7 +417,7 @@ def t_scan(config, t_grid):
     rows = max(1, _BLOCK_PAIRS // n)
     for i in range(0, t_grid.size, rows):
         T = t_grid[i:i + rows, None]
-        if config.ideal_pulses:
+        if ideal:
             m, b = mirror, b3
         else:  # (T, row, column, node) views, the nodes innermost
             m, b = (a.transpose(0, 2, 3, 1) for a in (
@@ -506,13 +507,17 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
 
     Each shot draws one relative scale for both splitters and one for
     the mirror from Normal(1, sigma_r), rebuilds the pulse matrices and
-    re-extracts the contrast.  Deterministic for a given seed.
+    re-extracts the contrast.  Deterministic for a given seed.  The
+    ideal strategy has no pulses to perturb: ValueError.
 
     The mean and population std are taken about the first shot, which
     leaves both statistics unchanged up to rounding but keeps them exact
     for identical shots: a zero-noise run reports std == 0.0 and mean
     equal to the common contrast.
     """
+    strat = config.strategy
+    if strat.bs is None:
+        raise ValueError(f"strategy {strat.name} has no pulses to perturb")
     if sigma_r < 0:
         raise ValueError("relative spread must be non-negative")
     if n_shots < 2:
@@ -520,7 +525,6 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
     if t_grid is None:
         t_grid = default_t_grid(config.g)
     rng = np.random.default_rng(seed)
-    strat = config.strategy
     contrasts = []
     for _ in range(n_shots):
         bs_scale = rng.normal(1.0, sigma_r)
@@ -577,13 +581,13 @@ def oracle_fringe(config, t_grid, spec=None, workers=1):
     populated port, whose copies share each step's circulant: about
     twice the unresolved time.  T points are independent; with
     workers > 1 they run in a process pool, reassembled in grid order.
-    The grid runs physical pulses only: ideal_pulses raises ValueError.
+    The grid runs pulses only: the ideal strategy raises ValueError.
     """
-    if config.ideal_pulses:
-        raise ValueError("oracle_fringe has no ideal_pulses to run")
+    strat = config.strategy
+    if strat.bs is None:
+        raise ValueError(f"strategy {strat.name} has no pulses to run")
     t_grid = np.asarray(t_grid, dtype=float)
     spec = grid_mod.GridSpec() if spec is None else spec
-    strat = config.strategy
     wp = config.source
 
     start = grid_mod.node_wavepacket(spec, wp, config.n_nodes)

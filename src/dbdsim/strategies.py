@@ -5,7 +5,8 @@ Four interferometer parameterizations ship ready-made: resonant pulses
 pulses (ds_dbd), and sweep beam splitters around a mirror whose detuning
 profile was found by the optimizer in this module (oct_hybrid).  The
 mirror profile is committed as a plain-text knot table and loaded, not
-re-optimized, at import time.
+re-optimized, at import time.  A fifth, ideal, has no pulses: the
+composition takes lossless splitter and mirror matrices instead.
 
 The optimizer is derivative-free on purpose: the cost surface is smooth
 in the knot values only down to the integrator's adaptive-step noise, so
@@ -40,11 +41,12 @@ BUILTIN_NAMES = ("c_dbd", "cd_dbd", "ds_dbd", "oct_hybrid")
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """Beam-splitter and mirror drives of one interferometer recipe."""
+    """Beam-splitter and mirror drives of one interferometer recipe;
+    both None for the ideal strategy, which has no pulses."""
 
     name: str
-    bs: tuple  # (PulseEnvelope, DetuningProtocol)
-    mirror: tuple
+    bs: tuple | None  # (PulseEnvelope, DetuningProtocol)
+    mirror: tuple | None
 
 
 def _bs_envelope():
@@ -68,7 +70,9 @@ def oct_mirror_envelope():
 
 
 def builtin_strategy(name):
-    """Published parameterization for one of the four named strategies."""
+    """Published parameterization of a named strategy; ideal has none."""
+    if name == "ideal":
+        return StrategySpec(name, None, None)
     bs_env = _bs_envelope()
     m_env = _mirror_envelope()
     flat = ConstantDetuning(0.0)
@@ -199,30 +203,6 @@ class _OutOfBudget(Exception):
     pass
 
 
-class _Tracker:
-    """Counts evaluations, remembers the running best, stops at budget."""
-
-    def __init__(self, budget):
-        self.budget = budget
-        self.used = 0
-        self.best_cost = math.inf
-        self.best_x = None
-        self.history = []
-        self.exhausted = False
-
-    def record(self, x, cost):
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_x = np.array(x, dtype=float)
-            self.history.append(cost)
-
-    def charge(self):
-        if self.used >= self.budget:
-            self.exhausted = True
-            raise _OutOfBudget
-        self.used += 1
-
-
 def _structured_knots(times, delta_max):
     """Constant levels crossed with linear ramps through the window center."""
     times = np.asarray(times, dtype=float)
@@ -241,11 +221,14 @@ def optimize(problem, seed=0):
 
     A structured prescan (constant and ramped knot profiles plus random
     draws and any warm starts) ranks cheap single evaluations, all solved
-    in one grouped call; the best few become Nelder-Mead starting points,
-    and a tight-tolerance simplex touches up the winner.  Every cost goes
-    through candidate_costs and is charged against the budget, in order.
-    When the budget skips the polish or cuts any stage short, the result
-    is flagged `budget_exhausted` and carries the best candidate seen.
+    in one grouped call; the best four become Nelder-Mead starting
+    points, and a tight-tolerance simplex touches up the winner.  Every
+    cost goes through score, the one budget ledger: it charges a batch
+    before the grouped candidate_costs call, refuses one the budget
+    cannot pay for, and records the running best and the strictly
+    improving cost history.  When the budget skips the polish or the
+    ledger refuses a point, the result is flagged `budget_exhausted` and
+    carries the best candidate seen.
     """
     from scipy.optimize import minimize  # slow to import; only used here
 
@@ -270,17 +253,21 @@ def optimize(problem, seed=0):
                                 bound=problem.delta_max)
         return env, protocol
 
+    used, best_cost, best_x, history = 0, math.inf, None, []
+
     def score(points, rtol):
-        for _ in points:
-            tracker.charge()
+        nonlocal used, best_cost, best_x
+        if used + len(points) > problem.budget:
+            raise _OutOfBudget
+        used += len(points)
         costs = candidate_costs(
             problem.target, [build(x) for x in points],
             problem.momentum_samples, problem.epsilon_samples, rtol)
         for x, c in zip(points, costs):
-            tracker.record(x, c)
+            if c < best_cost:
+                best_cost, best_x = c, np.array(x, dtype=float)
+                history.append(c)
         return costs
-
-    tracker = _Tracker(problem.budget)
 
     env_mid = [0.5 * sum(problem.envelope_bounds[v]) for v in env_vars]
 
@@ -304,45 +291,39 @@ def optimize(problem, seed=0):
         else:
             candidates.append(kn)
 
-    # The prescan is one grouped solve, charged and recorded in order.
+    # The prescan is one grouped solve, cut to the budget.  The budget
+    # floor of 100 makes it at least 81 structured candidates.
     prescan = candidates[:problem.budget]
-    scored = list(zip(score(prescan, problem.rtol), prescan))
-    tracker.exhausted = len(candidates) > len(prescan)
-
-    scored.sort(key=lambda sc: sc[0])
-    n_polish = min(4, len(scored))
+    scored = sorted(zip(score(prescan, problem.rtol), prescan),
+                    key=lambda sc: sc[0])
+    n_polish = 4
     touch_up = 150  # final tight-tolerance simplex, at most
     # The touch-up keeps at most half of what the prescan left, and never
     # so much that the polish gets fewer than 10 evaluations per start.
-    left = problem.budget - tracker.used
+    left = problem.budget - used
     reserve = max(0, min(touch_up, left // 2, left - 10 * n_polish))
-    per_start = (left - reserve) // n_polish if n_polish else 0
+    per_start = (left - reserve) // n_polish
     polish_skipped = per_start < 10
 
+    # Polish the best starts, then touch up the winner with a
+    # tight-tolerance simplex so the reported cost is trustworthy.  A
+    # prescan cut to the budget leaves nothing, so the ledger refuses the
+    # touch-up's first point.
+    exhausted = False
     try:
         for rank in range(0 if polish_skipped else n_polish):
             minimize(lambda x: score([x], problem.rtol)[0], scored[rank][1],
                      method="Nelder-Mead",
                      options=dict(maxfev=per_start, xatol=1e-4, fatol=1e-7))
+        minimize(lambda x: score([x], min(problem.rtol, 1e-8))[0], best_x,
+                 method="Nelder-Mead",
+                 options=dict(maxfev=touch_up, xatol=1e-5, fatol=1e-9))
     except _OutOfBudget:
-        pass
+        exhausted = True
 
-    # Touch up the winner with a tight-tolerance simplex so the reported
-    # cost is trustworthy, then make sure the stored best reflects it.
-    if tracker.best_x is not None and not tracker.exhausted:
-        try:
-            minimize(lambda x: score([x], min(problem.rtol, 1e-8))[0],
-                     tracker.best_x, method="Nelder-Mead",
-                     options=dict(maxfev=touch_up, xatol=1e-5, fatol=1e-9))
-        except _OutOfBudget:
-            pass
-
-    if tracker.best_x is None:
-        raise RuntimeError("budget spent before any candidate was scored")
-    env, protocol = build(tracker.best_x)
-    return OptimizationResult(env, protocol, tracker.best_cost,
-                              tuple(tracker.history), tracker.used,
-                              seed, tracker.exhausted or polish_skipped)
+    env, protocol = build(best_x)
+    return OptimizationResult(env, protocol, best_cost, tuple(history), used,
+                              seed, exhausted or polish_skipped)
 
 
 # --- knot table persistence ------------------------------------------

@@ -275,9 +275,8 @@ def test_07_solver_vs_grid_oracle():
 def test_08_limit_identities():
     t0 = time.perf_counter()
     clauses = []
-    cfg = itf.MzConfig(strategy=strategies.builtin_strategy("c_dbd"),
-                       g=G1, source=GaussianWavePacket(0.0, SIGMA),
-                       ideal_pulses=True)
+    cfg = itf.MzConfig(strategy=strategies.builtin_strategy("ideal"),
+                       g=G1, source=GaussianWavePacket(0.0, SIGMA))
     t_grid = itf.default_t_grid(G1)
     scan = itf.t_scan(cfg, t_grid)
     x = checks.semiclassical_phase(G1, t_grid)

@@ -96,10 +96,12 @@ class TestExitCodes:
         assert code == 3
         assert "IntegratorFailure" in capsys.readouterr().err
 
-    def test_bad_worker_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DBD_SIM_WORKERS", "many")
-        code, _ = run(tmp_path, "tscan", IDEAL_TSCAN)
+    def test_workers_below_one(self, tmp_path, capsys):
+        code, out = run(tmp_path, "tscan", IDEAL_TSCAN,
+                        extra=("--workers", "0"))
         assert code == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,config", [
         ("tscan", SOLVED_TSCAN),
@@ -180,28 +182,35 @@ class TestContrastSweep:
         assert table.columns == ("sigma_p", "contrast_ideal")
         assert table.column("sigma_p") == [0.03, 0.05]
 
-    def test_worker_count_does_not_change_payload(self, tmp_path,
-                                                  monkeypatch):
+    def test_worker_count_does_not_change_payload(self, tmp_path):
         _, serial = run(tmp_path, "contrast-sweep", SWEEP, name="serial")
-        monkeypatch.setenv("DBD_SIM_WORKERS", "2")
-        _, pooled = run(tmp_path, "contrast-sweep", SWEEP, name="pooled")
+        _, pooled = run(tmp_path, "contrast-sweep", SWEEP, name="pooled",
+                        extra=("--workers", "2"))
         a = ResultTable.read(str(serial))
         b = ResultTable.read(str(pooled))
         assert a.equal_payload(b)
 
-    def test_solved_strategies_cross_the_pool(self, tmp_path, monkeypatch):
+    def test_solved_strategies_cross_the_pool(self, tmp_path):
         # oct_hybrid's mirror carries a KnotDetuning spline to the workers
         solved = SWEEP.replace("strategies = ideal",
                                "strategies = ds_dbd, oct_hybrid\nn_nodes = 8")
         code, serial = run(tmp_path, "contrast-sweep", solved, name="serial")
         assert code == 0
-        monkeypatch.setenv("DBD_SIM_WORKERS", "2")
-        code, pooled = run(tmp_path, "contrast-sweep", solved, name="pooled")
+        code, pooled = run(tmp_path, "contrast-sweep", solved, name="pooled",
+                           extra=("--workers", "2"))
         assert code == 0
         a = ResultTable.read(str(serial))
         assert a.columns == ("sigma_p", "contrast_ds_dbd",
                              "contrast_oct_hybrid")
         assert a.equal_payload(ResultTable.read(str(pooled)))
+
+    def test_empty_strategy_list(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(interferometer, "t_scan", refuse_to_run)
+        code, out = run(tmp_path, "contrast-sweep",
+                        SWEEP.replace("strategies = ideal", "strategies = ,"))
+        assert code == 2
+        assert "strategies" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_axis(self, tmp_path):
         code, _ = run(tmp_path, "contrast-sweep",
@@ -241,6 +250,35 @@ class TestFluctuation:
         assert float(table.provenance["std_contrast"]) == 0.0
         mean = float(table.provenance["mean_contrast"])
         assert table.column("contrast") == [mean] * 5
+
+    def test_ideal_has_no_pulses_to_perturb(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(interferometer, "t_scan", refuse_to_run)
+        config = FLUCTUATION.replace("ds_dbd", "ideal").replace(
+            "sigma_r = 0\n", "sigma_r = 0.05\n")
+        code, out = run(tmp_path, "fluctuation", config)
+        assert code == 2
+        assert "ideal has no pulses" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def refuse_to_solve(*args, **kwargs):
+    raise AssertionError("the ideal strategy has no pulses to solve")
+
+
+@pytest.mark.parametrize("command, config", [
+    ("tscan", IDEAL_TSCAN), ("contrast-sweep", SWEEP)],
+    ids=["tscan", "contrast-sweep"])
+def test_ideal_runs_no_pulse(tmp_path, monkeypatch, command, config):
+    # the ideal strategy composes lossless matrices; neither engine runs
+    monkeypatch.setattr(interferometer, "propagate_unitaries",
+                        refuse_to_solve)
+    monkeypatch.setattr(cli.multilevel, "propagate_unitaries",
+                        refuse_to_solve)
+    monkeypatch.setattr(interferometer.grid_mod, "split_step_pulse",
+                        refuse_to_solve)
+    code, _ = run(tmp_path, command, config)
+    assert code == 0
 
 
 TLS_SCAN = """
@@ -452,8 +490,7 @@ source.sigma_p = 0.05
         assert "ideal" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_mz_resolved_agrees_for_any_worker_count(self, tmp_path,
-                                                     monkeypatch):
+    def test_mz_resolved_agrees_for_any_worker_count(self, tmp_path):
         # both engines count only the mirror's port-reversing paths
         config = """
 scenario = mz
@@ -468,8 +505,8 @@ t.points = 2
         assert code == 0
         a = ResultTable.read(str(serial))
         assert float(a.provenance["max_abs_diff"]) <= 1e-3
-        monkeypatch.setenv("DBD_SIM_WORKERS", "2")
-        code, pooled = run(tmp_path, "oracle-compare", config, name="pooled")
+        code, pooled = run(tmp_path, "oracle-compare", config, name="pooled",
+                           extra=("--workers", "2"))
         assert code == 0
         assert a.equal_payload(ResultTable.read(str(pooled)))
 

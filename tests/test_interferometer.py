@@ -29,6 +29,7 @@ from checks import (fit_fringe, port_populations, semiclassical_phase,
                     three_path_amplitudes)
 
 G_SMALL = 0.000357
+IDEAL = builtin_strategy("ideal")
 
 
 def make_config(**kw):
@@ -45,7 +46,7 @@ class TestConfig:
 
     def test_wide_ladder_accepts_every_mode(self):
         assert make_config(n_max=3, detection="resolved").n_max == 3
-        assert make_config(n_max=3, ideal_pulses=True).ideal_pulses
+        assert make_config(n_max=3, strategy=IDEAL).strategy.bs is None
 
     def test_negative_time(self):
         with pytest.raises(ValueError):
@@ -230,7 +231,7 @@ class TestScans:
         assert np.all(total > 0.97)  # small leakage into +-4
 
     def test_ideal_fringe_closed_form(self):
-        cfg = make_config(ideal_pulses=True,
+        cfg = make_config(strategy=IDEAL,
                           source=GaussianWavePacket(0.0, 0.05))
         t = default_t_grid(G_SMALL)
         scan = t_scan(cfg, t)
@@ -241,7 +242,7 @@ class TestScans:
 
     @pytest.mark.parametrize("detection", ["unresolved", "resolved"])
     def test_ideal_wide_ladder_fringe(self, detection):
-        cfg = make_config(ideal_pulses=True, n_max=3, detection=detection)
+        cfg = make_config(strategy=IDEAL, n_max=3, detection=detection)
         t = default_t_grid(G_SMALL)
         scan = t_scan(cfg, t)
         x = semiclassical_phase(G_SMALL, t)
@@ -262,7 +263,7 @@ class TestScans:
     def test_rows_independent_of_blocks(self, n_nodes):
         # t_scan composes blocks of about _BLOCK_PAIRS (T, node) pairs;
         # these sub-grids put each T in another block or block position
-        cfg = make_config(ideal_pulses=True, detection="resolved",
+        cfg = make_config(strategy=IDEAL, detection="resolved",
                           n_nodes=n_nodes)
         t = np.linspace(10.0, 80.0, 2000)
         full = t_scan(cfg, t)
@@ -274,7 +275,7 @@ class TestScans:
 
     @pytest.mark.parametrize("n_nodes", [256, 7])
     def test_wide_ladder_rows_independent_of_blocks(self, n_nodes):
-        cfg = make_config(ideal_pulses=True, detection="resolved",
+        cfg = make_config(strategy=IDEAL, detection="resolved",
                           n_nodes=n_nodes, n_max=3)
         t = np.linspace(10.0, 80.0, 2000)
         full = t_scan(cfg, t)
@@ -319,7 +320,7 @@ class TestScans:
     def test_ideal_scan_is_total_s_matrix(self, n_max, detection):
         # t_scan's kernel leaves the pairs' common phase out and
         # total_s_matrix puts it back; the populations are the same
-        cfg = make_config(ideal_pulses=True, n_max=n_max,
+        cfg = make_config(strategy=IDEAL, n_max=n_max,
                           detection=detection, n_nodes=16)
         ideal = (ideal_bs_matrix(n_max), ideal_mirror_matrix(n_max),
                  ideal_bs_matrix(n_max))
@@ -499,7 +500,7 @@ class TestContrast:
             extract_contrast(scan)
 
     def test_short_scan_rejected(self):
-        cfg = make_config(ideal_pulses=True)
+        cfg = make_config(strategy=IDEAL)
         t = default_t_grid(G_SMALL)
         with pytest.raises(NoExtremaFound):
             extract_contrast(t_scan(cfg, t[:4]))
@@ -544,7 +545,7 @@ class TestContrast:
 
     def test_fit_residual(self):
         t = default_t_grid(G_SMALL)
-        ideal = extract_contrast(t_scan(make_config(ideal_pulses=True), t))
+        ideal = extract_contrast(t_scan(make_config(strategy=IDEAL), t))
         assert ideal.fit_residual < 1e-10
         solved = extract_contrast(t_scan(
             make_config(strategy=builtin_strategy("ds_dbd"), n_nodes=8), t))
@@ -552,7 +553,7 @@ class TestContrast:
         assert solved.fit_residual > 0.0
 
     def test_fit_recovers_frequency(self):
-        cfg = make_config(ideal_pulses=True)
+        cfg = make_config(strategy=IDEAL)
         scan = t_scan(cfg, default_t_grid(G_SMALL))
         fit = fit_fringe(scan)
         assert fit.frequency == pytest.approx(4.0 * G_SMALL, rel=1e-6)
@@ -611,12 +612,12 @@ class TestGridOracle:
         oracle = oracle_fringe(cfg, t, spec=spec)
         assert np.max(np.abs(oracle.p_sum - reference.p_sum)) <= 1e-3
 
-    def test_ideal_pulses_are_refused(self, monkeypatch):
+    def test_ideal_strategy_is_refused(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("ideal pulses must be refused first")
 
         monkeypatch.setattr(interferometer.grid_mod, "split_step_pulse",
                             refuse)
-        cfg = make_config(n_nodes=8, ideal_pulses=True)
-        with pytest.raises(ValueError, match="ideal_pulses"):
+        cfg = make_config(n_nodes=8, strategy=IDEAL)
+        with pytest.raises(ValueError, match="ideal has no pulses"):
             oracle_fringe(cfg, [20.0, 40.0], spec=GridSpec(2048))

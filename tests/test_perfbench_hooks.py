@@ -43,8 +43,8 @@ def test_tracer_counts_ideal_pairs_without_solves():
     # ideal_fringe's interferometer.ns_per_pair divides t_scan's self
     # time by these pairs; its scans solve nothing
     config = interferometer.MzConfig(
-        strategy=builtin_strategy("c_dbd"), g=0.000357,
-        source=GaussianWavePacket(0.0, 0.05), n_nodes=7, ideal_pulses=True)
+        strategy=builtin_strategy("ideal"), g=0.000357,
+        source=GaussianWavePacket(0.0, 0.05), n_nodes=7)
     t_grid = np.linspace(10.0, 80.0, 1500)
     with load_tracer()() as tracer:
         interferometer.t_scan(config, t_grid)

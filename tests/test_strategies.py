@@ -217,6 +217,72 @@ class TestOptimizer:
         assert optimize(problem, seed=0) == fused
 
 
+def stand_in_costs(monkeypatch):
+    """Replace candidate_costs by a cheap quadratic in the knot values;
+    returns the (batch size, rtol) of every call."""
+    target = np.sin(np.arange(8.0))
+    calls = []
+
+    def quadratic(target_name, candidates, samples, eps, rtol):
+        calls.append((len(candidates), rtol))
+        return [float(np.sum((c[1].values - target) ** 2))
+                for c in candidates]
+
+    monkeypatch.setattr(strategies, "candidate_costs", quadratic)
+    return calls
+
+
+class TestLedger:
+    def test_warm_starts_past_the_budget(self, monkeypatch):
+        calls = stand_in_costs(monkeypatch)
+        warm = tuple(tuple(np.full(8, v)) for v in np.linspace(-1, 1, 10))
+        problem = oct_mirror_problem(budget=100, warm_starts=warm)
+        res = optimize(problem, seed=0)
+        # 10 warm starts + 81 structured + 12 random draws: the prescan
+        # is cut to the budget in one call, and nothing is scored after
+        assert calls == [(100, problem.rtol)]
+        assert res.evaluations_used == 100
+        assert res.budget_exhausted
+
+    def test_skipped_polish_is_flagged(self, monkeypatch):
+        # a flat cost from a zero start: the touch-up converges inside
+        # the 30 evaluations the prescan leaves, too few for the polish
+        rtols = []
+
+        def flat(target_name, candidates, samples, eps, rtol):
+            rtols.append(rtol)
+            return [1.0] * len(candidates)
+
+        monkeypatch.setattr(strategies, "candidate_costs", flat)
+        problem = oct_mirror_problem(budget=127, n_knots=2,
+                                     warm_starts=((0.0, 0.0),))
+        res = optimize(problem, seed=0)
+        assert rtols[1:] and set(rtols[1:]) == {1e-8}  # touch-up only
+        assert res.evaluations_used < 127  # the ledger refused nothing
+        assert res.budget_exhausted
+
+    @pytest.mark.parametrize("budget", [100, 150, 300, 5000])
+    def test_ledger_is_truthful(self, monkeypatch, budget):
+        calls = stand_in_costs(monkeypatch)
+        refused = []
+
+        class Refused(strategies._OutOfBudget):
+            def __init__(self):
+                refused.append(budget)
+
+        monkeypatch.setattr(strategies, "_OutOfBudget", Refused)
+        problem = oct_mirror_problem(budget=budget)
+        res = optimize(problem, seed=0)
+        assert sum(n for n, _ in calls) == res.evaluations_used <= budget
+        hist = np.asarray(res.cost_history)
+        assert np.all(np.diff(hist) < 0.0)
+        assert hist[-1] == res.cost
+        # polish points are scored at the problem's rtol, the touch-up's
+        # at min(rtol, 1e-8)
+        polished = any(rtol == problem.rtol for _, rtol in calls[1:])
+        assert res.budget_exhausted == (not polished or bool(refused))
+
+
 class TestKnotTables:
     def test_save_parse_round_trip(self, tmp_path):
         proto = KnotDetuning((0.0, 0.7, 1.9), (0.5, -1.25, 3.0), bound=6.0)
