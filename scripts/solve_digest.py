@@ -6,11 +6,17 @@ they are.  When the arithmetic of the grid kernel changes, or how the
 grid rounds the drive it samples, the oracle digest alone may change;
 when that of the composition kernel changes, the tscan and ideal
 digests alone may; when the nodes of t_scan's pulse surrogates change,
-the tscan digest alone may.  The families:
+the tscan digest alone may.  An edit of the ladder table itself
+(multilevel._bands or port_offsets) moves the hamiltonian digest and
+the digests of the families that solve pulses with it.  The families:
 
 - propagate_unitaries: the bs and mirror pulses of the four built-in
   strategies at n_max 1, 2 and 3, in both bases, each pulse alone on a
   1-D p and all eight pulses as the groups of one 2-D p;
+- hamiltonian: build_hamiltonian, the ladder table (_bands and
+  port_offsets) written out, for the bs and mirror pulses of the four
+  built-in strategies at n_max 1, 2 and 3, p in {-0.9, -0.13, 0, 0.37},
+  epsilon 0 and 0.05, and 7 times across each pulse's support;
 - tscan: what `dbdsim tscan` writes for every
   perfbench/scenarios/cs_*.cfg, the T, P1, P2, P3 and P_sum rows and
   the provenance (surrogate tails, contrast, ...) but its timestamp;
@@ -56,7 +62,7 @@ import numpy as np
 from dbdsim import cli, interferometer, strategies, tls
 from dbdsim.grid import GridSpec
 from dbdsim.io import ScenarioConfig
-from dbdsim.multilevel import propagate_unitaries
+from dbdsim.multilevel import build_hamiltonian, propagate_unitaries
 from dbdsim.units import ConstantDetuning, GaussianWavePacket, PulseEnvelope
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +87,21 @@ def unitaries_digest():
             envelopes, protocols = zip(*pulses)
             u = propagate_unitaries(p, envelopes, protocols, eps, **kw)
             digest.update(u.tobytes())
+    return digest.hexdigest()
+
+
+def hamiltonian_digest():
+    digest = hashlib.sha256()
+    for name in STRATEGIES:
+        for pulse in ("bs", "mirror"):
+            env, protocol = getattr(strategies.builtin_strategy(name), pulse)
+            for n_max in (1, 2, 3):
+                for p in (-0.9, -0.13, 0.0, 0.37):
+                    for t in np.linspace(*env.support, 7):
+                        for eps in (0.0, 0.05):
+                            h = build_hamiltonian(n_max, p, t, env, protocol,
+                                                  eps)
+                            digest.update(h.tobytes())
     return digest.hexdigest()
 
 
@@ -213,6 +234,7 @@ def _result_digest(result):
 
 def main():
     for name, family in (("propagate_unitaries", unitaries_digest),
+                         ("hamiltonian", hamiltonian_digest),
                          ("tscan", tscan_digest),
                          ("ideal", ideal_digest),
                          ("optimize", optimize_digest),

@@ -42,7 +42,6 @@ from .interferometer import (
 )
 from .io import ResultTable, ScenarioConfig
 from .multilevel import (
-    LevelBasis,
     bare_transform,
     build_hamiltonian,
     integrated_efficiency,

@@ -35,12 +35,12 @@ from .units import ConstantDetuning, GaussianWavePacket, PulseEnvelope
 # --- config -> domain objects ----------------------------------------
 
 def _strategy_from(cfg, name=None):
-    """(name, StrategySpec) of name, or of the `strategy` key; the ideal
-    strategy has no pulses."""
+    """StrategySpec of name, or of the `strategy` key; the ideal strategy
+    has no pulses."""
     if name is None:
         name = cfg.get_str("strategy",
                            choices=("ideal",) + strategies.BUILTIN_NAMES)
-    return name, strategies.builtin_strategy(name)
+    return strategies.builtin_strategy(name)
 
 
 def _epsilons(key, values):
@@ -79,20 +79,19 @@ def _packet_from(cfg, default=None, **fixed):
 
 
 def _mz_from_config(cfg, name=None, source=None):
-    """(strategy name, MzConfig); name and source stand in for the
+    """MzConfig of the scenario keys; name and source stand in for the
     `strategy` and `source.*` keys when given."""
-    name, strat = _strategy_from(cfg, name)
+    strat = _strategy_from(cfg, name)
     g = cfg.get_float("g")
     if source is None:
         source = _packet_from(cfg)
     detection = cfg.get_str("detection", "unresolved",
                             choices=("unresolved", "resolved"))
-    mz = itf.MzConfig(
+    return itf.MzConfig(
         strategy=strat, g=g, source=source, epsilon=_epsilon_from(cfg),
         detection=detection, n_max=cfg.get_int("n_max", 2),
         rtol=cfg.get_float("rtol", 1e-9),
         n_nodes=cfg.get_int("n_nodes", 64))
-    return name, mz
 
 
 def _t_grid_from(cfg, g, points=None):
@@ -135,7 +134,7 @@ def _pulse_from(cfg):
     (bs or mirror; a mirror's input is port +1) or of the pulse.* keys."""
     if not cfg.has("strategy"):
         return _envelope_from(cfg), _detuning_from(cfg), False
-    _, strat = _strategy_from(cfg)
+    strat = _strategy_from(cfg)
     if strat.bs is None:
         raise ConfigError("strategy: ideal has no physical pulse here")
     which = cfg.get_str("pulse", "bs", choices=("bs", "mirror"))
@@ -191,10 +190,10 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
             p_grid, [env] * e_axis.size, [protocol] * e_axis.size, e_grid,
             n_max=n_max, rtol=rtol)
         effs = multilevel.transfer_efficiency(mats, full_kind)
-        table = ResultTable(("p", "epsilon", "efficiency"))
-        for row in zip(p_grid.T.ravel(), e_grid.T.ravel(), effs.T.ravel()):
-            table.append(row)  # p-major: epsilon runs fastest
-        return table, extra, 0
+        # p-major: epsilon runs fastest
+        return ResultTable(("p", "epsilon", "efficiency"),
+                           zip(p_grid.T.ravel(), e_grid.T.ravel(),
+                               effs.T.ravel())), extra, 0
 
     cells = [(tau, omega) for tau in _axis_from(cfg, "tau")
              for omega in _axis_from(cfg, "omega")]
@@ -226,21 +225,20 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
         effs = [float(np.sum(weights * multilevel.transfer_efficiency(
             u, full_kind))) for u in mats]
 
-    table = ResultTable(("tau", "omega", "efficiency"))
-    for cell, eff in zip(cells, effs):
-        table.append((*cell, eff))
-    return table, extra, 0
+    taus, omegas = zip(*cells)
+    return ResultTable(("tau", "omega", "efficiency"),
+                       zip(taus, omegas, effs)), extra, 0
 
 
 # --- tscan -----------------------------------------------------------
 
 def _cmd_tscan(cfg, args, seed, workers):
-    name, mz = _mz_from_config(cfg)
+    mz = _mz_from_config(cfg)
     scan = itf.t_scan(mz, _t_grid_from(cfg, mz.g))
-    table = ResultTable(("T", "P1", "P2", "P3", "P_sum"))
-    for row in zip(scan.t_grid, scan.p1, scan.p2, scan.p3, scan.p_sum):
-        table.append(row)
-    extra = {"strategy": name, "detection": mz.detection}
+    table = ResultTable(("T", "P1", "P2", "P3", "P_sum"),
+                        zip(scan.t_grid, scan.p1, scan.p2, scan.p3,
+                            scan.p_sum))
+    extra = {"strategy": mz.strategy.name, "detection": mz.detection}
     for fit in scan.surrogates:
         extra.update({f"{fit.pulse}_nodes": fit.nodes,
                       f"{fit.pulse}_tail": fit.tail,
@@ -266,13 +264,15 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
     if not names:
         raise ConfigError("strategies: name at least one strategy")
     allowed = ("ideal",) + strategies.BUILTIN_NAMES
-    for n in names:
+    for i, n in enumerate(names):
         if n not in allowed:
             raise ConfigError(f"strategies: unknown strategy {n!r}")
+        if n in names[:i]:
+            raise ConfigError(f"strategies: {n!r} is named twice")
     # every swept packet up front; the swept key itself is never read
     packets = [_packet_from(cfg, 0.05, **({} if axis == "epsilon"
                                           else {axis: v})) for v in values]
-    configs = {name: _mz_from_config(cfg, name, packets[0])[1]
+    configs = {name: _mz_from_config(cfg, name, packets[0])
                for name in names}
     t_grid = _t_grid_from(cfg, cfg.get_float("g"))
 
@@ -281,11 +281,9 @@ def _cmd_contrast_sweep(cfg, args, seed, workers):
              else replace(configs[name], source=packet)
              for v, packet in zip(values, packets) for name in names]
     contrasts = itf._pool_map(_contrast, workers, cells, repeat(t_grid))
-    table = ResultTable((axis,) + tuple(f"contrast_{n}" for n in names))
-    for i, v in enumerate(values):
-        table.append([float(v)] + contrasts[i * len(names):
-                                            (i + 1) * len(names)])
-    return table, {"axis": axis}, 0
+    columns = [contrasts[j::len(names)] for j in range(len(names))]
+    return ResultTable((axis,) + tuple(f"contrast_{n}" for n in names),
+                       zip(values, *columns)), {"axis": axis}, 0
 
 
 def _contrast(config, t_grid):
@@ -296,7 +294,7 @@ def _contrast(config, t_grid):
 # --- fluctuation -----------------------------------------------------
 
 def _cmd_fluctuation(cfg, args, seed, workers):
-    name, mz = _mz_from_config(cfg)
+    mz = _mz_from_config(cfg)
     sigma_r = cfg.get_float("sigma_r")
     if sigma_r < 0:
         raise ConfigError("sigma_r: must be non-negative")
@@ -306,10 +304,8 @@ def _cmd_fluctuation(cfg, args, seed, workers):
     result = itf.fluctuation_robustness(mz, sigma_r, n_shots=n_shots,
                                         seed=seed,
                                         t_grid=_t_grid_from(cfg, mz.g))
-    table = ResultTable(("shot", "contrast"))
-    for i, c in enumerate(result.contrasts):
-        table.append((i, c))
-    return table, {"strategy": name, "sigma_r": sigma_r,
+    table = ResultTable(("shot", "contrast"), enumerate(result.contrasts))
+    return table, {"strategy": mz.strategy.name, "sigma_r": sigma_r,
                    "mean_contrast": result.mean,
                    "std_contrast": result.std}, 0
 
@@ -331,7 +327,8 @@ def _cmd_optimize(cfg, args, seed, workers):
     sigma_p = _packet_from(cfg, 0.05, p0=0.0).sigma_p
     if sampling == "uniform":
         half = cfg.get_float("sample_halfwidth", 0.2)
-        samples = tuple(np.linspace(-half, half, n_samples))
+        samples = tuple(_momenta("sample_halfwidth",
+                                 np.linspace(-half, half, n_samples)))
     else:
         samples = strategies.packet_quantiles(n_samples, sigma_p)
     # a problem the optimizer refuses (ValueError) is exit 2 in main
@@ -346,9 +343,8 @@ def _cmd_optimize(cfg, args, seed, workers):
     eta = strategies.integrated_mirror_efficiency(
         (result.envelope, result.protocol), sigma_p=sigma_p)
 
-    table = ResultTable(("improvement", "best_cost"))
-    for i, cost in enumerate(result.cost_history):
-        table.append((i, cost))
+    table = ResultTable(("improvement", "best_cost"),
+                        enumerate(result.cost_history))
     return table, {
         "problem": problem_name, "sampling": sampling,
         "final_cost": result.cost,
@@ -363,16 +359,15 @@ def _cmd_optimize(cfg, args, seed, workers):
 def _cmd_oracle_compare(cfg, args, seed, workers):
     scenario = cfg.get_str("scenario", "pulse", choices=("pulse", "mz"))
     if scenario == "mz":
-        _, mz = _mz_from_config(cfg)
+        mz = _mz_from_config(cfg)
         if mz.strategy.bs is None:
             raise ConfigError("strategy: ideal has no physical pulse here")
         t_grid = _t_grid_from(cfg, mz.g, points=20)
         model = itf.t_scan(mz, t_grid).p_sum
         oracle = itf.oracle_fringe(mz, t_grid, workers=workers).p_sum
         diffs = np.abs(model - oracle)
-        table = ResultTable(("T", "model_psum", "oracle_psum", "abs_diff"))
-        for row in zip(t_grid, model, oracle, diffs):
-            table.append(row)
+        table = ResultTable(("T", "model_psum", "oracle_psum", "abs_diff"),
+                            zip(t_grid, model, oracle, diffs))
         return table, {"scenario": scenario,
                        "max_abs_diff": float(max(diffs))}, 0
 
@@ -389,12 +384,11 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
     model = weights @ (np.abs(mats[:, :, int(mirror_input)]) ** 2)
     hist = _oracle_pulse(env, protocol, epsilon, packet, nodes.size,
                          mirror_input)
-    table = ResultTable(("port", "model", "oracle", "abs_diff"))
-    diffs = []
-    for off, mv in zip(itf.port_offsets(n_max), model):
-        ov = hist.populations[round(off / 2)]
-        diffs.append(abs(mv - ov))
-        table.append((off, mv, ov, diffs[-1]))
+    ports = multilevel.port_offsets(n_max)
+    oracle = np.array([hist.populations[round(off / 2)] for off in ports])
+    diffs = np.abs(model - oracle)
+    table = ResultTable(("port", "model", "oracle", "abs_diff"),
+                        zip(ports, model, oracle, diffs))
     return table, {"scenario": scenario, "oracle_residual": hist.residual,
                    "max_abs_diff": float(max(diffs))}, 0
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import grid as grid_mod
 from .exceptions import IntegratorFailure, NoExtremaFound, OutOfZone
-from .multilevel import propagate_unitaries
+from .multilevel import port_offsets, propagate_unitaries
 from .strategies import StrategySpec
 from .units import GaussianWavePacket
 
@@ -37,12 +37,6 @@ _FIRST_DEGREE = 128
 _MAX_DEGREE = 512
 # (T, node) pairs that t_scan composes at once.
 _BLOCK_PAIRS = 4096
-
-
-def port_offsets(n_max):
-    """Bare-basis momentum offsets {0, +2, -2, ..., +2n, -2n}."""
-    n = np.arange(1, n_max + 1, dtype=float)
-    return np.concatenate(([0.0], np.stack((2 * n, -2 * n), axis=1).ravel()))
 
 
 @dataclass(frozen=True)
@@ -345,13 +339,13 @@ def _surrogate_matrices(pulse, label, config):
     solver tolerance; past _MAX_DEGREE it raises IntegratorFailure rather
     than return a coarser answer.  Only the points with p >= 0 are
     solved, in one batch: U(-p) = R U(p) R, with R swapping the bare
-    ports |p + 2n> and |p - 2n>, since the carrier does not depend on p.
-    _check_zone keeps every momentum a scan composes inside the zone.
+    ports of opposite offsets, |p + 2n> and |p - 2n>, since the carrier
+    does not depend on p.  _check_zone keeps every momentum a scan
+    composes inside the zone.
     Returns the nodes, the matrices there and the SurrogateFit.
     """
-    d = 2 * config.n_max + 1
-    r = np.arange(d)
-    r[1:] = r[1:].reshape(-1, 2)[:, ::-1].ravel()
+    off = port_offsets(config.n_max)
+    r = np.argmax(off[:, None] == -off, axis=0)
     degree = _FIRST_DEGREE
     while True:
         half = np.cos(np.pi * np.arange(degree // 2 + 1) / degree)
@@ -368,7 +362,7 @@ def _surrogate_matrices(pulse, label, config):
                 f"Chebyshev tail {tail:.3g} > rtol {config.rtol:.3g} at "
                 f"{degree + 1} nodes")
         degree *= 2
-    defect = np.abs(solved.conj().swapaxes(1, 2) @ solved - np.eye(d))
+    defect = np.abs(solved.conj().swapaxes(1, 2) @ solved - np.eye(off.size))
     fit = SurrogateFit(label, degree + 1, tail, float(defect.max()))
     return nodes, values, fit
 

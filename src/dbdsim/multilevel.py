@@ -38,28 +38,6 @@ except ImportError:  # numpy < 2
 DEFAULT_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LevelBasis:
-    """Ordered basis {|p>, |1,+>, |1,->, ..., |n_max,+>, |n_max,->}."""
-
-    n_max: int = 2
-    p: float = 0.0
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if abs(self.p) >= 1.0:
-            raise ValueError("quasi-momentum must satisfy |p| < 1")
-
-    @property
-    def dimension(self):
-        return 2 * self.n_max + 1
-
-    def kinetic_energies(self):
-        """Diagonal kinetic energies p**2 + 4 n**2 in basis order."""
-        return self.p**2 + kinetic_offsets(self.n_max)
-
-
 # Efficiency kind -> the bare-basis (output, input) elements whose
 # squared moduli sum to its transfer F.  Mirror momenta are deviations
 # from the +-2 hbar k_L carrier.
@@ -77,10 +55,11 @@ def transfer_efficiency(u, kind):
     return sum(np.abs(u[..., i, j]) ** 2 for i, j in EFFICIENCY_ELEMENTS[kind])
 
 
-def kinetic_offsets(n_max):
-    """4 n**2 ladder offsets (p**2 removed), basis order."""
-    n = np.arange(1, n_max + 1)
-    return np.concatenate(([0.0], np.repeat(4.0 * n * n, 2)))
+def port_offsets(n_max):
+    """Bare-basis momentum offsets {0, +2, -2, ..., +2n, -2n}; squared,
+    the kinetic offsets 4 n**2 of both bases (p**2 removed)."""
+    n = np.arange(1, n_max + 1, dtype=float)
+    return np.concatenate(([0.0], np.stack((2 * n, -2 * n), axis=1).ravel()))
 
 
 def bare_transform(n_max):
@@ -96,21 +75,25 @@ def bare_transform(n_max):
     return v
 
 
-def build_hamiltonian(basis, t, envelope, protocol, epsilon=0.0):
-    """Full Schroedinger-picture matrix at time t, symmetric basis.
+def build_hamiltonian(n_max, p, t, envelope, protocol, epsilon=0.0):
+    """Full Schroedinger-picture matrix at time t, symmetric basis
+    {|p>, |1,+>, |1,->, ..., |n_max,+>, |n_max,->}.
 
     Assembled from _bands, the table propagate_unitaries integrates.
     """
-    h = np.zeros((basis.dimension, basis.dimension))
-    np.fill_diagonal(h, basis.kinetic_energies())
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if abs(p) >= 1.0:
+        raise ValueError("quasi-momentum must satisfy |p| < 1")
+    h = np.diag(p**2 + port_offsets(n_max) ** 2)
     t = float(t)
     omega = envelope.evaluate(t)
     c = carrier_factor(t, protocol.evaluate(t, check=False), epsilon)
-    drive, doppler = _bands(basis.n_max)
+    drive, doppler = _bands(n_max)
     for i, j, wgt, _ in drive:
         h[i, j] = h[j, i] = wgt * omega * c
     for i, j, rate in doppler:
-        h[i, j] = h[j, i] = rate * basis.p
+        h[i, j] = h[j, i] = rate * p
     return h
 
 
@@ -198,7 +181,7 @@ def _error_norms(k, h, scale):
     return norms
 
 
-def solve_ivp(fun, t0, t1, y0, rtol, atol):
+def solve_ivp(fun, t0, t1, y0, rtol, atol=None):
     """DOP853 over G independent groups of equations, in lockstep.
 
     Row g of y0 is the state of group g, integrated from t0[g] to
@@ -225,7 +208,15 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol):
     control is scipy's scalar code, group by group.  The solve stops at
     the first group whose step falls below scipy's minimum step, and
     GroupSolution.failed names it.
+
+    rtol must be positive; atol defaults to rtol * 1e-2, the rule of
+    every solve in the package, taken before scipy raises rtol to its
+    floor of 100 machine epsilons.
     """
+    if not rtol > 0:
+        raise ValueError(f"rtol must be positive, got {rtol:g}")
+    if atol is None:
+        atol = rtol * 1e-2
     t = np.array(t0, dtype=float)
     bounds = np.asarray(t1, dtype=float).tolist()
     y = np.array(y0, dtype=float)
@@ -402,8 +393,8 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     epsilon : float, (B,) or (G, B) array
         Polarization imbalance per system.
     rtol, atol : float
-        DOP853 tolerances; atol defaults to rtol * 1e-2, the rule of
-        every solve in the package.
+        DOP853 tolerances, as solve_ivp takes them: rtol > 0, and atol
+        defaults to rtol * 1e-2.
     basis : {'bare', 'symmetric'}
         Bare ordering is {|p>, |p+2>, |p-2>, ...}; columns are evolved
         input states either way.
@@ -433,8 +424,6 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
         windows = None if window is None else [window]
     n_groups, n_sys = p_arr.shape
     d = 2 * n_max + 1
-    if atol is None:
-        atol = rtol * 1e-2
     eps = np.broadcast_to(np.asarray(epsilon, float), p_arr.shape)
     if windows is None:
         windows = [env.support for env, _ in pulses]
@@ -522,7 +511,7 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
         u_int[rows] = sol.y.view(complex).reshape(rows.size, n_sys, d, d)
 
     # U_S = exp(-i E t1) U_I exp(+i E t0) with E the ladder offsets.
-    offsets = kinetic_offsets(n_max)
+    offsets = port_offsets(n_max) ** 2
     v = bare_transform(n_max)
     out = np.empty_like(u_int)
     for g in range(n_groups):

@@ -176,6 +176,12 @@ class OptimizationProblem:
             raise ValueError(f"unknown target {self.target!r}")
         if len(self.momentum_samples) == 0 or len(self.epsilon_samples) == 0:
             raise ValueError("sample sets must be non-empty")
+        if not all(abs(p) < 1.0 for p in self.momentum_samples):
+            raise ValueError("momentum samples must lie in the first zone, "
+                             "|p| < 1")
+        if len(self.knot_times) < 2:
+            raise ValueError("need at least two knots, got "
+                             f"{len(self.knot_times)}")
         if self.budget < 100:
             raise ValueError("budget must be at least 100 evaluations")
         if self.envelope_bounds:

@@ -67,8 +67,8 @@ def tls_hamiltonian(t, env, protocol, epsilon=0.0):
 
 
 def evolve_tls(initial, env, protocol, epsilon=0.0, rtol=1e-10):
-    """Integrate i dpsi/dt = H(t) psi over the envelope support; the
-    absolute tolerance is rtol * 1e-2, as in every solve.
+    """Integrate i dpsi/dt = H(t) psi over the envelope support, with
+    multilevel.solve_ivp's tolerance rule (atol = rtol * 1e-2).
 
     Returns the final TlsState.  Sequences of G envelopes and G
     protocols give a list of G final states from one lockstep solve of
@@ -93,7 +93,7 @@ def evolve_tls(initial, env, protocol, epsilon=0.0, rtol=1e-10):
         return deriv
 
     y0 = np.array([[initial.c0, initial.c1]] * len(pulses), complex)
-    sol = solve_ivp(prepare, *windows.T, y0.view(float), rtol, rtol * 1e-2)
+    sol = solve_ivp(prepare, *windows.T, y0.view(float), rtol)
     if sol.failed is not None:
         raise IntegratorFailure(f"two-level group {sol.failed}: {sol.message}")
     states = [TlsState(*y) for y in sol.y.view(complex)]

@@ -295,6 +295,8 @@ class GaussianWavePacket:
         so sum(w * f(p)) approximates integral |psi(p)|**2 f(p) dp and
         sum(w) == 1 exactly despite the tail truncation.
         """
+        if n_nodes < 1:
+            raise ValueError(f"n_nodes must be at least 1, got {n_nodes}")
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         lo = self.p0 - 6 * self.sigma_p
         hi = self.p0 + 6 * self.sigma_p

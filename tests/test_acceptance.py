@@ -315,10 +315,9 @@ def test_09_structural_invariants():
     env = PulseEnvelope("gaussian", 2.0, 0.47)
     worst_h = 0.0
     for _ in range(200):
-        basis = multilevel.LevelBasis(int(rng.integers(1, 4)),
-                                      rng.uniform(-0.9, 0.9))
         h = multilevel.build_hamiltonian(
-            basis, rng.uniform(-2.0, 2.0),
+            int(rng.integers(1, 4)), rng.uniform(-0.9, 0.9),
+            rng.uniform(-2.0, 2.0),
             PulseEnvelope("gaussian", rng.uniform(0.0, 3.0),
                           rng.uniform(0.2, 0.8)),
             ConstantDetuning(rng.uniform(-2.0, 2.0)),

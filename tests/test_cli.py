@@ -573,6 +573,7 @@ n_max = {n_max}
         assert code == 2
 
 
+OPTIMIZE = "budget = 150\nknots = 4\nn_samples = 3\n"
 # |p0| + 6 sigma_p = 1.2: the packet itself leaves the first zone
 WIDE = "source.sigma_p = 0.2\n"
 OUT_OF_ZONE = {
@@ -581,7 +582,7 @@ OUT_OF_ZONE = {
     "contrast-sweep": SWEEP.replace("axis = sigma_p", "axis = epsilon")
     .replace("values = 0.03 0.05", "values = 0 0.1"),
     "efficiency-scan": TLS_SCAN.replace("model = tls", "model = multilevel"),
-    "optimize": "budget = 150\nknots = 4\nn_samples = 3\n",
+    "optimize": OPTIMIZE,
     "oracle-compare": "scenario = pulse\nstrategy = ds_dbd\n",
 }
 
@@ -592,6 +593,41 @@ def test_packet_outside_the_zone_is_a_config_error(tmp_path, capsys,
     code, out = run(tmp_path, command, OUT_OF_ZONE[command] + WIDE)
     assert code == 2
     assert "source" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (out.parent / (out.name + ".knots.txt")).exists()
+
+
+REFUSALS = {
+    **{f"{command}-rtol={rtol}": (command, config + f"rtol = {rtol}\n",
+                                  "rtol must be positive")
+       for rtol in ("0", "-1e-9")
+       for command, config in (("tscan", SOLVED_TSCAN),
+                               ("optimize", OPTIMIZE),
+                               ("efficiency-scan", TLS_SCAN))},
+    **{f"knots={k}": ("optimize",
+                      OPTIMIZE.replace("knots = 4", f"knots = {k}"),
+                      "need at least two knots")
+       for k in (0, 1)},
+    "sample_halfwidth": ("optimize", OPTIMIZE + "sample_halfwidth = 1.5\n",
+                         "sample_halfwidth: momentum must lie in the first"),
+    "duplicate-strategy": ("contrast-sweep", SWEEP.replace(
+        "strategies = ideal", "strategies = ideal, ideal"),
+        "strategies: 'ideal' is named twice"),
+    "n_nodes=0": ("tscan", SOLVED_TSCAN.replace("n_nodes = 8", "n_nodes = 0"),
+                  "n_nodes must be at least 1"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning on the way out
+@pytest.mark.parametrize("command, config, message", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_refused_config_names_its_key(tmp_path, capsys, command, config,
+                                      message):
+    code, out = run(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
     assert not out.exists()
     assert not (out.parent / (out.name + ".knots.txt")).exists()
 

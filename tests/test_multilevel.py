@@ -6,11 +6,10 @@ from scipy.integrate import solve_ivp
 from dbdsim import multilevel, strategies
 from dbdsim.exceptions import BoundViolation, IntegratorFailure
 from dbdsim.multilevel import (
-    LevelBasis,
     bare_transform,
     build_hamiltonian,
     integrated_efficiency,
-    kinetic_offsets,
+    port_offsets,
     propagate_unitaries,
 )
 from dbdsim.strategies import builtin_strategy
@@ -26,23 +25,33 @@ def box(omega, tau):
 
 
 class TestBasis:
+    """The ladder layout: port_offsets and build_hamiltonian's basis."""
+
     def test_dimension(self):
-        assert LevelBasis(1).dimension == 3
-        assert LevelBasis(2).dimension == 5
-        assert LevelBasis(3).dimension == 7
+        for n_max in (1, 2, 3):
+            h = build_hamiltonian(n_max, 0.0, 0.0, box(1.0, 1.0), FLAT)
+            assert h.shape == (2 * n_max + 1, 2 * n_max + 1)
 
     def test_kinetic_energies(self):
-        e = LevelBasis(2, 0.3).kinetic_energies()
-        assert np.allclose(e, [0.09, 4.09, 4.09, 16.09, 16.09])
+        h = build_hamiltonian(2, 0.3, 5.0, box(1.0, 1.0), FLAT)
+        assert np.array_equal(np.diag(h), 0.3**2 + np.array(
+            [0.0, 4.0, 4.0, 16.0, 16.0]))
 
     def test_offsets(self):
-        assert np.allclose(kinetic_offsets(2), [0, 4, 4, 16, 16])
+        assert np.array_equal(port_offsets(2) ** 2, [0, 4, 4, 16, 16])
+        for n_max in range(1, 8):  # the 4 n**2 of both bases, exactly
+            n = np.arange(1, n_max + 1)
+            assert np.array_equal(port_offsets(n_max) ** 2, np.concatenate(
+                ([0.0], np.repeat(4.0 * n * n, 2))))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LevelBasis(0)
-        with pytest.raises(ValueError):
-            LevelBasis(2, 1.0)
+        for n_max, p, message in (
+                (0, 0.0, "n_max must be at least 1"),
+                (2, 1.0, "quasi-momentum must satisfy |p| < 1"),
+                (2, -1.0, "quasi-momentum must satisfy |p| < 1")):
+            with pytest.raises(ValueError) as err:
+                build_hamiltonian(n_max, p, 0.0, box(1.0, 1.0), FLAT)
+            assert str(err.value) == message
 
 
 class TestBareTransform:
@@ -64,12 +73,12 @@ class TestHamiltonian:
            st.floats(0.0, 0.3), st.floats(-0.9, 0.9), st.integers(1, 3))
     @settings(max_examples=80)
     def test_hermitian(self, t, omega, delta, eps, p, n_max):
-        h = build_hamiltonian(LevelBasis(n_max, p), t, box(omega, 10.0),
+        h = build_hamiltonian(n_max, p, t, box(omega, 10.0),
                               ConstantDetuning(delta), eps)
         assert np.max(np.abs(h - h.T)) <= 1e-14
 
     def test_elements(self):
-        h = build_hamiltonian(LevelBasis(2, 0.25), 0.0, box(1.7, 1.0),
+        h = build_hamiltonian(2, 0.25, 0.0, box(1.7, 1.0),
                               ConstantDetuning(0.3), 0.1)
         c = np.cos(0.0) + 0.1
         assert h[0, 1] == pytest.approx(np.sqrt(2) * 1.7 * c)
@@ -77,8 +86,7 @@ class TestHamiltonian:
         assert h[1, 2] == pytest.approx(4 * 0.25)   # Doppler, n=1
         assert h[3, 4] == pytest.approx(8 * 0.25)   # Doppler, n=2
         assert h[0, 2] == 0.0
-        assert np.allclose(np.diag(h),
-                           LevelBasis(2, 0.25).kinetic_energies())
+        assert np.allclose(np.diag(h), 0.25**2 + port_offsets(2) ** 2)
 
 
     @pytest.mark.parametrize("n_max", [2, 3])
@@ -88,12 +96,11 @@ class TestHamiltonian:
         # propagate_unitaries drops the common phase exp(-i p^2 (t1 - t0))
         env, protocol = getattr(builtin_strategy(name), pulse)
         p, eps = 0.13, 0.05
-        basis = LevelBasis(n_max, p)
-        d = basis.dimension
+        d = 2 * n_max + 1
         t0, t1 = env.support
 
         def rhs(t, y):
-            h = build_hamiltonian(basis, t, env, protocol, eps)
+            h = build_hamiltonian(n_max, p, t, env, protocol, eps)
             return (-1j * h @ y.reshape(d, d)).ravel()
 
         sol = solve_ivp(rhs, (t0, t1), np.eye(d, dtype=complex).ravel(),
@@ -229,7 +236,7 @@ def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     sol = solve_ivp(rhs, (t0, t1), y0.reshape(-1).view(float),
                     method="DOP853", t_eval=[t1], rtol=rtol, atol=atol)
     u_int = sol.y[:, -1].copy().view(complex).reshape(nsys, d, d)
-    offsets = kinetic_offsets(n_max)
+    offsets = port_offsets(n_max) ** 2
     u_s = np.exp(-1j * offsets[:, None] * t1) * u_int \
         * np.exp(1j * offsets[None, :] * t0)
     if basis == "bare":
@@ -265,6 +272,44 @@ def test_atol_defaults_to_a_hundredth_of_rtol():
     derived = propagate_unitaries(p, env, protocol, 0.02, rtol=1e-6)
     given = propagate_unitaries(p, env, protocol, 0.02, rtol=1e-6, atol=1e-8)
     assert np.array_equal(derived, given)
+
+
+class TestTolerances:
+    """solve_ivp holds the one tolerance rule of every solve."""
+
+    @staticmethod
+    def prepare(times, live):
+        raise AssertionError("a refused tolerance must stop the solve first")
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-9, -1.0, np.nan])
+    @pytest.mark.parametrize("atol", [None, -1.0])  # before the atol check
+    def test_rtol_refused_before_any_rhs_call(self, rtol, atol):
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            multilevel.solve_ivp(self.prepare, [0.0], [1.0], np.ones((1, 2)),
+                                 rtol, atol)
+
+    def test_negative_atol_refused(self):
+        with pytest.raises(ValueError, match="atol must be non-negative"):
+            multilevel.solve_ivp(self.prepare, [0.0], [1.0], np.ones((1, 2)),
+                                 1e-6, -1e-9)
+
+    def test_atol_derived_from_the_rtol_as_given(self):
+        def prepare(times, live):
+            def deriv(j, y, out):
+                out[:] = -y * np.cos(times[j][:, None])
+            return deriv
+
+        def solve(*tolerances):
+            return multilevel.solve_ivp(prepare, [0.0, 0.2], [1.0, 2.5],
+                                        [[1.0, -2.0], [0.5, 3.0]],
+                                        *tolerances)
+
+        for rtol in (1e-6, 1e-20):  # 1e-20 lies below scipy's rtol floor
+            derived, given = solve(rtol), solve(rtol, rtol * 1e-2)
+            assert derived.nfev == given.nfev
+            assert np.array_equal(derived.y, given.y)
+        floor = 100 * np.finfo(float).eps
+        assert not np.array_equal(solve(1e-20).y, solve(1e-20, floor * 1e-2).y)
 
 
 class TestNonFiniteDrive:

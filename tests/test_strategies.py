@@ -113,6 +113,18 @@ class TestProblem:
             OptimizationProblem("bs_balanced", NULL[0], (0.0, 1.0), (0.0,),
                                 envelope_bounds={"chirp": (0.0, 1.0)})
 
+    @pytest.mark.parametrize("times", [(), (0.5,)])
+    def test_two_knots_at_least(self, times):
+        with pytest.raises(ValueError, match="at least two knots"):
+            OptimizationProblem("bs_balanced", NULL[0], times, (0.0,))
+        with pytest.raises(ValueError, match="at least two knots"):
+            oct_mirror_problem(n_knots=len(times))
+
+    @pytest.mark.parametrize("samples", [(0.0, 1.0), (-1.5, 0.0), (np.nan,)])
+    def test_momenta_in_the_first_zone(self, samples):
+        with pytest.raises(ValueError, match="first zone"):
+            OptimizationProblem("bs_balanced", NULL[0], (0.0, 1.0), samples)
+
     def test_mirror_problem_defaults(self):
         prob = oct_mirror_problem()
         assert prob.target == "mirror_bidirectional"

@@ -202,6 +202,11 @@ class TestWavePacket:
         assert np.sum(w * (p - 0.1) ** 2) == pytest.approx(0.05**2,
                                                            rel=1e-6)
 
+    @pytest.mark.parametrize("n_nodes", [0, -3])
+    def test_quadrature_needs_a_node(self, n_nodes):
+        with pytest.raises(ValueError, match="n_nodes must be at least 1"):
+            GaussianWavePacket(0.1, 0.05).momentum_quadrature(n_nodes)
+
     @given(st.floats(-0.3, 0.3), st.floats(0.01, 0.1))
     def test_density_integrates_to_one(self, p0, sigma):
         _, w = GaussianWavePacket(p0, sigma).momentum_quadrature()
