@@ -40,8 +40,8 @@ the digests of the families that solve pulses with it.  The families:
   a box splitter (kind bs) and a Gaussian mirror (kind mirror_plus);
 - oracle: what `dbdsim oracle-compare` writes for every
   perfbench/scenarios/oracle_*.cfg but its timestamp, and the ports of
-  an unresolved and a resolved `oracle_fringe` scan of ds_dbd on
-  GridSpec(2048); the resolved one runs the stacked mirror of
+  an unresolved and a resolved `oracle_fringe` scan of ds_dbd; the
+  resolved one runs the stacked mirror of
   interferometer._detected_mirror.
 
 Run from the repository root, on the commit before a change and on the
@@ -60,7 +60,6 @@ from pathlib import Path
 import numpy as np
 
 from dbdsim import cli, interferometer, strategies, tls
-from dbdsim.grid import GridSpec
 from dbdsim.io import ScenarioConfig
 from dbdsim.multilevel import build_hamiltonian, propagate_unitaries
 from dbdsim.units import ConstantDetuning, GaussianWavePacket, PulseEnvelope
@@ -173,8 +172,7 @@ def oracle_digest():
             strategy=strategies.builtin_strategy("ds_dbd"), g=0.000357,
             source=GaussianWavePacket(0.0, 0.05), n_nodes=32,
             detection=detection)
-        scan = interferometer.oracle_fringe(config, [30.0, 46.0],
-                                            spec=GridSpec(2048))
+        scan = interferometer.oracle_fringe(config, [30.0, 46.0])
         for ports in (scan.p1, scan.p2, scan.p3):
             digest.update(ports.tobytes())
     return digest.hexdigest()

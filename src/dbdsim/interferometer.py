@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import grid as grid_mod
 from .exceptions import IntegratorFailure, NoExtremaFound, OutOfZone
 from .multilevel import port_offsets, propagate_unitaries
 from .strategies import StrategySpec
-from .units import GaussianWavePacket
+from .units import GaussianWavePacket, _require_finite
 
 # Polynomial degrees of the pulse surrogates on the first zone: the
 # first try, and the cap past which refinement gives up (doubling in
@@ -56,6 +57,7 @@ class MzConfig:
     n_nodes: int = 64
 
     def __post_init__(self):
+        _require_finite("acceleration g", self.g)
         if self.detection not in ("unresolved", "resolved"):
             raise ValueError(f"unknown detection mode {self.detection!r}")
         if self.n_max < 1:
@@ -122,7 +124,6 @@ class FluctuationResult:
     mean: float
     std: float
     contrasts: tuple
-    seed: int
 
 
 def ideal_bs_matrix(n_max=2):
@@ -265,7 +266,7 @@ def total_s_matrix(config, p, T, matrices=None):
     matrices optionally supplies pre-built (b1, m, b3) pulse matrices,
     bypassing the solver; useful for cached scans and cross-checks.
     """
-    if T < 0:
+    if not T >= 0:
         raise ValueError("interrogation time must be non-negative")
     g = config.g
     _check_zone(config, T)
@@ -384,8 +385,9 @@ def t_scan(config, t_grid):
     row's bits do not depend on its block or on the rest of the grid.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be non-empty, ascending and >= 0")
+    if (t_grid.size == 0 or not np.isfinite(t_grid).all() or t_grid[0] < 0
+            or np.any(np.diff(t_grid) < 0)):
+        raise ValueError("t_grid must be non-empty, finite, ascending, >= 0")
     g = config.g
     _check_zone(config, float(t_grid[-1]))
     wp = config.source
@@ -532,7 +534,7 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
     arr = np.asarray(contrasts)
     dev = arr - arr[0]
     return FluctuationResult(float(arr[0] + dev.mean()), float(dev.std()),
-                             tuple(contrasts), seed)
+                             tuple(contrasts))
 
 
 # --- grid-oracle pipeline --------------------------------------------
@@ -546,11 +548,12 @@ def _pool_map(fn, workers, items, *args):
     return list(map(fn, items, *args))
 
 
-def _oracle_point(job):
+def _oracle_point(T, after_bs1, config):
     """One interrogation time of the grid interferometer; picklable."""
-    after_bs1, strat, epsilon, g, T, detection, p0 = job
+    strat, epsilon, g = config.strategy, config.epsilon, config.g
+    p0 = config.source.p0
     st = grid_mod.free_propagate_analytic(after_bs1, g, T)
-    if detection == "resolved":
+    if config.detection == "resolved":
         st = _detected_mirror(st, strat.mirror, epsilon, p0 + 0.5 * g * T)
     else:
         st = grid_mod.split_step_pulse(st, strat.mirror[0], strat.mirror[1],
@@ -561,16 +564,15 @@ def _oracle_point(job):
     return (hist.populations[0], hist.populations[1], hist.populations[-1])
 
 
-def oracle_fringe(config, t_grid, spec=None, workers=1):
+def oracle_fringe(config, t_grid, workers=1):
     """t_scan's interferometer on lattice ladders, no basis truncation.
 
     The packet starts on the model's own config.n_nodes quadrature nodes,
-    one ladder each (grid.node_wavepacket); spec sets the order cap past
-    which SpectralOverflow is raised.  Pulses run with their local
-    clocks over their envelope supports and the inter-pulse separation
-    is applied analytically, as in the S-matrix bookkeeping, so the two
-    pipelines compare point by point.  Detection follows the
-    model's rule: resolved detection keeps the mirror's port-reversing
+    one ladder each (grid.node_wavepacket) on the default GridSpec.
+    Pulses run with their local clocks over their envelope supports and
+    the inter-pulse separation is applied analytically, as in the
+    S-matrix bookkeeping, so the two pipelines compare point by point.
+    Detection follows the model's rule: resolved detection keeps the mirror's port-reversing
     paths (_detected_mirror) with one mirror pulse over a stack of every
     populated port, whose copies share each step's circulant: about
     twice the unresolved time.  T points are independent; with
@@ -581,13 +583,10 @@ def oracle_fringe(config, t_grid, spec=None, workers=1):
     if strat.bs is None:
         raise ValueError(f"strategy {strat.name} has no pulses to run")
     t_grid = np.asarray(t_grid, dtype=float)
-    spec = grid_mod.GridSpec() if spec is None else spec
-    wp = config.source
-
-    start = grid_mod.node_wavepacket(spec, wp, config.n_nodes)
+    start = grid_mod.node_wavepacket(grid_mod.GridSpec(), config.source,
+                                     config.n_nodes)
     after_bs1 = grid_mod.split_step_pulse(start, strat.bs[0], strat.bs[1],
                                           config.epsilon)
-    jobs = [(after_bs1, strat, config.epsilon, config.g, float(T),
-             config.detection, wp.p0) for T in t_grid]
-    out = np.asarray(_pool_map(_oracle_point, workers, jobs))
+    out = np.asarray(_pool_map(_oracle_point, workers, t_grid.tolist(),
+                               repeat(after_bs1), repeat(config)))
     return FringeScan(t_grid, out[:, 0], out[:, 1], out[:, 2], config)

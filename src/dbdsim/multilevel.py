@@ -429,7 +429,8 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
         windows = [env.support for env, _ in pulses]
     t0, t1 = (np.array(x, dtype=float) for x in zip(*windows))
 
-    # One bound check per window; non-finite values would hang DOP853.
+    # One bound check per window, and the early refusal of non-finite
+    # input, naming its group, before any solve.
     for g, (env, prot) in enumerate(pulses):
         grid = np.linspace(t0[g], t1[g], 257)
         given = (grid, env.evaluate(grid), prot.evaluate(grid), p_arr[g],

@@ -49,14 +49,6 @@ class StrategySpec:
     mirror: tuple | None
 
 
-def _bs_envelope():
-    return PulseEnvelope("gaussian", BS_OMEGA, BS_TAU)
-
-
-def _mirror_envelope():
-    return PulseEnvelope("gaussian", MIRROR_OMEGA, MIRROR_TAU)
-
-
 def oct_mirror_envelope():
     """Mirror envelope with the control window [0, 2 t0].
 
@@ -73,8 +65,8 @@ def builtin_strategy(name):
     """Published parameterization of a named strategy; ideal has none."""
     if name == "ideal":
         return StrategySpec(name, None, None)
-    bs_env = _bs_envelope()
-    m_env = _mirror_envelope()
+    bs_env = PulseEnvelope("gaussian", BS_OMEGA, BS_TAU)
+    m_env = PulseEnvelope("gaussian", MIRROR_OMEGA, MIRROR_TAU)
     flat = ConstantDetuning(0.0)
     if name == "c_dbd":
         return StrategySpec(name, (bs_env, flat), (m_env, flat))
@@ -182,6 +174,9 @@ class OptimizationProblem:
         if len(self.knot_times) < 2:
             raise ValueError("need at least two knots, got "
                              f"{len(self.knot_times)}")
+        if not self.delta_max > 0:
+            raise ValueError("delta_max must be positive, got "
+                             f"{self.delta_max}")
         if self.budget < 100:
             raise ValueError("budget must be at least 100 evaluations")
         if self.envelope_bounds:
@@ -197,7 +192,6 @@ class OptimizationResult:
     cost: float
     cost_history: tuple
     evaluations_used: int
-    seed: int
     budget_exhausted: bool
 
     @property
@@ -288,7 +282,7 @@ def optimize(problem, seed=0):
     candidates = [full_vector(w) for w in problem.warm_starts]
     candidates += [full_vector(kn)
                    for kn in _structured_knots(times, problem.delta_max)]
-    n_random = min(160, max(0, problem.budget // 8))
+    n_random = min(160, problem.budget // 8)
     for _ in range(n_random):
         kn = rng.uniform(-problem.delta_max, problem.delta_max, k)
         if n_env:
@@ -329,7 +323,7 @@ def optimize(problem, seed=0):
 
     env, protocol = build(best_x)
     return OptimizationResult(env, protocol, best_cost, tuple(history), used,
-                              seed, exhausted or polish_skipped)
+                              exhausted or polish_skipped)
 
 
 # --- knot table persistence ------------------------------------------
@@ -373,16 +367,14 @@ def load_knot_table(path=None):
     return parse_knot_table(text)
 
 
-def oct_mirror_problem(budget=5000, delta_max=4.0, n_knots=8,
-                       momentum_samples=None, rtol=1e-6, warm_starts=()):
-    """The mirror optimization this package ships results for.
-
-    Momentum samples default to a uniform grid on [-0.2, 0.2]; the knots
-    span the control window uniformly.
+def oct_mirror_problem(*, momentum_samples, budget=5000, delta_max=4.0,
+                       n_knots=8, rtol=1e-6, warm_starts=()):
+    """The mirror optimization this package ships results for, on the
+    given momentum samples; the knots span the control window uniformly.
     """
+    if n_knots < 2:
+        raise ValueError(f"need at least two knots, got {n_knots}")
     env = oct_mirror_envelope()
-    if momentum_samples is None:
-        momentum_samples = tuple(np.linspace(-0.2, 0.2, 17))
     times = tuple(np.linspace(env.support[0], env.support[1], n_knots))
     return OptimizationProblem("mirror_bidirectional", env, times,
                                tuple(momentum_samples), (0.0,),

@@ -271,6 +271,7 @@ class GaussianWavePacket:
     sigma_p: float = 0.05
 
     def __post_init__(self):
+        _require_finite("packet parameters", self.p0, self.sigma_p)
         if self.sigma_p <= 0:
             raise ValueError("sigma_p must be positive")
         if abs(self.p0) + 6 * self.sigma_p >= 1.0:

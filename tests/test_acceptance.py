@@ -264,7 +264,7 @@ def test_07_solver_vs_grid_oracle():
     full = itf.default_t_grid(G1)
     t_grid = np.linspace(full[0], full[-1], 20)
     model_scan = itf.t_scan(cfg, t_grid)
-    oracle_scan = itf.oracle_fringe(cfg, t_grid, spec=spec)
+    oracle_scan = itf.oracle_fringe(cfg, t_grid)
     mz_diff = float(np.max(np.abs(model_scan.p_sum - oracle_scan.p_sum)))
     clauses.append(_clause("full sequence", mz_diff <= 0.02,
                            f"20 times, max |P_sum diff| {mz_diff:.2e} "

@@ -607,7 +607,10 @@ REFUSALS = {
     **{f"knots={k}": ("optimize",
                       OPTIMIZE.replace("knots = 4", f"knots = {k}"),
                       "need at least two knots")
-       for k in (0, 1)},
+       for k in (-1, 0, 1)},
+    **{f"delta.max={d}": ("optimize", OPTIMIZE + f"delta.max = {d}\n",
+                          "delta_max must be positive")
+       for d in (-1, 0)},
     "sample_halfwidth": ("optimize", OPTIMIZE + "sample_halfwidth = 1.5\n",
                          "sample_halfwidth: momentum must lie in the first"),
     "duplicate-strategy": ("contrast-sweep", SWEEP.replace(

@@ -31,6 +31,8 @@ from dbdsim.units import (
 from checks import bs_envelope, bs_protocol, mirror_envelope, mirror_protocol
 
 NULL = (PulseEnvelope("box", 0.0, 0.5), ConstantDetuning(0.0))
+# the CLI's uniform mirror samples: n_samples = 17, sample_halfwidth = 0.2
+UNIFORM = tuple(np.linspace(-0.2, 0.2, 17))
 
 
 class TestBuiltins:
@@ -118,7 +120,7 @@ class TestProblem:
         with pytest.raises(ValueError, match="at least two knots"):
             OptimizationProblem("bs_balanced", NULL[0], times, (0.0,))
         with pytest.raises(ValueError, match="at least two knots"):
-            oct_mirror_problem(n_knots=len(times))
+            oct_mirror_problem(n_knots=len(times), momentum_samples=UNIFORM)
 
     @pytest.mark.parametrize("samples", [(0.0, 1.0), (-1.5, 0.0), (np.nan,)])
     def test_momenta_in_the_first_zone(self, samples):
@@ -126,9 +128,9 @@ class TestProblem:
             OptimizationProblem("bs_balanced", NULL[0], (0.0, 1.0), samples)
 
     def test_mirror_problem_defaults(self):
-        prob = oct_mirror_problem()
+        prob = oct_mirror_problem(momentum_samples=UNIFORM)
         assert prob.target == "mirror_bidirectional"
-        assert len(prob.momentum_samples) == 17
+        assert prob.momentum_samples == UNIFORM
         assert len(prob.knot_times) == 8
         assert prob.knot_times[0] == 0.0
         assert prob.knot_times[-1] == pytest.approx(7.758)
@@ -198,7 +200,7 @@ class TestOptimizer:
 
         # the prescan scores its candidates together, the rest one by one
         monkeypatch.setattr(strategies, "candidate_costs", each)
-        problem = oct_mirror_problem(budget=300)
+        problem = oct_mirror_problem(budget=300, momentum_samples=UNIFORM)
         res = optimize(problem, seed=0)
         prescan = 81 + 300 // 8
         polish = [r for r in rtols[prescan:] if r == problem.rtol]
@@ -248,7 +250,8 @@ class TestLedger:
     def test_warm_starts_past_the_budget(self, monkeypatch):
         calls = stand_in_costs(monkeypatch)
         warm = tuple(tuple(np.full(8, v)) for v in np.linspace(-1, 1, 10))
-        problem = oct_mirror_problem(budget=100, warm_starts=warm)
+        problem = oct_mirror_problem(budget=100, momentum_samples=UNIFORM,
+                                     warm_starts=warm)
         res = optimize(problem, seed=0)
         # 10 warm starts + 81 structured + 12 random draws: the prescan
         # is cut to the budget in one call, and nothing is scored after
@@ -267,6 +270,7 @@ class TestLedger:
 
         monkeypatch.setattr(strategies, "candidate_costs", flat)
         problem = oct_mirror_problem(budget=127, n_knots=2,
+                                     momentum_samples=UNIFORM,
                                      warm_starts=((0.0, 0.0),))
         res = optimize(problem, seed=0)
         assert rtols[1:] and set(rtols[1:]) == {1e-8}  # touch-up only
@@ -283,7 +287,7 @@ class TestLedger:
                 refused.append(budget)
 
         monkeypatch.setattr(strategies, "_OutOfBudget", Refused)
-        problem = oct_mirror_problem(budget=budget)
+        problem = oct_mirror_problem(budget=budget, momentum_samples=UNIFORM)
         res = optimize(problem, seed=0)
         assert sum(n for n, _ in calls) == res.evaluations_used <= budget
         hist = np.asarray(res.cost_history)

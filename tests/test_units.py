@@ -232,6 +232,8 @@ def test_polarization_error_range():
     lambda: ConstantDetuning(math.nan),
     lambda: LinearDetuning(math.nan, 0.0, 0.47),
     lambda: KnotDetuning((0.0, 1.0), (0.0, math.nan)),
+    lambda: GaussianWavePacket(0.0, math.nan),
+    lambda: GaussianWavePacket(math.nan, 0.05),
 ])
 def test_constructors_refuse_non_finite_parameters(make):
     with pytest.raises(ValueError, match="finite"):
