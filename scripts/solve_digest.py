@@ -28,6 +28,10 @@ the digests of the families that solve pulses with it.  The families:
 - polish: the same for a budget-300 oct_mirror_problem on three
   momenta at seed 0, the smallest search that runs the Nelder-Mead
   polish and touch-up (at budget 100 the polish is skipped);
+- warm: the same for a budget-150 oct_mirror_problem on three packet
+  quantiles at seed 7, ranked with the knot table's two warm starts
+  (regenerate_knot_table.WARM_STARTS): the warm-start path of the
+  knot-table recipe in seconds rather than minutes;
 - tls: the final amplitudes of tls.evolve_tls at rtol 1e-10, for the
   bs pulse of every built-in strategy at epsilon 0 and 0.05, and for a
   5 x 5 grid of Gaussian pulses (tau 0.3 to 0.6, peak 1 to 3) at
@@ -49,7 +53,8 @@ change, and compare the output:
 
     PYTHONPATH=src python3 scripts/solve_digest.py
 
-Takes about ten seconds on one core, four of them in the polish family.
+Takes about thirteen seconds on one core, four of them in the polish
+family and three in the warm family.
 """
 
 import hashlib
@@ -63,6 +68,7 @@ from dbdsim import cli, interferometer, strategies, tls
 from dbdsim.io import ScenarioConfig
 from dbdsim.multilevel import build_hamiltonian, propagate_unitaries
 from dbdsim.units import ConstantDetuning, GaussianWavePacket, PulseEnvelope
+from regenerate_knot_table import WARM_STARTS  # this script's directory
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "perfbench" / "scenarios"
@@ -208,6 +214,13 @@ def polish_digest():
     return _result_digest(strategies.optimize(problem, seed=0))
 
 
+def warm_digest():
+    problem = strategies.oct_mirror_problem(
+        budget=150, momentum_samples=strategies.packet_quantiles(3, 0.05),
+        warm_starts=WARM_STARTS)
+    return _result_digest(strategies.optimize(problem, seed=7))
+
+
 def tls_digest():
     pulses = [(*strategies.builtin_strategy(name).bs, eps)
               for name in STRATEGIES for eps in (0.0, 0.05)]
@@ -237,6 +250,7 @@ def main():
                          ("ideal", ideal_digest),
                          ("optimize", optimize_digest),
                          ("polish", polish_digest),
+                         ("warm", warm_digest),
                          ("tls", tls_digest),
                          ("escan", escan_digest),
                          ("pescan", pescan_digest),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import IntegratorFailure, ResolutionError, SpectralOverflow
-from .units import carrier_factor
+from .units import _require_finite, carrier_factor
 
 _TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-9  # norm fractions: band-edge overflow, and what the
@@ -207,6 +207,7 @@ def momentum_histogram(state, p0=0.0):
     for |k| <= 5; they tile that band exactly, and `residual` collects
     everything outside it.
     """
+    _require_finite("ladder center p0", p0)
     dens = np.abs(state.amp) ** 2
     ports = _ports(state, p0)
     pops = {port: float(np.sum(dens[ports == port]))
@@ -227,7 +228,8 @@ def free_propagate_analytic(state, g, T):
     Raises SpectralOverflow if more than 1e-9 of the norm sits in
     the two outermost orders, where the ladder stops being trustworthy.
     """
-    if not T >= 0:
+    _require_finite("free fall g and T", g, T)
+    if T < 0:
         raise ValueError("propagation time must be non-negative")
     dens = np.abs(state.amp) ** 2
     total = np.sum(dens)

@@ -158,6 +158,8 @@ def free_phases(p, g, T, n_max=2):
     """
     p = np.asarray(p, dtype=float)[..., None]
     T = np.asarray(T, dtype=float)[..., None]
+    if not (np.isfinite(g) and np.isfinite(p).all() and np.isfinite(T).all()):
+        raise ValueError("free-fall p, g and T must be finite")
     z = np.exp(-1j * (4.0 * T * p + g * T**2))
     base = np.exp(-1j * _theta(p, g, T))[..., None, :]
     return (base * _ladder(z, T, n_max))[..., 0]
@@ -268,6 +270,7 @@ def total_s_matrix(config, p, T, matrices=None):
     """
     if not T >= 0:
         raise ValueError("interrogation time must be non-negative")
+    _require_finite("quasi-momentum p", p)
     g = config.g
     _check_zone(config, T)
     p1, p2, p3 = p, p + 0.5 * g * T, p + g * T

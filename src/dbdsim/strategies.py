@@ -16,7 +16,7 @@ simplex descent from a structured prescan is both robust and cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -144,12 +144,11 @@ def _score(target, u):
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """Search space for one pulse: fixed-shape envelope + K detuning knots.
+    """Search space for one pulse: a fixed envelope + K detuning knots.
 
-    Optional envelope_bounds opens (peak, width, center) as decision
-    variables: a dict like {"peak": (lo, hi)}.  Knot values live in
-    [-delta_max, +delta_max]; out-of-band iterates are clipped, never
-    rejected, so simplex steps cannot wander off.
+    A candidate is its K knot values, and so is each warm start.  Knot
+    values live in [-delta_max, +delta_max]; out-of-band iterates are
+    clipped, never rejected, so simplex steps cannot wander off.
     """
 
     target: str  # bs_balanced | mirror_bidirectional
@@ -158,7 +157,6 @@ class OptimizationProblem:
     momentum_samples: tuple
     epsilon_samples: tuple = (0.0,)
     delta_max: float = 4.0
-    envelope_bounds: dict | None = None
     budget: int = 5000
     rtol: float = 1e-6
     warm_starts: tuple = ()
@@ -179,10 +177,9 @@ class OptimizationProblem:
                              f"{self.delta_max}")
         if self.budget < 100:
             raise ValueError("budget must be at least 100 evaluations")
-        if self.envelope_bounds:
-            bad = set(self.envelope_bounds) - {"peak", "width", "center"}
-            if bad:
-                raise ValueError(f"unknown envelope variables {sorted(bad)}")
+        k = len(self.knot_times)
+        if any(len(w) != k for w in self.warm_starts):
+            raise ValueError(f"a warm start must hold {k} knot values")
 
 
 @dataclass(frozen=True)
@@ -235,23 +232,11 @@ def optimize(problem, seed=0):
     rng = np.random.default_rng(seed)
     times = np.asarray(problem.knot_times, dtype=float)
     k = times.size
-    env_vars = sorted(problem.envelope_bounds) if problem.envelope_bounds \
-        else []
-    n_env = len(env_vars)
 
     def build(x):
-        x = np.asarray(x, dtype=float)
-        env = problem.envelope
-        if n_env:
-            fields = {}
-            for i, name in enumerate(env_vars):
-                lo, hi = problem.envelope_bounds[name]
-                fields[name] = float(np.clip(x[i], lo, hi))
-            env = replace(env, **fields)
-        knots = np.clip(x[n_env:], -problem.delta_max, problem.delta_max)
-        protocol = KnotDetuning(tuple(times), tuple(knots),
-                                bound=problem.delta_max)
-        return env, protocol
+        knots = np.clip(x, -problem.delta_max, problem.delta_max)
+        return problem.envelope, KnotDetuning(tuple(times), tuple(knots),
+                                              bound=problem.delta_max)
 
     used, best_cost, best_x, history = 0, math.inf, None, []
 
@@ -269,27 +254,10 @@ def optimize(problem, seed=0):
                 history.append(c)
         return costs
 
-    env_mid = [0.5 * sum(problem.envelope_bounds[v]) for v in env_vars]
-
-    def full_vector(knots_or_full):
-        vec = np.asarray(knots_or_full, dtype=float)
-        if vec.size == n_env + k:
-            return vec
-        if vec.size == k:
-            return np.concatenate((env_mid, vec))
-        raise ValueError("warm start has the wrong number of variables")
-
-    candidates = [full_vector(w) for w in problem.warm_starts]
-    candidates += [full_vector(kn)
-                   for kn in _structured_knots(times, problem.delta_max)]
-    n_random = min(160, problem.budget // 8)
-    for _ in range(n_random):
-        kn = rng.uniform(-problem.delta_max, problem.delta_max, k)
-        if n_env:
-            ev = [rng.uniform(*problem.envelope_bounds[v]) for v in env_vars]
-            candidates.append(np.concatenate((ev, kn)))
-        else:
-            candidates.append(kn)
+    candidates = [np.asarray(w, dtype=float) for w in problem.warm_starts]
+    candidates += _structured_knots(times, problem.delta_max)
+    candidates += [rng.uniform(-problem.delta_max, problem.delta_max, k)
+                   for _ in range(min(160, problem.budget // 8))]
 
     # The prescan is one grouped solve, cut to the budget.  The budget
     # floor of 100 makes it at least 81 structured candidates.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import IntegratorFailure, PoleProximity
 from .multilevel import _einsum, solve_ivp
-from .units import RESONANCE, PulseEnvelope
+from .units import RESONANCE, PulseEnvelope, _require_finite
 
 POLE_GUARD = 1e-6
 _S2H = math.sqrt(2.0) / 2.0
@@ -111,10 +111,14 @@ def rwa_probability(omega, delta_diff, t):
     P = (2 Omega**2 / (2 Omega**2 + delta_diff**2))
         * sin( sqrt(2 Omega**2 + delta_diff**2) t / 2 )**2
     """
+    _require_finite("Rabi frequency", omega)
     if omega < 0:
         raise ValueError("Rabi frequency must be non-negative")
-    w2 = 2.0 * omega**2 + np.asarray(delta_diff, dtype=float) ** 2
+    delta_diff = np.asarray(delta_diff, dtype=float)
     t = np.asarray(t, dtype=float)
+    if not (np.isfinite(delta_diff).all() and np.isfinite(t).all()):
+        raise ValueError("detuning and time must be finite")
+    w2 = 2.0 * omega**2 + delta_diff**2
     out = np.where(w2 > 0,
                    (2.0 * omega**2 / np.where(w2 > 0, w2, 1.0))
                    * np.sin(np.sqrt(w2) * t / 2.0) ** 2,
@@ -145,6 +149,7 @@ def ac_stark_coefficients(omega, delta=0.0, epsilon=0.0):
     The detuning-dependent term has poles at Delta = 8 and Delta = -16;
     inputs within 1e-6 of either raise PoleProximity.
     """
+    _require_finite("drive parameters", omega, delta, epsilon)
     if abs(delta - 2 * RESONANCE) < POLE_GUARD or \
             abs(delta + 4 * RESONANCE) < POLE_GUARD:
         raise PoleProximity(

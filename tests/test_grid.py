@@ -196,6 +196,13 @@ class TestHistogram:
         assert sum(hist.populations.values()) == pytest.approx(0.0,
                                                                abs=1e-12)
 
+    @pytest.mark.parametrize("p0", [math.nan, math.inf])
+    def test_non_finite_center_refused(self, p0):
+        # not a histogram with the whole norm in the residual
+        state = prepare_wavepacket(SMALL, GaussianWavePacket(0.0, 0.05))
+        with pytest.raises(ValueError, match="finite"):
+            momentum_histogram(state, p0)
+
 
 class TestSplitStep:
     def test_norm_drift_over_many_steps(self):

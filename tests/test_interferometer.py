@@ -57,12 +57,20 @@ class TestConfig:
         lambda: t_scan(make_config(strategy=IDEAL), [10.0, math.nan]),
         lambda: t_scan(make_config(strategy=IDEAL), [math.nan, 10.0]),
         lambda: total_s_matrix(make_config(strategy=IDEAL), 0.0, math.nan),
+        lambda: total_s_matrix(make_config(strategy=IDEAL), math.nan, 10.0),
         lambda: free_propagate_analytic(node_wavepacket(
             GridSpec(1024), GaussianWavePacket(), 4), G_SMALL, math.nan),
+        lambda: free_propagate_analytic(node_wavepacket(
+            GridSpec(1024), GaussianWavePacket(), 4), math.nan, 1.0),
+        lambda: free_phases(0.0, math.nan, 1.0),
+        lambda: free_phases([0.0, math.nan], G_SMALL, 1.0),
+        lambda: free_phases(0.0, G_SMALL, [1.0, math.inf]),
         lambda: make_config(g=math.nan),
         lambda: make_config(g=math.inf),
-    ], ids=["t_scan-last", "t_scan-first", "total_s_matrix", "free-flight",
-            "g=nan", "g=inf"])
+    ], ids=["t_scan-last", "t_scan-first", "total_s_matrix",
+            "total_s_matrix-p", "free-flight", "free-flight-g",
+            "free_phases-g", "free_phases-p", "free_phases-T", "g=nan",
+            "g=inf"])
     def test_non_finite_input_is_refused(self, call):
         # bad input (exit 2), not numerical trouble, and never a NaN result
         with pytest.raises(ValueError) as info:

@@ -110,10 +110,12 @@ class TestProblem:
             OptimizationProblem("bs_balanced", NULL[0], (0.0, 1.0), (0.0,),
                                 budget=50)
 
-    def test_envelope_bound_keys(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("warm", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_warm_start_length_refused_when_built(self, warm):
+        # refused by the problem itself, before any optimize call
+        with pytest.raises(ValueError, match="2 knot values"):
             OptimizationProblem("bs_balanced", NULL[0], (0.0, 1.0), (0.0,),
-                                envelope_bounds={"chirp": (0.0, 1.0)})
+                                warm_starts=((0.5, -0.5), warm))
 
     @pytest.mark.parametrize("times", [(), (0.5,)])
     def test_two_knots_at_least(self, times):
@@ -180,11 +182,6 @@ class TestOptimizer:
     def test_bad_warm_start_size(self):
         with pytest.raises(ValueError):
             optimize(tiny_bs_problem(warm_starts=((1.0, 2.0),)), seed=0)
-
-    def test_envelope_variables(self):
-        res = optimize(tiny_bs_problem(
-            envelope_bounds={"peak": (1.5, 2.5)}), seed=0)
-        assert 1.5 <= res.envelope.peak <= 2.5
 
     def test_budget_300_polishes_and_flags_truthfully(self, monkeypatch):
         # a cheap quadratic in the knot values stands in for the solver

@@ -144,6 +144,15 @@ class TestRwa:
         period = 2 * math.pi / math.sqrt(2 * omega**2 + delta**2)
         assert rwa_probability(omega, delta, period / 2) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.inf),
+        (1.0, [0.0, math.nan], 1.0), (1.0, 0.0, np.array([1.0, math.nan])),
+    ])
+    def test_non_finite_input_refused(self, args):
+        # not a transfer probability of 0
+        with pytest.raises(ValueError, match="finite"):
+            rwa_probability(*args)
+
     def test_differential_detuning(self):
         assert differential_detuning(2.0, 0.1) == pytest.approx(
             -0.1 - (3 / 64) * 4.0)
@@ -194,6 +203,14 @@ class TestStark:
             ac_stark_coefficients(1.0, 8.0 + 1e-9)
         with pytest.raises(PoleProximity):
             ac_stark_coefficients(1.0, -16.0)
+
+    @pytest.mark.parametrize("args", [(1.0, math.nan), (math.nan, 0.0),
+                                      (1.0, 0.0, math.inf)])
+    def test_non_finite_input_refused(self, args):
+        # bad input, not a pole, and never a NaN shift
+        with pytest.raises(ValueError, match="finite") as info:
+            ac_stark_coefficients(*args)
+        assert not isinstance(info.value, PoleProximity)
 
     def test_off_resonant_term(self):
         # the state-1 light shift keeps its two-pole structure
