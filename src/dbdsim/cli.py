@@ -98,8 +98,11 @@ def _t_grid_from(cfg, g, points=None):
     """t.min, t.max and t.points together, or the default grid; given a
     default count points, t.points alone spaces over the default span."""
     if points is not None and not (cfg.has("t.min") or cfg.has("t.max")):
+        n = cfg.get_int("t.points", points)
+        if n < 1:
+            raise ConfigError("t.points: need t.points >= 1")
         full = itf.default_t_grid(g)
-        return np.linspace(full[0], full[-1], cfg.get_int("t.points", points))
+        return np.linspace(full[0], full[-1], n)
     if not any(cfg.has(k) for k in ("t.min", "t.max", "t.points")):
         return itf.default_t_grid(g)
     lo = cfg.get_float("t.min")

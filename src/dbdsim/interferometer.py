@@ -371,6 +371,15 @@ def _surrogate_matrices(pulse, label, config):
     return nodes, values, fit
 
 
+def _checked_t_grid(t_grid):
+    """t_grid as a float array, refused unless it is a fringe grid."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if (t_grid.size == 0 or not np.isfinite(t_grid).all() or t_grid[0] < 0
+            or np.any(np.diff(t_grid) < 0)):
+        raise ValueError("t_grid must be non-empty, finite, ascending, >= 0")
+    return t_grid
+
+
 def t_scan(config, t_grid):
     """Fringe signals over an ascending grid of interrogation times T >= 0.
 
@@ -387,10 +396,7 @@ def t_scan(config, t_grid):
     the last splitter and no common phase (no population sees it); a
     row's bits do not depend on its block or on the rest of the grid.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid.size == 0 or not np.isfinite(t_grid).all() or t_grid[0] < 0
-            or np.any(np.diff(t_grid) < 0)):
-        raise ValueError("t_grid must be non-empty, finite, ascending, >= 0")
+    t_grid = _checked_t_grid(t_grid)
     g = config.g
     _check_zone(config, float(t_grid[-1]))
     wp = config.source
@@ -585,7 +591,7 @@ def oracle_fringe(config, t_grid, workers=1):
     strat = config.strategy
     if strat.bs is None:
         raise ValueError(f"strategy {strat.name} has no pulses to run")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _checked_t_grid(t_grid)
     start = grid_mod.node_wavepacket(grid_mod.GridSpec(), config.source,
                                      config.n_nodes)
     after_bs1 = grid_mod.split_step_pulse(start, strat.bs[0], strat.bs[1],

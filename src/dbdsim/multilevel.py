@@ -19,7 +19,6 @@ relative phase the interferometer module consumes.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from importlib import util
@@ -131,7 +130,7 @@ _dop853 = _load_dop853_tableau()
 _STAGES = _dop853.N_STAGES
 _A = [np.ascontiguousarray(_dop853.A[s, :s]) for s in range(_STAGES)]
 _B = _dop853.B
-_C = _dop853.C[:_STAGES]
+_C = np.append(_dop853.C[1:_STAGES], 1.0)[:, None]  # stages 1 to 11; t + h
 _E3, _E5 = _dop853.E3, _dop853.E5
 _EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
@@ -149,36 +148,9 @@ class GroupSolution:
     message: str = ""
 
 
-def _row_dots(x):
-    """x[g].dot(x[g]) for every row: numpy calls the same BLAS dot per row."""
-    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
-
-
-def _rms(x):
-    """scipy's RMS norm, np.linalg.norm(row) / row.size ** 0.5, per row."""
-    return np.sqrt(_row_dots(x)) / x.shape[1] ** 0.5
-
-
-def _error_norms(k, h, scale):
-    """scipy's DOP853 error norm of every group's step.
-
-    k[g] is group g's stage matrix K, and np.matmul over the stack makes
-    the same BLAS call per group as scipy's np.dot(K.T, E).  Each squared
-    norm is np.float64 ** 2 (libm pow), as in scipy; an array ** 2
-    multiplies instead, which pow does not promise to match.
-    """
-    k_t = k.transpose(0, 2, 1)
-    err5, err3 = np.matmul(k_t, _E5), np.matmul(k_t, _E3)
-    err5 /= scale
-    err3 /= scale
-    n = scale.shape[1]
-    norms = []
-    for h_g, e5, e3 in zip(h, np.sqrt(_row_dots(err5)),
-                           np.sqrt(_row_dots(err3))):
-        e5, e3 = e5 ** 2, e3 ** 2
-        norms.append(0.0 if e5 == 0 and e3 == 0 else
-                     abs(h_g) * e5 / np.sqrt((e5 + 0.01 * e3) * n))
-    return norms
+def _norms(x):
+    """np.linalg.norm of every row: numpy makes the same BLAS dot per row."""
+    return np.sqrt(np.matmul(x[..., None, :], x[..., None])[..., 0, 0])
 
 
 def solve_ivp(fun, t0, t1, y0, rtol, atol=None):
@@ -200,14 +172,19 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol=None):
     out.  A step prepares all its stage times at once, since they do not
     depend on y.
 
-    Element-wise work runs on all running groups at once, and so do the
-    stage, solution and error sums and the norms: np.matmul over the
-    stack of groups makes the BLAS call scipy's np.dot makes for each
-    group on its own.  (Concatenated groups would not do: a BLAS dot
-    rounds differently with the length of its vectors.)  The step
-    control is scipy's scalar code, group by group.  The solve stops at
-    the first group whose step falls below scipy's minimum step, and
-    GroupSolution.failed names it.
+    All work, the step control too, runs on arrays over the running
+    groups, and three rules keep scipy's scalar bits.  Norms and sums
+    are the BLAS dots scipy's np.dot makes per group, which np.matmul
+    over the stack of groups makes too (concatenated groups would not
+    do: a dot rounds differently with the length of its vectors).
+    Powers go through np.float_power, libm pow per element as scipy's
+    scalar ** is (np.power and x * x differ from it in the last bit).
+    Python's min(a, b) keeps a NaN a and skips a NaN b: it becomes
+    np.fmin where a cannot be NaN, np.minimum where b cannot and
+    np.where(b < a, b, a) where both can; max likewise.  Divisions and
+    powers run only where scipy's branches take them, so they warn only
+    where scipy's would.  The solve stops at the first group whose step
+    falls below scipy's minimum step; GroupSolution.failed names it.
 
     rtol must be positive; atol defaults to rtol * 1e-2, the rule of
     every solve in the package, taken before scipy raises rtol to its
@@ -218,9 +195,9 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol=None):
     if atol is None:
         atol = rtol * 1e-2
     t = np.array(t0, dtype=float)
-    bounds = np.asarray(t1, dtype=float).tolist()
+    bounds = np.array(t1, dtype=float)
     y = np.array(y0, dtype=float)
-    if not np.all(np.asarray(bounds) > t):
+    if not np.all(bounds > t):
         raise ValueError("every group needs t1 > t0")
     if atol < 0:
         raise ValueError("atol must be non-negative")
@@ -233,43 +210,41 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol=None):
     f = np.empty_like(y)
     fun(t[None], live)(0, y, f)
     scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b,
-                       t_b - t_a)
-                   for a, b, t_a, t_b in zip(d0, d1, t.tolist(), bounds)])
+    d0, d1 = _norms(y / scale) / n ** 0.5, _norms(f / scale) / n ** 0.5
+    h0 = np.minimum(np.divide(0.01 * d0, d1, out=np.full_like(t, 1e-6),
+                              where=~((d0 < 1e-5) | (d1 < 1e-5))), bounds - t)
     f1 = np.empty_like(y)
     fun((t + h0)[None], live)(0, y + h0[:, None] * f, f1)
-    d2 = _rms((f1 - f) / scale) / h0
-    h_abs = [min(100 * h, max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15
-                 else (0.01 / max(b, c)) ** (1 / 8), t_b - t_a)
-             for h, b, c, t_a, t_b in zip(h0, d1, d2, t.tolist(), bounds)]
+    d2 = _norms((f1 - f) / scale) / n ** 0.5 / h0
+    steep = ~((d1 <= 1e-15) & (d2 <= 1e-15))
+    top = np.where(d2 > d1, d2, d1)  # Python's max(d1, d2)
+    h1 = np.float_power(np.divide(0.01, top, out=top, where=steep), 1 / 8,
+                        out=np.fmax(1e-6, h0 * 1e-3), where=steep)
+    h_abs = np.minimum(100 * h0, np.fmin(h1, bounds - t))
     nfev = 2
 
     k = np.empty((n_groups, _STAGES + 1, n))  # k[g] is scipy's K of group g
     k[:, 0] = f
     del f, f1
     y_new = np.empty_like(y)
-    times = t.tolist()
-    rejected = [False] * n_groups
-    err = [0.0] * n_groups
+    accept = np.ones(n_groups, dtype=bool)  # each group's last step
+    all_accepted = True
+    err = np.zeros(n_groups)
     while live.size:
-        h, t_new = [], []
-        for i, t_i in enumerate(times):
-            min_step = 10 * abs(math.nextafter(t_i, math.inf) - t_i)
-            if not rejected[i]:
-                h_abs[i] = max(h_abs[i], min_step)
-            elif not h_abs[i] >= min_step:  # a NaN step fails here too
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        if not all_accepted:  # a NaN step after a rejection fails too
+            ok = accept | (h_abs >= min_step)
+            if np.count_nonzero(ok) < live.size:
+                i = ok.argmin()
                 message = _TOO_SMALL_STEP
-                if not math.isfinite(err[i]):
+                if not np.isfinite(err[i]):
                     message += " The error estimate was not finite."
                 return GroupSolution(out, nfev, int(live[i]), message)
-            t_new.append(min(t_i + h_abs[i], bounds[i]))
-            h.append(t_new[-1] - t_i)
-        t = np.array(times)
-        h_row = np.array(h)
-        h_col = h_row[:, None]
-        # rows 0 to 10 are stages 1 to 11, row 11 is t + h
-        deriv = fun(np.vstack((t + _C[1:, None] * h_row, t + h_row)), live)
+        h_abs = np.maximum(h_abs, min_step)  # a rejected h_abs stays
+        t_new = np.minimum(t + h_abs, bounds)
+        h = t_new - t  # > 0, so scipy's abs(h) is h
+        h_col = h[:, None]
+        deriv = fun(t + _C * h, live)  # 1.0 * h is h
         k_t = k.transpose(0, 2, 1)  # k_t[g, :, :s] is scipy's K[:s].T
         dy = y_new  # scratch until the solution is formed
         for s in range(1, _STAGES):
@@ -281,49 +256,45 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol=None):
         deriv(_STAGES - 1, y_new, k[:, _STAGES])
         nfev += _STAGES
 
-        # atol + max(|y|, |y_new|) * rtol, in place: the stack is large
+        # scipy's error norm, scale = atol + max(|y|, |y_new|) * rtol
         scale = np.abs(y)
         np.maximum(scale, np.abs(y_new), out=scale)
         scale *= rtol
         scale += atol
-        err = _error_norms(k, h, scale)
-        accepted, finished = [], []
-        for i, e in enumerate(err):
-            if e < 1:
-                factor = _MAX_FACTOR if e == 0 else min(
-                    _MAX_FACTOR, _SAFETY * e ** _EXPONENT)
-                if rejected[i]:
-                    factor = min(1, factor)
-                h_abs[i] = abs(h[i]) * factor
-                rejected[i] = False
-                accepted.append(i)
-                times[i] = t_new[i]
-                if t_new[i] - bounds[i] >= 0:
-                    finished.append(i)
-            else:
-                h_abs[i] = abs(h[i]) * max(_MIN_FACTOR,
-                                           _SAFETY * e ** _EXPONENT)
-                rejected[i] = True
-        if finished:
+        errs = np.empty((2,) + y.shape)
+        np.matmul(k_t, _E5, out=errs[0])
+        np.matmul(k_t, _E3, out=errs[1])
+        errs /= scale
+        e5, e3 = np.float_power(_norms(errs), 2)
+        err = np.zeros(live.size)  # where both norms are 0, as in scipy
+        np.divide(h * e5, np.sqrt((e5 + 0.01 * e3) * n), out=err,
+                  where=e5 + e3 != 0)
+
+        # a zero error grows the step by the cap, 1 after a rejection
+        cap = _MAX_FACTOR if all_accepted else np.where(accept, _MAX_FACTOR,
+                                                         1.0)
+        accept = err < 1
+        grow = _SAFETY * np.float_power(err, _EXPONENT, where=err != 0,
+                                        out=np.full_like(err, np.inf))
+        factor = np.fmax(_MIN_FACTOR, grow)
+        h_abs = h * np.fmin(cap, grow, out=factor, where=accept)
+        t = np.where(accept, t_new, t)
+        finished = accept & (t_new - bounds >= 0)
+        done = np.count_nonzero(finished)
+        if done:
             out[live[finished]] = (y_new[finished] - y[finished]) \
                 + y[finished]
-        if len(accepted) == live.size:
+        all_accepted = np.count_nonzero(accept) == live.size
+        if all_accepted:
             y, y_new = y_new, y
             k[:, 0] = k[:, _STAGES]
-        elif accepted:
-            y[accepted] = y_new[accepted]
-            k[accepted, 0] = k[accepted, _STAGES]
-        if finished:
-            # move the running groups to the front, in place
-            keep = sorted(set(range(live.size)) - set(finished))
-            for j, i in enumerate(keep):
-                if i != j:
-                    k[j], y[j] = k[i], y[i]
-            live, k, y, y_new = (live[keep], k[:len(keep)], y[:len(keep)],
-                                 y_new[:len(keep)])
-            times, h_abs, rejected, err, bounds = (
-                [seq[i] for i in keep]
-                for seq in (times, h_abs, rejected, err, bounds))
+        else:
+            y[accept] = y_new[accept]
+            k[accept, 0] = k[accept, _STAGES]
+        if done:
+            live, t, bounds, h_abs, accept, err, k, y, y_new = (
+                x[~finished] for x in (live, t, bounds, h_abs, accept, err,
+                                       k, y, y_new))
     return GroupSolution(out, nfev)
 
 
@@ -371,10 +342,9 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     first-zone surrogates, the packet-summed port population error rose
     from 7.25e-11 to 3.26e-10 (1.78e-11 to 1.45e-10 on the probe) and the
     surrogate Chebyshev tails from about 6e-16 to 5e-12 - 1.5e-10.  A
-    2-D p asks for G groups, one row and
-    one pulse each; they advance in lockstep through solve_ivp, and
-    group g comes out bit for bit as it does alone, whatever the other
-    groups of the call.
+    2-D p asks for G groups, one row and one pulse each; they advance in
+    lockstep through solve_ivp, and group g comes out bit for bit as it
+    does alone, whatever the other groups of the call.
 
     The right-hand side keeps the momentum batch innermost in its work
     matrix, (d, d, B), and copies the states into that layout for the
@@ -514,11 +484,11 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     # U_S = exp(-i E t1) U_I exp(+i E t0) with E the ladder offsets.
     offsets = port_offsets(n_max) ** 2
     v = bare_transform(n_max)
-    out = np.empty_like(u_int)
-    for g in range(n_groups):
-        u_s = np.exp(-1j * offsets[:, None] * t1[g]) * u_int[g] \
-            * np.exp(1j * offsets[None, :] * t0[g])
-        out[g] = v @ u_s @ v.T if basis == "bare" else u_s
+    t0, t1 = (x[:, None, None, None] for x in (t0, t1))
+    out = np.exp(-1j * offsets[:, None] * t1) * u_int \
+        * np.exp(1j * offsets * t0)
+    if basis == "bare":
+        out = v @ out @ v.T
     if grouped:
         return out
     return out[0, 0] if np.ndim(p) == 0 else out[0]

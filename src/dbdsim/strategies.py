@@ -86,6 +86,9 @@ def builtin_strategy(name):
 
 # --- cost functionals -------------------------------------------------
 
+TARGETS = ("bs_balanced", "mirror_bidirectional")  # candidate_costs scores
+
+
 def bs_cost(candidate, momentum_samples, epsilon_samples=(0.0,), rtol=1e-9):
     """Balanced-splitting cost averaged over (p, epsilon) samples.
 
@@ -115,6 +118,8 @@ def candidate_costs(target, candidates, momentum_samples,
     costs are taken at epsilon = 0.  Each candidate is one group of
     propagate_unitaries, so its cost is bit for bit what it scores alone.
     """
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
     p = np.asarray(momentum_samples, dtype=float)
     eps = np.asarray(epsilon_samples if target == "bs_balanced" else (0.0,),
                      dtype=float)
@@ -151,7 +156,7 @@ class OptimizationProblem:
     clipped, never rejected, so simplex steps cannot wander off.
     """
 
-    target: str  # bs_balanced | mirror_bidirectional
+    target: str  # one of TARGETS
     envelope: PulseEnvelope
     knot_times: tuple
     momentum_samples: tuple
@@ -162,7 +167,7 @@ class OptimizationProblem:
     warm_starts: tuple = ()
 
     def __post_init__(self):
-        if self.target not in ("bs_balanced", "mirror_bidirectional"):
+        if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if len(self.momentum_samples) == 0 or len(self.epsilon_samples) == 0:
             raise ValueError("sample sets must be non-empty")

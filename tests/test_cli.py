@@ -597,6 +597,9 @@ def test_packet_outside_the_zone_is_a_config_error(tmp_path, capsys,
     assert not (out.parent / (out.name + ".knots.txt")).exists()
 
 
+# t.points alone spaces over the default grid, with its own count check
+MZ_POINTS_ALONE = "scenario = mz\n" + SOLVED_TSCAN.replace(
+    "t.min = 10\nt.max = 80\n", "")
 REFUSALS = {
     **{f"{command}-rtol={rtol}": (command, config + f"rtol = {rtol}\n",
                                   "rtol must be positive")
@@ -618,6 +621,9 @@ REFUSALS = {
         "strategies: 'ideal' is named twice"),
     "n_nodes=0": ("tscan", SOLVED_TSCAN.replace("n_nodes = 8", "n_nodes = 0"),
                   "n_nodes must be at least 1"),
+    **{f"mz-t.points={n}": ("oracle-compare", MZ_POINTS_ALONE.replace(
+        "t.points = 9", f"t.points = {n}"), "t.points: need t.points >= 1")
+       for n in (-1, 0)},
 }
 
 

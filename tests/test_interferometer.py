@@ -643,3 +643,17 @@ class TestGridOracle:
         cfg = make_config(n_nodes=8, strategy=IDEAL)
         with pytest.raises(ValueError, match="ideal has no pulses"):
             oracle_fringe(cfg, [20.0, 40.0])
+
+    @pytest.mark.parametrize("t_grid", [[], [10.0, math.nan], [40.0, 20.0]],
+                             ids=["empty", "nan", "descending"])
+    def test_refuses_the_grids_t_scan_refuses(self, monkeypatch, t_grid):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused grid must stop the scan first")
+
+        monkeypatch.setattr(interferometer.grid_mod, "split_step_pulse",
+                            refuse)
+        monkeypatch.setattr(interferometer, "propagate_unitaries", refuse)
+        cfg = make_config(n_nodes=8)
+        for scan in (t_scan, oracle_fringe):
+            with pytest.raises(ValueError, match="t_grid must be non-empty"):
+                scan(cfg, t_grid)

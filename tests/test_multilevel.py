@@ -432,6 +432,59 @@ class TestGroups:
                                 t_eval=[t1[g]], rtol=rtol, atol=rtol * 1e-2)
                 assert np.array_equal(sol.y[g], ref.y[:, -1]), (rtol, g)
 
+    @pytest.mark.filterwarnings("error")  # scipy's branches do not warn
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-9])
+    def test_integrator_is_scipy_dop853_on_every_branch(self, rtol):
+        rng = np.random.default_rng(11)
+        mats = rng.normal(0.0, 2.0, (6, 3, 3))
+        push = rng.normal(size=(6, 3))
+        rest = rng.normal(size=3)
+        systems = [
+            # zero state, driven from t0 on: d0 < 1e-5
+            lambda t, y: mats[0] @ y * np.cos(t) + push[0] * np.cos(3 * t),
+            # at rest at t0 and driven as t**6: d1 and d2 <= 1e-15
+            lambda t, y: mats[1] @ (y - rest) * np.cos(t) + push[1] * t ** 6,
+            # a kick at t = 0.6 that grown steps run into: rejections
+            lambda t, y: -0.5 * y + push[2] * np.exp(-((t - 0.6) / 0.05) ** 2),
+            # smooth and long
+            lambda t, y: mats[3] @ y * 0.1 * np.cos(t),
+            # zero state, no drive: every error norm is 0
+            lambda t, y: mats[4] @ y * np.cos(t),
+            # at rest at t0 and driven as sin(t): d1 = 0 < d2
+            lambda t, y: (mats[5] @ (y - rest) * np.cos(t)
+                          + push[5] * np.sin(t)),
+        ]
+        t0 = np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+        t1 = np.array([1.5, 1.2, 1.0, 14.0, 0.5, 0.7])
+        y0 = np.array([np.zeros(3), rest, rng.normal(size=3),
+                       rng.normal(size=3), np.zeros(3), rest])
+        assert not systems[1](t0[1], y0[1]).any()
+        assert not systems[5](t0[5], y0[5]).any()
+
+        def prepare(times, live):
+            def deriv(j, y, out):
+                for i, g in enumerate(live):
+                    out[i] = systems[g](times[j, i], y[i])
+            return deriv
+
+        sol = multilevel.solve_ivp(prepare, t0, t1, y0, rtol, rtol * 1e-2)
+        assert sol.failed is None
+        attempts, rejections = [], []
+        for g, fun in enumerate(systems):
+            kw = dict(method="DOP853", rtol=rtol, atol=rtol * 1e-2)
+            ref = solve_ivp(fun, (t0[g], t1[g]), y0[g], t_eval=[t1[g]], **kw)
+            assert np.array_equal(sol.y[g], ref.y[:, -1]), g
+            # without t_eval, nfev is 2 + 12 per tried step
+            steps = solve_ivp(fun, (t0[g], t1[g]), y0[g], **kw)
+            attempts.append((steps.nfev - 2) // 12)
+            rejections.append(attempts[-1] - (steps.t.size - 1))
+        # one lockstep step per step of the longest group, and some group
+        # rejects while a group that never rejects is still running
+        assert sol.nfev == 2 + 12 * max(attempts)
+        assert any(rejections[a] and not rejections[b]
+                   and attempts[b] >= attempts[a]
+                   for a in range(6) for b in range(6))
+
     def test_shared_momenta_and_scalar_epsilon(self):
         pulses = builtin_pulses()[:3]
         p = np.array([-0.1, 0.05])

@@ -12,6 +12,7 @@ from dbdsim.strategies import (
     OptimizationProblem,
     bs_cost,
     builtin_strategy,
+    candidate_costs,
     integrated_mirror_efficiency,
     load_knot_table,
     mirror_cost,
@@ -33,6 +34,10 @@ from checks import bs_envelope, bs_protocol, mirror_envelope, mirror_protocol
 NULL = (PulseEnvelope("box", 0.0, 0.5), ConstantDetuning(0.0))
 # the CLI's uniform mirror samples: n_samples = 17, sample_halfwidth = 0.2
 UNIFORM = tuple(np.linspace(-0.2, 0.2, 17))
+
+
+def refuse_to_solve(*args, **kwargs):
+    raise AssertionError("a refused argument must stop the cost first")
 
 
 class TestBuiltins:
@@ -98,6 +103,11 @@ class TestCosts:
             bs_cost(NULL, ())
         with pytest.raises(ValueError):
             mirror_cost(NULL, ())
+
+    def test_unknown_target_refused_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(strategies, "propagate_unitaries", refuse_to_solve)
+        with pytest.raises(ValueError, match="unknown target 'bogus'"):
+            candidate_costs("bogus", [NULL], (0.0, 0.1))
 
 
 class TestProblem:
