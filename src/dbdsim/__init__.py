@@ -33,7 +33,6 @@ from .interferometer import (
     default_t_grid,
     extract_contrast,
     fluctuation_robustness,
-    free_phases,
     ideal_bs_matrix,
     ideal_mirror_matrix,
     oracle_fringe,

@@ -146,32 +146,15 @@ def ideal_mirror_matrix(n_max=2):
     return m
 
 
-def free_phases(p, g, T, n_max=2):
-    """Diagonal free-fall phases, batched over the leading axes of p.
-
-    Entry k is exp[-i theta(q)], theta(q) = T q^2 + (g T^2/2) q, at
-    q = p + 2k; afterwards the ladder is re-centered at p + gT/2.  T
-    broadcasts against the leading axes of p.  Since theta(p + 2k) =
-    theta(p) + k(4Tp + gT^2) + 4Tk^2, entry k is exp[-i theta(p)] z^k
-    exp(-4iTk^2) with z = exp[-i(4Tp + gT^2)], conj(z)^|k| for negative
-    k: two exponentials per momentum and n_max per T.
-    """
-    p = np.asarray(p, dtype=float)[..., None]
-    T = np.asarray(T, dtype=float)[..., None]
-    if not (np.isfinite(g) and np.isfinite(p).all() and np.isfinite(T).all()):
-        raise ValueError("free-fall p, g and T must be finite")
-    z = np.exp(-1j * (4.0 * T * p + g * T**2))
-    base = np.exp(-1j * _theta(p, g, T))[..., None, :]
-    return (base * _ladder(z, T, n_max))[..., 0]
-
-
 def _theta(q, g, T):
     return T * q**2 + 0.5 * g * T**2 * q
 
 
 def _ladder(z, T, n_max):
-    """Free-fall phases of the orders relative to order 0, z^k
-    exp(-4iTk^2) at +2k and conj(z)^k exp(-4iTk^2) at -2k, in
+    """Free-fall phases of the orders relative to order 0, the one
+    builder of U's diagonal: since theta(p + 2k) = theta(p)
+    + k(4Tp + gT^2) + 4Tk^2, they are z^k exp(-4iTk^2) at +2k and
+    conj(z)^k exp(-4iTk^2) at -2k, with z = exp[-i(4Tp + gT^2)], in
     port_offsets order on an axis before the last of the batch z and T
     broadcast to.  The batch has an axis, so every product runs through
     numpy's array loops, never its scalar math, and an element rounds
@@ -438,6 +421,7 @@ def t_scan(config, t_grid):
 def default_t_grid(g):
     """103 T samples uniform in x = 4|g|T^2 over [0.05 pi, 2.6 pi], so
     steps of pi / 40 in x: dense enough for extrema work."""
+    _require_finite("acceleration g", g)
     if g == 0:
         raise ValueError("need a non-zero acceleration for a fringe grid")
     x = np.linspace(0.05 * math.pi, 2.6 * math.pi, 103)
@@ -465,12 +449,14 @@ def extract_contrast(scan):
     """Peak-to-trough amplitude of the first fringe period of P_sum.
 
     A single-harmonic least-squares fit in x = 4|g|T^2 locates the
-    dominant fringe's first crest and trough; the raw signal is then
-    searched within a half-period window around each and refined by a
-    three-point parabola.  Fitting first makes the search immune to the
-    fast parasitic wiggles that ride on offset-momentum fringes, which
-    would otherwise masquerade as the first local extremum.  The RMS
-    residual of that fit is reported as fit_residual.
+    dominant fringe's first crest at or after the scan start, and the
+    trough pi after it (pi before it when that is past the scan's end);
+    the raw signal is then searched within a half-period window around
+    each and refined by a three-point parabola.  Fitting first makes the
+    search immune to the fast parasitic wiggles that ride on
+    offset-momentum fringes, which would otherwise masquerade as the
+    first local extremum.  The RMS residual of that fit is reported as
+    fit_residual.
     """
     g = scan.config.g
     signal = scan.p_sum
@@ -488,8 +474,8 @@ def extract_contrast(scan):
     amp = math.hypot(c, s)
     if amp < 1e-12:
         raise NoExtremaFound("fringe amplitude indistinguishable from zero")
-    x_crest = math.atan2(s, c) % (2.0 * math.pi)
-    x_trough = x_crest + math.pi
+    x_crest = x[0] + (math.atan2(s, c) - x[0]) % (2.0 * math.pi)
+    x_trough = x_crest + (math.pi if x_crest + math.pi <= x[-1] else -math.pi)
 
     def windowed(center, sign):
         mask = (x >= center - 0.5 * math.pi) & (x <= center + 0.5 * math.pi)
@@ -512,8 +498,10 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
 
     Each shot draws one relative scale for both splitters and one for
     the mirror from Normal(1, sigma_r), rebuilds the pulse matrices and
-    re-extracts the contrast.  Deterministic for a given seed.  The
-    ideal strategy has no pulses to perturb: ValueError.
+    re-extracts the contrast; all scales are drawn before the first
+    solve, and one <= 0 is a ValueError naming sigma_r and the shot.
+    Deterministic for a given seed.  The ideal strategy has no pulses to
+    perturb: ValueError.
 
     The mean and population std are taken about the first shot, which
     leaves both statistics unchanged up to rounding but keeps them exact
@@ -523,17 +511,20 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
     strat = config.strategy
     if strat.bs is None:
         raise ValueError(f"strategy {strat.name} has no pulses to perturb")
-    if sigma_r < 0:
-        raise ValueError("relative spread must be non-negative")
+    if not 0 <= sigma_r < math.inf:
+        raise ValueError(f"sigma_r must be finite and non-negative, "
+                         f"got {sigma_r}")
     if n_shots < 2:
         raise ValueError("need at least two shots")
     if t_grid is None:
         t_grid = default_t_grid(config.g)
-    rng = np.random.default_rng(seed)
+    scales = np.random.default_rng(seed).normal(1.0, sigma_r, (n_shots, 2))
+    for i, row in enumerate(scales):
+        if not (row > 0).all():
+            raise ValueError(f"sigma_r = {sigma_r:g} draws drive scale "
+                             f"{row.min():.3g} <= 0 for shot {i}")
     contrasts = []
-    for _ in range(n_shots):
-        bs_scale = rng.normal(1.0, sigma_r)
-        m_scale = rng.normal(1.0, sigma_r)
+    for bs_scale, m_scale in scales.tolist():
         shot = StrategySpec(
             strat.name,
             (strat.bs[0].scaled(bs_scale), strat.bs[1]),

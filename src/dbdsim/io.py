@@ -11,9 +11,9 @@ ConfigError naming the offending key, so CLI validation messages stay
 actionable.
 
 Result tables serialize to CSV (provenance as `#` header lines) or JSON
-(same schema as an object).  All CSV numerics use 17 significant
-digits, which round-trips 64-bit floats exactly; re-serializing a
-parsed table reproduces the file byte for byte.
+(same schema as an object); only CSV is read back.  All CSV numerics
+use 17 significant digits, which round-trips 64-bit floats exactly;
+re-serializing a parsed table reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -105,10 +105,8 @@ class ScenarioConfig:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") \
                 from None
 
-    def get_float_list(self, key, default=_REQUIRED):
-        raw = self.get_str(key, default)
-        if raw is default and key not in self.values:
-            return default
+    def get_float_list(self, key):
+        raw = self.get_str(key)
         parts = [p for p in str(raw).replace(",", " ").split() if p]
         if not parts:
             raise ConfigError(f"{key}: expected a list of numbers")
@@ -205,12 +203,6 @@ class ResultTable:
         }
         return json.dumps(payload, indent=2, allow_nan=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(payload["columns"], payload["rows"],
-                   payload.get("provenance", {}))
-
     # -- dispatch -----------------------------------------------------
 
     def write(self, path, fmt="csv"):
@@ -226,11 +218,7 @@ class ResultTable:
     @classmethod
     def read(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return cls.from_json(text)
-        return cls.from_csv(text)
+            return cls.from_csv(fh.read())
 
     def equal_payload(self, other):
         """Same columns, rows and provenance, timestamp excluded."""

@@ -186,21 +186,21 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol=None):
     where scipy's would.  The solve stops at the first group whose step
     falls below scipy's minimum step; GroupSolution.failed names it.
 
-    rtol must be positive; atol defaults to rtol * 1e-2, the rule of
-    every solve in the package, taken before scipy raises rtol to its
-    floor of 100 machine epsilons.
+    rtol and atol must be positive and finite; atol defaults to rtol *
+    1e-2, the rule of every solve in the package, taken before scipy
+    raises rtol to its floor of 100 machine epsilons.
     """
-    if not rtol > 0:
-        raise ValueError(f"rtol must be positive, got {rtol:g}")
     if atol is None:
         atol = rtol * 1e-2
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0 < tol < np.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {tol:g}")
     t = np.array(t0, dtype=float)
     bounds = np.array(t1, dtype=float)
     y = np.array(y0, dtype=float)
     if not np.all(bounds > t):
         raise ValueError("every group needs t1 > t0")
-    if atol < 0:
-        raise ValueError("atol must be non-negative")
     rtol = max(rtol, 100 * np.finfo(float).eps)
     n_groups, n = y.shape
     live = np.arange(n_groups)

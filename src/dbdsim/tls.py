@@ -102,6 +102,7 @@ def evolve_tls(initial, env, protocol, epsilon=0.0, rtol=1e-10):
 
 def differential_detuning(omega, delta):
     """delta_diff = -Delta - (3/64) Omega**2, the shift-corrected detuning."""
+    _require_finite("Rabi frequency and detuning", omega, delta)
     return -delta - (3.0 / 64.0) * omega**2
 
 
@@ -128,6 +129,7 @@ def rwa_probability(omega, delta_diff, t):
 
 def rwa_hamiltonian(omega, delta_diff):
     """Rotating-frame 2x2 matrix [[0, s], [s, delta_diff]], s = sqrt2/2 Omega."""
+    _require_finite("Rabi frequency and detuning", omega, delta_diff)
     s = _S2H * omega
     return np.array([[0.0, s], [s, delta_diff]], dtype=complex)
 
@@ -137,6 +139,7 @@ def pulse_area_probability(omega_r, tau):
 
     Perfect splitting at Omega_R tau = sqrt(pi)/2.
     """
+    _require_finite("peak Rabi frequency and width", omega_r, tau)
     return float(np.sin(math.sqrt(math.pi) * omega_r * tau) ** 2)
 
 

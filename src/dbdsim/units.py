@@ -104,12 +104,6 @@ class PulseEnvelope:
                                      / (-2 * self.width**2))
         return np.where((t >= lo) & (t <= hi), val, 0.0)
 
-    def area(self):
-        """Integral of Omega(t) over the full (untruncated) pulse."""
-        if self.shape == "gaussian":
-            return self.peak * self.width * math.sqrt(2 * math.pi)
-        return self.peak * self.width
-
     def scaled(self, factor):
         """Same envelope with the peak multiplied by `factor`."""
         return PulseEnvelope(self.shape, self.peak * factor, self.width,
@@ -124,7 +118,7 @@ class ConstantDetuning:
     bound: float = DEFAULT_DETUNING_BOUND
 
     def __post_init__(self):
-        _require_finite("detuning", self.value)
+        _require_finite("detuning and its bound", self.value, self.bound)
         if abs(self.value) > self.bound:
             raise BoundViolation(
                 f"constant detuning {self.value} exceeds bound {self.bound}")
@@ -151,7 +145,7 @@ class LinearDetuning:
 
     def __post_init__(self):
         _require_finite("sweep parameters", self.alpha, self.beta,
-                        self.width, self.center)
+                        self.width, self.center, self.bound)
 
     def evaluate(self, t, check=True):
         t = np.asarray(t, dtype=float)
@@ -226,7 +220,7 @@ class KnotDetuning:
             raise ValueError("knot times and values differ in length")
         if len(times) < 2:
             raise ValueError("need at least two knots")
-        _require_finite("knots", *times, *values)
+        _require_finite("knots and their bound", *times, *values, self.bound)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("knot times must be strictly increasing")
         if any(abs(v) > self.bound for v in values):

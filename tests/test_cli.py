@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -159,8 +160,9 @@ class TestTscan:
     def test_json_output(self, tmp_path):
         code, out = run(tmp_path, "tscan", IDEAL_TSCAN, fmt="json")
         assert code == 0
-        assert out.read_text().lstrip().startswith("{")
-        assert len(ResultTable.read(str(out)).rows) == 41
+        table = json.loads(out.read_text())
+        assert table["columns"] == ["T", "P1", "P2", "P3", "P_sum"]
+        assert len(table["rows"]) == 41
 
 
 SWEEP = """
@@ -204,6 +206,17 @@ class TestContrastSweep:
                              "contrast_oct_hybrid")
         assert a.equal_payload(ResultTable.read(str(pooled)))
 
+    def test_crest_before_the_scan_start(self, tmp_path):
+        # x = 4gT^2 from 5.0 to 11.5: the first crest in the scan is 3 pi
+        late = (SWEEP.replace("values = 0.03 0.05", "values = 0.05")
+                .replace("t.min = 10", "t.min = 59.2")
+                .replace("t.max = 80", "t.max = 89.7")
+                .replace("t.points = 9", "t.points = 200"))
+        code, out = run(tmp_path, "contrast-sweep", late)
+        assert code == 0
+        contrast = ResultTable.read(str(out)).column("contrast_ideal")
+        assert contrast == pytest.approx([1.0], abs=1e-6)
+
     def test_empty_strategy_list(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(interferometer, "t_scan", refuse_to_run)
         code, out = run(tmp_path, "contrast-sweep",
@@ -245,11 +258,23 @@ class TestFluctuation:
     def test_zero_noise_has_exact_zero_spread(self, tmp_path):
         code, out = run(tmp_path, "fluctuation", FLUCTUATION, fmt="json")
         assert code == 0
-        table = ResultTable.read(str(out))
-        assert table.columns == ("shot", "contrast")
-        assert float(table.provenance["std_contrast"]) == 0.0
-        mean = float(table.provenance["mean_contrast"])
-        assert table.column("contrast") == [mean] * 5
+        table = json.loads(out.read_text())
+        assert table["columns"] == ["shot", "contrast"]
+        assert float(table["provenance"]["std_contrast"]) == 0.0
+        mean = float(table["provenance"]["mean_contrast"])
+        assert [row[1] for row in table["rows"]] == [mean] * 5
+
+    def test_non_positive_drive_scale_names_sigma_r(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # seed 0 draws a splitter or mirror scale <= 0 in shot 6 of 10
+        monkeypatch.setattr(interferometer, "t_scan", refuse_to_run)
+        config = FLUCTUATION.replace("ds_dbd", "c_dbd").replace(
+            "sigma_r = 0\n", "sigma_r = 0.5\n").replace(
+            "n_shots = 5", "n_shots = 10")
+        code, out = run(tmp_path, "fluctuation", config, extra=("--seed", "0"))
+        assert code == 2
+        assert "sigma_r = 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ideal_has_no_pulses_to_perturb(self, tmp_path, capsys,
                                             monkeypatch):

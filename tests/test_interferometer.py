@@ -14,7 +14,6 @@ from dbdsim.interferometer import (
     default_t_grid,
     extract_contrast,
     fluctuation_robustness,
-    free_phases,
     ideal_bs_matrix,
     ideal_mirror_matrix,
     oracle_fringe,
@@ -62,15 +61,13 @@ class TestConfig:
             GridSpec(1024), GaussianWavePacket(), 4), G_SMALL, math.nan),
         lambda: free_propagate_analytic(node_wavepacket(
             GridSpec(1024), GaussianWavePacket(), 4), math.nan, 1.0),
-        lambda: free_phases(0.0, math.nan, 1.0),
-        lambda: free_phases([0.0, math.nan], G_SMALL, 1.0),
-        lambda: free_phases(0.0, G_SMALL, [1.0, math.inf]),
         lambda: make_config(g=math.nan),
         lambda: make_config(g=math.inf),
+        lambda: default_t_grid(math.nan),
+        lambda: default_t_grid(math.inf),
     ], ids=["t_scan-last", "t_scan-first", "total_s_matrix",
-            "total_s_matrix-p", "free-flight", "free-flight-g",
-            "free_phases-g", "free_phases-p", "free_phases-T", "g=nan",
-            "g=inf"])
+            "total_s_matrix-p", "free-flight", "free-flight-g", "g=nan",
+            "g=inf", "default_t_grid-nan", "default_t_grid-inf"])
     def test_non_finite_input_is_refused(self, call):
         # bad input (exit 2), not numerical trouble, and never a NaN result
         with pytest.raises(ValueError) as info:
@@ -108,6 +105,15 @@ class TestIdealMatrices:
             assert np.array_equal(wide[:, 5:], np.eye(7)[:, 5:])
 
 
+def ladder(p, g, T, n_max=2):
+    """_ladder's free-fall phases relative to order 0 at momenta p and
+    times T, broadcast, with the ports on the last axis."""
+    p = np.asarray(p, dtype=float)[..., None]
+    T = np.asarray(T, dtype=float)[..., None]
+    z = np.exp(-1j * (4.0 * T * p + g * T**2))
+    return interferometer._ladder(z, T, n_max)[..., 0]
+
+
 class TestFreePropagation:
     def test_port_offsets(self):
         assert np.array_equal(port_offsets(2), [0.0, 2.0, -2.0, 4.0, -4.0])
@@ -116,16 +122,18 @@ class TestFreePropagation:
 
     def test_diagonal_phases(self):
         p, g, T = 0.04, 0.001, 12.0
-        u = free_phases(p, g, T)
-        q = p + 2.0
-        expected = np.exp(-1j * (T * q**2 + 0.5 * g * T**2 * q))
-        assert u[1] == pytest.approx(expected, abs=1e-14)
-        batch = free_phases(np.array([[p, 0.0]]), g, T)
+        u = ladder(p, g, T)
+        q = np.array([p, p + 2.0])
+        theta = T * q**2 + 0.5 * g * T**2 * q
+        assert u[0] == 1.0
+        assert u[1] == pytest.approx(np.exp(-1j * (theta[1] - theta[0])),
+                                     abs=1e-14)
+        batch = ladder(np.array([[p, 0.0]]), g, T)
         assert batch.shape == (1, 2, 5)
         assert np.array_equal(batch[0, 0], u)
 
     def test_wider_ladder_shape(self):
-        u = free_phases(0.0, 0.0, 5.0, n_max=3)
+        u = ladder(0.0, 0.0, 5.0, n_max=3)
         assert u.shape == (7,)
         assert np.allclose(np.abs(u), 1.0)
 
@@ -138,11 +146,12 @@ class TestFreePropagation:
         T = rng.uniform(0.0, 200.0, (12, 1))
         T[-1] = 200.0
         for g in (-2e-3, rng.uniform(-2e-3, 2e-3), 2e-3):
-            u = free_phases(p, g, T, n_max)
+            u = ladder(p, g, T, n_max)
             ld = np.longdouble
-            q = p.astype(ld)[:, None] + port_offsets(n_max).astype(ld)
+            q, p_ld = port_offsets(n_max).astype(ld), p.astype(ld)[:, None]
             t = T.astype(ld)[..., None]
-            theta = t * q**2 + ld(g) * t**2 * q / 2
+            # theta(p + q) - theta(p) at the port offsets q
+            theta = t * q * (2 * p_ld + q) + ld(g) * t**2 * q / 2
             err = np.hypot(u.real - np.cos(theta), u.imag + np.sin(theta))
             assert np.max(err) <= 1e-12
 
@@ -150,11 +159,10 @@ class TestFreePropagation:
         p = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 40))
         T = np.array([0.0, 12.5, 77.0, 200.0])
         for n_max in (1, 2, 3):
-            batch = free_phases(p, 1.5e-3, T[:, None, None], n_max)
+            batch = ladder(p, 1.5e-3, T[:, None, None], n_max)
             assert batch.shape == (4, 3, 40, 2 * n_max + 1)
             for i, t in enumerate(T):
-                assert np.array_equal(batch[i],
-                                      free_phases(p, 1.5e-3, t, n_max))
+                assert np.array_equal(batch[i], ladder(p, 1.5e-3, t, n_max))
 
 
 class TestComposition:
@@ -203,11 +211,15 @@ class TestComposition:
         cfg = make_config(g=g, n_max=n_max, detection="resolved",
                           source=GaussianWavePacket(0.0, 0.01))
         s = total_s_matrix(cfg, p, T=T, matrices=(b1, m, b3))
-        u1 = free_phases(p, g, T, n_max)
-        u2 = free_phases(p + 0.5 * g * T, g, T, n_max)
+        # U = exp[-i(T q^2 + g T^2 q / 2)] at q = p1 + 2k and p2 + 2k
+        u1, u2 = (np.exp(-1j * (T * q**2 + 0.5 * g * T**2 * q))
+                  for q in (p + port_offsets(n_max),
+                            p + 0.5 * g * T + port_offsets(n_max)))
         direct = sum(np.outer(b3[:, l] * u2[l], b1[k, :]) * m[l, k] * u1[k]
                      for k, l in pairs)
-        assert np.max(np.abs(s - direct)) < 1e-14
+        # each side rounds the phases, of up to T (2 n_max)^2, its own way
+        tol = 2 * np.finfo(float).eps * T * (2 * n_max) ** 2
+        assert np.max(np.abs(s - direct)) < tol
 
 
 class TestThreePaths:
@@ -551,6 +563,18 @@ class TestContrast:
         assert 4.0 * G_SMALL * res.t_max**2 == pytest.approx(math.pi,
                                                              abs=1e-2)
 
+    def test_crest_before_the_scan_start(self):
+        # x = 4gT^2 runs from 5.0 to 11.5: the fit's crest at pi lies
+        # before the scan, so the first crest in it is 3 pi, and the
+        # trough pi after that is past the end, so it is 2 pi
+        t = np.linspace(59.2, 89.7, 200)
+        res = extract_contrast(t_scan(make_config(strategy=IDEAL), t))
+        assert res.contrast == pytest.approx(1.0, abs=1e-6)
+        assert 4.0 * G_SMALL * res.t_max**2 == pytest.approx(3 * math.pi,
+                                                             abs=1e-6)
+        assert 4.0 * G_SMALL * res.t_min**2 == pytest.approx(2 * math.pi,
+                                                             abs=1e-6)
+
     def test_parabolic_vertex_on_nonuniform_grid(self):
         x = np.array([1.0, 1.07, 1.3])
         y = 0.5 - 2.0 * (x - 1.13) ** 2
@@ -594,6 +618,19 @@ class TestFluctuations:
             fluctuation_robustness(cfg, -0.01)
         with pytest.raises(ValueError):
             fluctuation_robustness(cfg, 0.03, n_shots=1)
+
+    @pytest.mark.parametrize("sigma_r", [math.nan, math.inf])
+    def test_non_finite_spread_refused(self, sigma_r):
+        with pytest.raises(ValueError, match="sigma_r"):
+            fluctuation_robustness(make_config(), sigma_r)
+
+    def test_non_positive_scale_refused_before_any_solve(self, monkeypatch):
+        # seed 0 draws a scale <= 0 at sigma_r = 0.5 in a later shot
+        def refuse(*args, **kwargs):
+            raise AssertionError("every scale is drawn before a solve")
+        monkeypatch.setattr(interferometer, "t_scan", refuse)
+        with pytest.raises(ValueError, match="sigma_r = 0.5 .* shot [1-9]"):
+            fluctuation_robustness(make_config(), 0.5, seed=0)
 
     def test_deterministic_and_degenerate_at_zero_noise(self):
         cfg = make_config(n_nodes=16)

@@ -281,7 +281,7 @@ class TestTolerances:
     def prepare(times, live):
         raise AssertionError("a refused tolerance must stop the solve first")
 
-    @pytest.mark.parametrize("rtol", [0.0, -1e-9, -1.0, np.nan])
+    @pytest.mark.parametrize("rtol", [0.0, -1e-9, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("atol", [None, -1.0])  # before the atol check
     def test_rtol_refused_before_any_rhs_call(self, rtol, atol):
         with pytest.raises(ValueError, match="rtol must be positive"):
@@ -289,9 +289,17 @@ class TestTolerances:
                                  rtol, atol)
 
     def test_negative_atol_refused(self):
-        with pytest.raises(ValueError, match="atol must be non-negative"):
+        with pytest.raises(ValueError, match="atol must be positive"):
             multilevel.solve_ivp(self.prepare, [0.0], [1.0], np.ones((1, 2)),
                                  1e-6, -1e-9)
+
+    @pytest.mark.parametrize("atol", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_atol_refused(self, atol):
+        # every client state holds zeros, which atol = 0 divides by
+        with pytest.raises(ValueError,
+                           match="atol must be positive and finite"):
+            multilevel.solve_ivp(self.prepare, [0.0], [1.0], np.zeros((1, 2)),
+                                 1e-6, atol)
 
     def test_atol_derived_from_the_rtol_as_given(self):
         def prepare(times, live):

@@ -145,13 +145,21 @@ class TestRwa:
         assert rwa_probability(omega, delta, period / 2) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("args", [
-        (math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.inf),
-        (1.0, [0.0, math.nan], 1.0), (1.0, 0.0, np.array([1.0, math.nan])),
+        (rwa_probability, math.nan, 0.0, 1.0),
+        (rwa_probability, 1.0, math.nan, 1.0),
+        (rwa_probability, 1.0, 0.0, math.inf),
+        (rwa_probability, 1.0, [0.0, math.nan], 1.0),
+        (rwa_probability, 1.0, 0.0, np.array([1.0, math.nan])),
+        (pulse_area_probability, math.nan, 0.3),
+        (pulse_area_probability, 1.0, math.inf),
+        (differential_detuning, math.nan, 0.0),
+        (rwa_hamiltonian, math.nan, 0.0),
     ])
     def test_non_finite_input_refused(self, args):
-        # not a transfer probability of 0
+        # not a transfer probability, detuning or matrix of NaN
+        fn, *rest = args
         with pytest.raises(ValueError, match="finite"):
-            rwa_probability(*args)
+            fn(*rest)
 
     def test_differential_detuning(self):
         assert differential_detuning(2.0, 0.1) == pytest.approx(

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from dbdsim.exceptions import BoundViolation
 from dbdsim.interferometer import MzConfig
-from dbdsim.strategies import builtin_strategy, load_knot_table
+from dbdsim.strategies import (builtin_strategy, load_knot_table,
+                               parse_knot_table)
 from dbdsim.units import (
     ConstantDetuning,
     GaussianWavePacket,
@@ -37,16 +38,6 @@ def test_carrier_detuning_changes_frequency():
 
 
 class TestPulseEnvelope:
-    def test_box_area(self):
-        env = PulseEnvelope("box", 2.0, 0.47)
-        assert env.area() == pytest.approx(2.0 * 0.47, rel=1e-12)
-
-    def test_gaussian_area(self):
-        env = PulseEnvelope("gaussian", 1.5, 0.8)
-        # full integral of a gaussian, support covers +-6 tau
-        assert env.area() == pytest.approx(1.5 * 0.8 * math.sqrt(2 * math.pi),
-                                           rel=1e-6)
-
     def test_box_support_and_values(self):
         env = PulseEnvelope("box", 2.0, 0.5, center=1.0)
         assert env.support == (1.0, 1.5)
@@ -234,6 +225,10 @@ def test_polarization_error_range():
     lambda: KnotDetuning((0.0, 1.0), (0.0, math.nan)),
     lambda: GaussianWavePacket(0.0, math.nan),
     lambda: GaussianWavePacket(math.nan, 0.05),
+    lambda: ConstantDetuning(0.0, bound=math.nan),
+    lambda: LinearDetuning(0.0, 0.0, 0.47, bound=math.nan),
+    lambda: KnotDetuning((0.0, 1.0), (0.0, 0.0), bound=math.nan),
+    lambda: parse_knot_table("# bound=nan\n0 0\n1 0\n"),
 ])
 def test_constructors_refuse_non_finite_parameters(make):
     with pytest.raises(ValueError, match="finite"):
