@@ -55,7 +55,6 @@ from .strategies import (
     integrated_mirror_efficiency,
     load_knot_table,
     mirror_cost,
-    oct_mirror_envelope,
     oct_mirror_problem,
     optimize,
     save_knot_table,

@@ -27,8 +27,7 @@ from . import __version__
 from . import grid as grid_mod
 from . import interferometer as itf
 from . import multilevel, strategies, tls
-from .exceptions import (NUMERICAL_ERRORS, BoundViolation, ConfigError,
-                         NoExtremaFound)
+from .exceptions import NUMERICAL_ERRORS, ConfigError, NoExtremaFound
 from .io import ResultTable, ScenarioConfig
 from .units import ConstantDetuning, GaussianWavePacket, PulseEnvelope
 
@@ -59,6 +58,14 @@ def _momenta(key, values):
     return values
 
 
+def _keyed(key, make, *args, **kwargs):
+    """make(*args, **kwargs); its ValueError is a ConfigError naming key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _epsilon_from(cfg):
     return _epsilons("epsilon", [cfg.get_float("epsilon", 0.0)])[0]
 
@@ -72,10 +79,7 @@ def _packet_from(cfg, default=None, **fixed):
     for key in ("p0", "sigma_p"):
         if key not in fixed and (cfg.has(f"source.{key}") or kw[key] is None):
             kw[key] = cfg.get_float(f"source.{key}")
-    try:
-        return GaussianWavePacket(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from None
+    return _keyed("source", GaussianWavePacket, **kw)
 
 
 def _mz_from_config(cfg, name=None, source=None):
@@ -119,17 +123,14 @@ def _shape_from(cfg):
 
 
 def _envelope_from(cfg):
-    peak = cfg.get_float("pulse.omega")
-    width = cfg.get_float("pulse.tau")
-    center = cfg.get_float("pulse.center", 0.0)
-    if peak < 0 or width <= 0:
-        raise ConfigError("pulse.omega/pulse.tau: need omega >= 0 and tau > 0")
-    return PulseEnvelope(_shape_from(cfg), peak, width, center)
+    return _keyed("pulse.omega/pulse.tau", PulseEnvelope, _shape_from(cfg),
+                  cfg.get_float("pulse.omega"), cfg.get_float("pulse.tau"),
+                  cfg.get_float("pulse.center", 0.0))
 
 
 def _detuning_from(cfg):
-    return ConstantDetuning(cfg.get_float("pulse.delta", 0.0),
-                            cfg.get_float("pulse.delta_bound", 4.0))
+    return _keyed("pulse.delta", ConstantDetuning,
+                  cfg.get_float("pulse.delta", 0.0))
 
 
 def _pulse_from(cfg):
@@ -202,8 +203,8 @@ def _cmd_efficiency_scan(cfg, args, seed, workers):
              for omega in _axis_from(cfg, "omega")]
     shape = _shape_from(cfg)
     protocol = _detuning_from(cfg)
-    envs = [PulseEnvelope(shape, float(omega), float(tau))
-            for tau, omega in cells]
+    envs = [_keyed("tau/omega", PulseEnvelope, shape, float(omega),
+                   float(tau)) for tau, omega in cells]
 
     if model == "grid_oracle":
         packet = _packet_from(cfg, 0.01)
@@ -299,14 +300,9 @@ def _contrast(config, t_grid):
 def _cmd_fluctuation(cfg, args, seed, workers):
     mz = _mz_from_config(cfg)
     sigma_r = cfg.get_float("sigma_r")
-    if sigma_r < 0:
-        raise ConfigError("sigma_r: must be non-negative")
-    n_shots = cfg.get_int("n_shots", 10)
-    if n_shots < 2:
-        raise ConfigError("n_shots: need at least two shots")
-    result = itf.fluctuation_robustness(mz, sigma_r, n_shots=n_shots,
-                                        seed=seed,
-                                        t_grid=_t_grid_from(cfg, mz.g))
+    result = itf.fluctuation_robustness(
+        mz, sigma_r, n_shots=cfg.get_int("n_shots", 10), seed=seed,
+        t_grid=_t_grid_from(cfg, mz.g))
     table = ResultTable(("shot", "contrast"), enumerate(result.contrasts))
     return table, {"strategy": mz.strategy.name, "sigma_r": sigma_r,
                    "mean_contrast": result.mean,
@@ -316,11 +312,6 @@ def _cmd_fluctuation(cfg, args, seed, workers):
 # --- optimize --------------------------------------------------------
 
 def _cmd_optimize(cfg, args, seed, workers):
-    problem_name = cfg.get_str("problem", "oct_mirror",
-                               choices=("oct_mirror",))
-    budget = cfg.get_int("budget", 5000)
-    if budget <= 0:
-        raise ConfigError("budget: must be a positive evaluation count")
     sampling = cfg.get_str("sampling", "uniform",
                            choices=("uniform", "packet"))
     n_samples = cfg.get_int("n_samples", 17 if sampling == "uniform" else 25)
@@ -336,7 +327,8 @@ def _cmd_optimize(cfg, args, seed, workers):
         samples = strategies.packet_quantiles(n_samples, sigma_p)
     # a problem the optimizer refuses (ValueError) is exit 2 in main
     problem = strategies.oct_mirror_problem(
-        budget=budget, delta_max=cfg.get_float("delta.max", 4.0),
+        budget=cfg.get_int("budget", 5000),
+        delta_max=cfg.get_float("delta.max", 4.0),
         n_knots=cfg.get_int("knots", 8), momentum_samples=samples,
         rtol=cfg.get_float("rtol", 1e-6))
     result = strategies.optimize(problem, seed=seed)
@@ -349,7 +341,7 @@ def _cmd_optimize(cfg, args, seed, workers):
     table = ResultTable(("improvement", "best_cost"),
                         enumerate(result.cost_history))
     return table, {
-        "problem": problem_name, "sampling": sampling,
+        "sampling": sampling,
         "final_cost": result.cost,
         "evaluations_used": str(result.evaluations_used),
         "budget_exhausted": str(result.budget_exhausted).lower(),
@@ -451,7 +443,7 @@ def main(argv=None):
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    except (ConfigError, BoundViolation, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and BoundViolation among them
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,9 +89,6 @@ class MomentumPortHistogram:
     populations: dict[int, float]
     residual: float
 
-    def total(self):
-        return sum(self.populations.values()) + self.residual
-
 
 def prepare_wavepacket(spec, wp):
     """Gaussian packet psi-tilde ~ exp(-(p - p0)^2 / (4 sigma_p^2)).

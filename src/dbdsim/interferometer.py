@@ -128,6 +128,8 @@ class FluctuationResult:
 
 def ideal_bs_matrix(n_max=2):
     """Lossless splitter: |0> -> -i (|+2> + |-2>)/sqrt2, outer orders kept."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     s = 1.0 / math.sqrt(2.0)
     b = np.eye(2 * n_max + 1, dtype=complex)
     b[0, 0] = 0.0
@@ -140,6 +142,8 @@ def ideal_bs_matrix(n_max=2):
 
 def ideal_mirror_matrix(n_max=2):
     """Perfect inversion |+2> <-> |-2>; central and outer ports untouched."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     m = np.eye(2 * n_max + 1, dtype=complex)
     m[1, 1] = m[2, 2] = 0.0
     m[1, 2] = m[2, 1] = -1j
@@ -515,7 +519,7 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
         raise ValueError(f"sigma_r must be finite and non-negative, "
                          f"got {sigma_r}")
     if n_shots < 2:
-        raise ValueError("need at least two shots")
+        raise ValueError(f"n_shots must be at least 2, got {n_shots}")
     if t_grid is None:
         t_grid = default_t_grid(config.g)
     scales = np.random.default_rng(seed).normal(1.0, sigma_r, (n_shots, 2))

@@ -65,10 +65,6 @@ class ScenarioConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls(parse_config_text(fh.read()))
 
-    @classmethod
-    def from_text(cls, text):
-        return cls(parse_config_text(text))
-
     def config_hash(self):
         """Short digest of the canonicalized key-value content."""
         canon = "\n".join(f"{k}={self.values[k]}"

@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from .exceptions import IntegratorFailure
-from .units import carrier_factor
+from .units import _require_finite, carrier_factor
 
 try:  # what np.einsum calls without `optimize`, minus about 3 us of wrapper
     from numpy._core.einsumfunc import c_einsum as _einsum
@@ -82,6 +82,7 @@ def build_hamiltonian(n_max, p, t, envelope, protocol, epsilon=0.0):
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    _require_finite("quasi-momentum, time and epsilon", p, t, epsilon)
     if abs(p) >= 1.0:
         raise ValueError("quasi-momentum must satisfy |p| < 1")
     h = np.diag(p**2 + port_offsets(n_max) ** 2)

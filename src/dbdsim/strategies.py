@@ -34,7 +34,12 @@ DS_MIRROR_SWEEP = (0.75, -4.0)
 # The mirror sweep reaches -8.5 at the leading support edge, so it needs
 # more headroom than the default +-4 band.
 DS_MIRROR_BOUND = 16.0
-OCT_MIRROR_ENVELOPE = (2.502, 1.829, 3.879)
+# The oct_hybrid mirror envelope, on its control window [0, 2 t0]: the
+# profile is defined on a finite window symmetric about its center, so
+# the Gaussian is truncated there (about 10% of peak at the edges)
+# rather than at the usual six widths.
+OCT_MIRROR_ENVELOPE = PulseEnvelope("gaussian", 2.502, 1.829, 3.879,
+                                    support=(0.0, 2.0 * 3.879))
 KNOT_TABLE = "oct_mirror_knots.txt"
 BUILTIN_NAMES = ("c_dbd", "cd_dbd", "ds_dbd", "oct_hybrid")
 
@@ -47,18 +52,6 @@ class StrategySpec:
     name: str
     bs: tuple | None  # (PulseEnvelope, DetuningProtocol)
     mirror: tuple | None
-
-
-def oct_mirror_envelope():
-    """Mirror envelope with the control window [0, 2 t0].
-
-    The profile is defined on a finite window symmetric about its
-    center, so the Gaussian is truncated there (about 10% of peak at the
-    edges) rather than at the usual six widths.
-    """
-    peak, width, center = OCT_MIRROR_ENVELOPE
-    return PulseEnvelope("gaussian", peak, width, center,
-                         support=(0.0, 2.0 * center))
 
 
 def builtin_strategy(name):
@@ -80,7 +73,7 @@ def builtin_strategy(name):
         return StrategySpec(name, (bs_env, ds_bs), (m_env, ds_m))
     if name == "oct_hybrid":
         return StrategySpec(name, (bs_env, ds_bs),
-                            (oct_mirror_envelope(), load_knot_table()))
+                            (OCT_MIRROR_ENVELOPE, load_knot_table()))
     raise ValueError(f"no builtin strategy named {name!r}")
 
 
@@ -347,10 +340,9 @@ def oct_mirror_problem(*, momentum_samples, budget=5000, delta_max=4.0,
     """
     if n_knots < 2:
         raise ValueError(f"need at least two knots, got {n_knots}")
-    env = oct_mirror_envelope()
-    times = tuple(np.linspace(env.support[0], env.support[1], n_knots))
-    return OptimizationProblem("mirror_bidirectional", env, times,
-                               tuple(momentum_samples), (0.0,),
+    times = tuple(np.linspace(*OCT_MIRROR_ENVELOPE.support, n_knots))
+    return OptimizationProblem("mirror_bidirectional", OCT_MIRROR_ENVELOPE,
+                               times, tuple(momentum_samples), (0.0,),
                                delta_max=delta_max, budget=budget, rtol=rtol,
                                warm_starts=tuple(warm_starts))
 

@@ -28,22 +28,16 @@ class TlsState:
     c0: complex
     c1: complex
 
-    def norm(self):
-        return abs(self.c0) ** 2 + abs(self.c1) ** 2
-
     def population(self, level):
         return abs(self.c1 if level else self.c0) ** 2
 
 
 @dataclass(frozen=True)
 class AcStarkCoefficients:
-    """Drive-induced level shifts (recoil units) with their inputs."""
+    """Drive-induced level shifts of |0> and |1> (recoil units)."""
 
     shift00: float
     shift11: float
-    omega: float
-    delta: float
-    epsilon: float
 
 
 def tls_hamiltonian(t, env, protocol, epsilon=0.0):
@@ -56,6 +50,13 @@ def tls_hamiltonian(t, env, protocol, epsilon=0.0):
     detuning protocol.
     """
     t = np.asarray(t, dtype=float)
+    if not (np.isfinite(t).all() and math.isfinite(epsilon)):
+        raise ValueError("time and epsilon must be finite")
+    return _hamiltonian(t, env, protocol, epsilon)
+
+
+def _hamiltonian(t, env, protocol, epsilon):
+    """tls_hamiltonian unchecked: the solver reports its failed steps."""
     om, de = env.evaluate(t), protocol.evaluate(t, check=False)
     d0 = om**2 * (epsilon / 4.0 - epsilon**2 / 2.0)
     d1 = om**2 * (-3.0 / 64.0 - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0)
@@ -73,19 +74,26 @@ def evolve_tls(initial, env, protocol, epsilon=0.0, rtol=1e-10):
     Returns the final TlsState.  Sequences of G envelopes and G
     protocols give a list of G final states from one lockstep solve of
     multilevel.solve_ivp, each bit for bit what its pulse gives alone.
-    A failed group raises IntegratorFailure naming it.
+    A failed group raises IntegratorFailure naming it, and so does a
+    non-finite drive, epsilon or initial state, before any solve.
     """
     grouped = not isinstance(env, PulseEnvelope)
     envs, protocols = (env, protocol) if grouped else ([env], [protocol])
     pulses = list(zip(envs, protocols, strict=True))
     windows = np.array([e.support for e, _ in pulses])
-    # One vectorized pass per window trips any protocol bound violation.
-    for (_, prot), (lo, hi) in zip(pulses, windows):
-        prot.evaluate(np.linspace(lo, hi, 257))
+    # One vectorized pass per window trips any protocol bound violation
+    # and refuses non-finite input, naming its group, before any solve.
+    for g, ((env_g, prot), (lo, hi)) in enumerate(zip(pulses, windows)):
+        grid = np.linspace(lo, hi, 257)
+        given = (env_g.evaluate(grid), prot.evaluate(grid), epsilon,
+                 initial.c0, initial.c1)
+        if not all(np.isfinite(x).all() for x in given):
+            raise IntegratorFailure("non-finite drive, epsilon or initial "
+                                    f"state in two-level group {g}")
 
     def prepare(times, live):
         """deriv(j, y, out) of the running groups at the rows of times."""
-        h = -1j * np.stack([tls_hamiltonian(times[:, i], *pulses[g], epsilon)
+        h = -1j * np.stack([_hamiltonian(times[:, i], *pulses[g], epsilon)
                             for i, g in enumerate(live.tolist())], axis=1)
 
         def deriv(j, y, out):
@@ -160,4 +168,4 @@ def ac_stark_coefficients(omega, delta=0.0, epsilon=0.0):
     shift00 = omega**2 * (epsilon / 4.0 - epsilon**2 / 2.0)
     shift11 = omega**2 * (6.0 / ((delta - 8.0) * (delta + 16.0))
                           - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0)
-    return AcStarkCoefficients(shift00, shift11, omega, delta, epsilon)
+    return AcStarkCoefficients(shift00, shift11)

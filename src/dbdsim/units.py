@@ -273,15 +273,6 @@ class GaussianWavePacket:
                 f"|p0| + 6 sigma_p = {abs(self.p0) + 6 * self.sigma_p:.3f} "
                 "reaches the zone edge at 1 hbar k_L")
 
-    def amplitude(self, p):
-        p = np.asarray(p, dtype=float)
-        norm = (2 * math.pi * self.sigma_p**2) ** (-0.25)
-        return norm * np.exp(-((p - self.p0) ** 2) / (4 * self.sigma_p**2))
-
-    def density(self, p):
-        amp = self.amplitude(p)
-        return amp * amp
-
     def momentum_quadrature(self, n_nodes=64):
         """Gauss-Legendre nodes/weights for integrals against |psi|**2.
 
@@ -296,5 +287,7 @@ class GaussianWavePacket:
         lo = self.p0 - 6 * self.sigma_p
         hi = self.p0 + 6 * self.sigma_p
         p = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        weights = 0.5 * (hi - lo) * w * self.density(p)
+        norm = (2 * math.pi * self.sigma_p**2) ** (-0.25)
+        amp = norm * np.exp(-((p - self.p0) ** 2) / (4 * self.sigma_p**2))
+        weights = 0.5 * (hi - lo) * w * (amp * amp)
         return p, weights / weights.sum()

@@ -437,7 +437,6 @@ omega.points = 1
 class TestOptimize:
     def test_exhausted_budget_exit_code(self, tmp_path):
         config = """
-problem = oct_mirror
 budget = 150
 knots = 4
 n_samples = 3
@@ -452,10 +451,6 @@ seed = 2
         assert knots.exists()
         header = knots.read_text().splitlines()[0]
         assert "strategy=oct_hybrid" in header and "seed=2" in header
-
-    def test_bad_budget(self, tmp_path):
-        code, _ = run(tmp_path, "optimize", "budget = 0\n")
-        assert code == 2
 
 
 class TestOracleCompare:
@@ -649,6 +644,30 @@ REFUSALS = {
     **{f"mz-t.points={n}": ("oracle-compare", MZ_POINTS_ALONE.replace(
         "t.points = 9", f"t.points = {n}"), "t.points: need t.points >= 1")
        for n in (-1, 0)},
+    "tau.min=0": ("efficiency-scan", TLS_SCAN.replace(
+        "tau.min = 0.3", "tau.min = 0"),
+        "tau/omega: envelope width must be positive"),
+    "pulse.tau=0": ("efficiency-scan", P_EPSILON_SCAN.replace(
+        "pulse.tau = 0.47", "pulse.tau = 0"),
+        "pulse.omega/pulse.tau: envelope width must be positive"),
+    "omega.min=-1": ("efficiency-scan", TLS_SCAN.replace(
+        "omega.min = 2", "omega.min = -1"),
+        "tau/omega: peak Rabi frequency must be non-negative"),
+    **{f"pulse.delta=5-{name}": (command, config + "pulse.delta = 5\n",
+                                 "pulse.delta: constant detuning 5.0 "
+                                 "exceeds bound 4.0")
+       for name, command, config in (
+           ("tau_omega", "efficiency-scan", TLS_SCAN),
+           ("p_epsilon", "efficiency-scan", P_EPSILON_SCAN),
+           ("oracle", "oracle-compare",
+            "scenario = pulse\npulse.omega = 2\npulse.tau = 0.47\n"))},
+    "budget=0": ("optimize", OPTIMIZE.replace("budget = 150", "budget = 0"),
+                 "budget must be at least 100 evaluations"),
+    "sigma_r=-1": ("fluctuation", FLUCTUATION.replace(
+        "sigma_r = 0\n", "sigma_r = -1\n"),
+        "sigma_r must be finite and non-negative"),
+    "n_shots=1": ("fluctuation", FLUCTUATION.replace(
+        "n_shots = 5", "n_shots = 1"), "n_shots must be at least 2"),
 }
 
 

@@ -65,9 +65,12 @@ class TestConfig:
         lambda: make_config(g=math.inf),
         lambda: default_t_grid(math.nan),
         lambda: default_t_grid(math.inf),
+        lambda: ideal_bs_matrix(0),
+        lambda: ideal_mirror_matrix(0),
     ], ids=["t_scan-last", "t_scan-first", "total_s_matrix",
             "total_s_matrix-p", "free-flight", "free-flight-g", "g=nan",
-            "g=inf", "default_t_grid-nan", "default_t_grid-inf"])
+            "g=inf", "default_t_grid-nan", "default_t_grid-inf",
+            "ideal_bs_matrix-0", "ideal_mirror_matrix-0"])
     def test_non_finite_input_is_refused(self, call):
         # bad input (exit 2), not numerical trouble, and never a NaN result
         with pytest.raises(ValueError) as info:

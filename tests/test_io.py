@@ -17,6 +17,10 @@ values = 0.01, 0.05 0.1
 """
 
 
+def config_of(text):
+    return ScenarioConfig(parse_config_text(text))
+
+
 class TestConfigParsing:
     def test_comments_and_blanks_ignored(self):
         values = parse_config_text(SAMPLE)
@@ -39,7 +43,7 @@ class TestConfigParsing:
 
 class TestTypedGetters:
     def setup_method(self):
-        self.cfg = ScenarioConfig.from_text(SAMPLE)
+        self.cfg = config_of(SAMPLE)
 
     def test_required_missing(self):
         with pytest.raises(ConfigError, match="missing"):
@@ -66,19 +70,19 @@ class TestTypedGetters:
     def test_float_list(self):
         assert self.cfg.get_float_list("values") == [0.01, 0.05, 0.1]
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_text("v = a b").get_float_list("v")
+            config_of("v = a b").get_float_list("v")
 
     def test_non_finite_numbers_refused(self):
         for text in ("nan", "inf", "-inf", "1e400"):
             with pytest.raises(ConfigError, match="finite"):
-                ScenarioConfig.from_text(f"x = {text}").get_float("x")
+                config_of(f"x = {text}").get_float("x")
             with pytest.raises(ConfigError, match="finite"):
-                ScenarioConfig.from_text(f"v = 0.1 {text}").get_float_list("v")
+                config_of(f"v = 0.1 {text}").get_float_list("v")
 
     def test_hash_ignores_order_not_values(self):
-        a = ScenarioConfig.from_text("x = 1\ny = 2\n")
-        b = ScenarioConfig.from_text("y = 2\nx = 1\n")
-        c = ScenarioConfig.from_text("x = 1\ny = 3\n")
+        a = config_of("x = 1\ny = 2\n")
+        b = config_of("y = 2\nx = 1\n")
+        c = config_of("x = 1\ny = 3\n")
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 

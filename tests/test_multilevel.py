@@ -45,12 +45,17 @@ class TestBasis:
                 ([0.0], np.repeat(4.0 * n * n, 2))))
 
     def test_validation(self):
-        for n_max, p, message in (
-                (0, 0.0, "n_max must be at least 1"),
-                (2, 1.0, "quasi-momentum must satisfy |p| < 1"),
-                (2, -1.0, "quasi-momentum must satisfy |p| < 1")):
+        finite = "quasi-momentum, time and epsilon must be finite"
+        for n_max, p, t, eps, message in (
+                (0, 0.0, 0.0, 0.0, "n_max must be at least 1"),
+                (2, 1.0, 0.0, 0.0, "quasi-momentum must satisfy |p| < 1"),
+                (2, -1.0, 0.0, 0.0, "quasi-momentum must satisfy |p| < 1"),
+                (2, np.nan, 0.0, 0.0, finite),
+                (2, 0.0, np.nan, 0.0, finite),
+                (2, 0.0, 0.0, np.nan, finite),
+                (2, 0.0, 0.0, np.inf, finite)):
             with pytest.raises(ValueError) as err:
-                build_hamiltonian(n_max, p, 0.0, box(1.0, 1.0), FLAT)
+                build_hamiltonian(n_max, p, t, box(1.0, 1.0), FLAT, eps)
             assert str(err.value) == message
 
 

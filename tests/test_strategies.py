@@ -9,6 +9,7 @@ from dbdsim.strategies import (
     CD_BS_DELTA,
     MIRROR_OMEGA,
     MIRROR_TAU,
+    OCT_MIRROR_ENVELOPE,
     OptimizationProblem,
     bs_cost,
     builtin_strategy,
@@ -16,7 +17,6 @@ from dbdsim.strategies import (
     integrated_mirror_efficiency,
     load_knot_table,
     mirror_cost,
-    oct_mirror_envelope,
     oct_mirror_problem,
     optimize,
     parse_knot_table,
@@ -71,7 +71,7 @@ class TestBuiltins:
             tight.evaluate(-3.84)
 
     def test_oct_mirror_window(self):
-        env = oct_mirror_envelope()
+        env = OCT_MIRROR_ENVELOPE
         assert env.support == (0.0, 2.0 * env.center)
         assert env.evaluate(env.center) == pytest.approx(env.peak)
         edge = env.evaluate(env.support[1] - 1e-12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from dbdsim import tls
 from dbdsim.exceptions import IntegratorFailure, PoleProximity
 from dbdsim.tls import (
     TlsState,
@@ -77,7 +78,7 @@ class TestEvolve:
     def test_norm_drift(self):
         final = evolve_tls(TlsState(1.0, 0.0), box(2.0, 20.0),
                            ConstantDetuning(0.0))
-        assert abs(final.norm() - 1.0) < 1e-9
+        assert abs(abs(final.c0) ** 2 + abs(final.c1) ** 2 - 1.0) < 1e-9
 
     def test_gaussian_first_maximum_near_half_tau(self):
         # transfer vs width peaks around tau ~ 0.45-0.47 for a peak
@@ -129,6 +130,34 @@ class TestEvolve:
                        [flat(), NanInSolve(0.0)])
 
 
+class NanEnvelope:
+    support = (0.0, 0.5)
+
+    def evaluate(self, t):
+        return np.full(np.shape(t), np.nan)
+
+
+@pytest.mark.parametrize("initial, second, epsilon, group", [
+    (TlsState(1.0, 0.0), box(2.0, 0.47), math.inf, 0),
+    (TlsState(1.0, 0.0), box(2.0, 0.47), math.nan, 0),
+    (TlsState(math.nan, 0.0), box(2.0, 0.47), 0.0, 0),
+    (TlsState(1.0, complex(0.0, math.inf)), box(2.0, 0.47), 0.0, 0),
+    (TlsState(1.0, 0.0), NanEnvelope(), 0.0, 1),
+], ids=["epsilon=inf", "epsilon=nan", "c0=nan", "c1=inf", "nan-drive"])
+def test_evolve_refuses_non_finite_input_up_front(monkeypatch, initial,
+                                                  second, epsilon, group):
+    # named as propagate_unitaries names it, before the integrator runs
+    def refuse_to_solve(*args, **kwargs):
+        raise AssertionError("non-finite input must stop before the solve")
+
+    monkeypatch.setattr(tls, "solve_ivp", refuse_to_solve)
+    with pytest.raises(IntegratorFailure,
+                       match="non-finite drive, epsilon or initial state "
+                             f"in two-level group {group}"):
+        evolve_tls(initial, [box(2.0, 0.47), second], [flat(), flat()],
+                   epsilon)
+
+
 class TestRwa:
     def test_resonant_pi_pulse(self):
         omega = 1.3
@@ -154,6 +183,9 @@ class TestRwa:
         (pulse_area_probability, 1.0, math.inf),
         (differential_detuning, math.nan, 0.0),
         (rwa_hamiltonian, math.nan, 0.0),
+        (tls_hamiltonian, math.nan, box(2.0, 1.0), flat(), 0.0),
+        (tls_hamiltonian, [0.0, math.inf], box(2.0, 1.0), flat(), 0.0),
+        (tls_hamiltonian, 0.2, box(2.0, 1.0), flat(), math.nan),
     ])
     def test_non_finite_input_refused(self, args):
         # not a transfer probability, detuning or matrix of NaN
