@@ -8,7 +8,11 @@ when that of the composition kernel changes, the tscan and ideal
 digests alone may; when the nodes of t_scan's pulse surrogates change,
 the tscan digest alone may.  An edit of the ladder table itself
 (multilevel._bands or port_offsets) moves the hamiltonian digest and
-the digests of the families that solve pulses with it.  The families:
+the digests of the families that solve pulses with it.  An edit of the
+knot spline (units._natural_spline) moves every family that solves an
+oct_hybrid mirror or an optimizer candidate: propagate_unitaries,
+hamiltonian, tscan, optimize, polish and warm; one of
+strategies.packet_quantiles moves warm.  The families:
 
 - propagate_unitaries: the bs and mirror pulses of the four built-in
   strategies at n_max 1, 2 and 3, in both bases, each pulse alone on a

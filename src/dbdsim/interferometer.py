@@ -544,10 +544,11 @@ def fluctuation_robustness(config, sigma_r, n_shots=10, seed=0, t_grid=None):
 # --- grid-oracle pipeline --------------------------------------------
 
 def _pool_map(fn, workers, items, *args):
-    """list(map(fn, items, *args)); pooled for workers > 1 and 2+ items."""
+    """list(map(fn, items, *args)); pooled for workers > 1 and 2+ items,
+    on no more processes than items, as the pool forks them all at once."""
     if workers > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(min(workers, len(items))) as pool:
             return list(pool.map(fn, items, *args))
     return list(map(fn, items, *args))
 

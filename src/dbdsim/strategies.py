@@ -296,7 +296,7 @@ def optimize(problem, seed=0):
 
 def save_knot_table(path, protocol, strategy, seed):
     """Plain-text knot rows "t delta" under a header naming the source."""
-    lines = [f"# strategy={strategy} seed={seed} bound={protocol.bound:g}"]
+    lines = [f"# strategy={strategy} seed={seed} bound={protocol.bound:.17g}"]
     for t, d in zip(protocol.times, protocol.values):
         lines.append(f"{t:.17g} {d:.17g}")
     with open(path, "w") as fh:
@@ -349,8 +349,9 @@ def oct_mirror_problem(*, momentum_samples, budget=5000, delta_max=4.0,
 
 def packet_quantiles(n, sigma_p):
     """Momentum samples of a packet at rest: (k + 1/2)/n of N(0, sigma_p)."""
-    from scipy.stats import norm  # slow to import; only used here
-    return tuple(norm.ppf((np.arange(n) + 0.5) / n, scale=sigma_p))
+    from statistics import NormalDist  # 3 ms to import; only used here
+    inv_cdf = NormalDist(0.0, sigma_p).inv_cdf
+    return tuple(inv_cdf((k + 0.5) / n) for k in range(n))
 
 
 def integrated_mirror_efficiency(candidate, sigma_p):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import IntegratorFailure, PoleProximity
 from .multilevel import _einsum, solve_ivp
-from .units import RESONANCE, PulseEnvelope, _require_finite
+from .units import RESONANCE, PulseEnvelope, _require_finite, carrier_factor
 
 POLE_GUARD = 1e-6
 _S2H = math.sqrt(2.0) / 2.0
@@ -43,11 +43,10 @@ class AcStarkCoefficients:
 def tls_hamiltonian(t, env, protocol, epsilon=0.0):
     """2x2 effective matrices at the times t, of any shape: (..., 2, 2).
 
-    Diagonal: Omega(t)**2 (eps/4 - eps**2/2) and
-    Omega(t)**2 (-3/64 - eps/4 + 5 eps**2/12).  Off-diagonal:
-    (sqrt2/2) Omega(t) {exp(i Delta t) + exp(-i (Delta+8) t)
-    + 2 eps exp(-i 4 t)} and its conjugate, with Delta(t) read from the
-    detuning protocol.
+    Diagonal: the level shifts of ac_stark_coefficients at Delta = 0.
+    Off-diagonal: sqrt2 Omega(t) C(t) exp(-4 i t), the n_max = 1 ladder's
+    drive element in the frame of the +-2 orders, and its conjugate,
+    with Delta(t) read from the detuning protocol.
     """
     t = np.asarray(t, dtype=float)
     if not (np.isfinite(t).all() and math.isfinite(epsilon)):
@@ -58,11 +57,9 @@ def tls_hamiltonian(t, env, protocol, epsilon=0.0):
 def _hamiltonian(t, env, protocol, epsilon):
     """tls_hamiltonian unchecked: the solver reports its failed steps."""
     om, de = env.evaluate(t), protocol.evaluate(t, check=False)
-    d0 = om**2 * (epsilon / 4.0 - epsilon**2 / 2.0)
-    d1 = om**2 * (-3.0 / 64.0 - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0)
-    coupling = _S2H * om * (np.exp(1j * de * t)
-                            + np.exp(-1j * (de + 2 * RESONANCE) * t)
-                            + 2.0 * epsilon * np.exp(-1j * RESONANCE * t))
+    d0, d1 = _shifts(om, 0.0, epsilon)
+    coupling = (math.sqrt(2.0) * om * carrier_factor(t, de, epsilon)
+                * np.exp(-1j * RESONANCE * t))
     return np.stack((d0, coupling, coupling.conj(), d1),
                     axis=-1).reshape(t.shape + (2, 2))
 
@@ -165,7 +162,12 @@ def ac_stark_coefficients(omega, delta=0.0, epsilon=0.0):
             abs(delta + 4 * RESONANCE) < POLE_GUARD:
         raise PoleProximity(
             f"Delta={delta} is within {POLE_GUARD} of a shift resonance")
-    shift00 = omega**2 * (epsilon / 4.0 - epsilon**2 / 2.0)
-    shift11 = omega**2 * (6.0 / ((delta - 8.0) * (delta + 16.0))
-                          - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0)
-    return AcStarkCoefficients(shift00, shift11)
+    return AcStarkCoefficients(*_shifts(omega, delta, epsilon))
+
+
+def _shifts(omega, delta, epsilon):
+    """ac_stark_coefficients' shifts, unchecked; omega * omega has the
+    same bits in any array, which an array's omega**2 need not have."""
+    return (omega * omega * (epsilon / 4.0 - epsilon**2 / 2.0),
+            omega * omega * (6.0 / ((delta - 8.0) * (delta + 16.0))
+                             - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0))

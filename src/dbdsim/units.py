@@ -158,53 +158,27 @@ class LinearDetuning:
 
 
 def _natural_spline(times, values):
-    """Per-interval coefficients, constant term first, of the natural
-    cubic spline through the knots, rounded as scipy's
-    CubicSpline(bc_type="natural").c: the knot slopes solve its
-    tridiagonal system in LAPACK dgtsv's order, row interchanges
-    included, and the intervals take CubicHermiteSpline's formulas.
-    """
-    x, y, n = times, values, len(times)
-    h = [b - a for a, b in zip(x, x[1:])]
-    m = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
-    # sub-, main and superdiagonal; s is the right-hand side, then the slopes
-    dl = h[1:] + h[-1:]
-    d = [2 * h[0]] + [2 * (a + b) for a, b in zip(h, h[1:])] + [2 * h[-1]]
-    du = h[:1] + h[:-1]
-    s = ([3 * (y[1] - y[0])]
-         + [3 * (h[i] * m[i - 1] + h[i - 1] * m[i]) for i in range(1, n - 1)]
-         + [0.0 + 3 * (y[-1] - y[-2])])
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            s[i + 1] = s[i + 1] - fact * s[i]
-            dl[i] = 0.0
-        else:  # interchange rows i and i + 1; dl[i] becomes fill-in
-            fact, d[i], temp = d[i] / dl[i], dl[i], d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            s[i], s[i + 1] = s[i + 1], s[i] - fact * s[i + 1]
-    s[-1] = s[-1] / d[-1]
-    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        s[i] = (s[i] - du[i] * s[i + 1] - dl[i] * s[i + 2]) / d[i]
-    t = [(a + b - 2 * c) / w for a, b, c, w in zip(s, s[1:], m, h)]
-    return [[y[i], s[i], (m[i] - s[i]) / h[i] - t[i], t[i] / h[i]]
-            for i in range(n - 1)]
+    """(4, K - 1) coefficients of the natural cubic spline through the
+    knots, in powers of t - times[i] on interval i, constant term first.
+    Its knot curvatures m, 0 at both ends, solve the tridiagonal system
+    of de Boor, A Practical Guide to Splines (2001), in one numpy call."""
+    h = np.diff(times)
+    slope, side = np.diff(values) / h, np.diag(h[1:-1], 1)
+    m = np.zeros(len(times))
+    m[1:-1] = np.linalg.solve(np.diag(2 * (h[:-1] + h[1:])) + side + side.T,
+                              6 * np.diff(slope))
+    return np.array([values[:-1], slope - h * (2 * m[:-1] + m[1:]) / 6,
+                     m[:-1] / 2, np.diff(m) / (6 * h)])
 
 
 @dataclass(frozen=True)
 class KnotDetuning:
     """Detuning through ordered (t, Delta) knots, natural cubic spline.
 
-    The spline (_natural_spline) has scipy's natural CubicSpline
-    coefficients, and its end cubics extrapolate.  Evaluation clamps the
-    interpolant to [-bound, +bound], so spline overshoot between in-band
-    knots never leaves the band.  Knot values themselves must be in-band.
+    The spline (_natural_spline) is solved in numpy and is scipy's
+    natural CubicSpline but for rounding; its end cubics extrapolate.
+    Evaluation clamps it to [-bound, +bound], so spline overshoot between
+    in-band knots never leaves the band.  Knot values must be in-band.
     """
 
     times: tuple[float, ...]
@@ -228,12 +202,8 @@ class KnotDetuning:
                 f"knot values exceed |Delta| <= {self.bound}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        # (4, K - 1), constant terms first; + 0.0 turns a -0.0 into the
-        # 0.0 that the power sum 0.0 + c0 + ... would make of it
-        coeffs = np.array(_natural_spline(times, values)).T
-        coeffs[0] += 0.0
         object.__setattr__(self, "_starts", np.array(times[:-1]))
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_coeffs", _natural_spline(times, values))
 
     def evaluate(self, t, check=True):
         """The spline at the times t, of any shape, 0-d included: each

@@ -707,6 +707,13 @@ def test_import_leaves_heavy_scipy_out():
     assert loaded_after("import dbdsim, dbdsim.cli", heavy) == []
 
 
+def test_knot_table_and_quantiles_leave_scipy_stats_out():
+    # the spline is solved in numpy, the quantiles by statistics.NormalDist
+    code = ("from dbdsim import strategies; strategies.load_knot_table(); "
+            "strategies.packet_quantiles(25, 0.05)")
+    assert loaded_after(code, ["scipy.stats", "scipy.interpolate"]) == []
+
+
 def test_tls_scan_leaves_heavy_scipy_out(tmp_path):
     # the two-level model runs on the package's own DOP853
     cfg = tmp_path / "tls.cfg"

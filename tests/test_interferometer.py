@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -697,3 +698,29 @@ class TestGridOracle:
         for scan in (t_scan, oracle_fringe):
             with pytest.raises(ValueError, match="t_grid must be non-empty"):
                 scan(cfg, t_grid)
+
+
+def test_pool_forks_no_more_processes_than_items(monkeypatch):
+    # the pool forks all its processes on the first submit, so asking
+    # for more than there are items would fork idle ones
+    asked = []
+
+    class SerialPool:  # records the request and starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    for workers in (64, 3, 2):
+        got = interferometer._pool_map(abs, workers, [-1, 2, -3])
+        assert got == [1, 2, 3]
+    assert asked == [3, 3, 2]

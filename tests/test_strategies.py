@@ -318,6 +318,16 @@ class TestKnotTables:
         assert back.values == proto.values
         assert back.bound == 6.0
 
+    @pytest.mark.parametrize("bound", [4.0000001, 4.1234567])
+    def test_bound_round_trip(self, tmp_path, bound):
+        # a knot at the bound loads back only if the bound keeps its bits
+        proto = KnotDetuning((0.0, 1.0), (bound, -1.0), bound=bound)
+        path = tmp_path / "knots.txt"
+        save_knot_table(str(path), proto, "x", 0)
+        back = load_knot_table(str(path))
+        assert back.bound == bound
+        assert back.values == proto.values
+
     def test_parse_defaults_bound(self):
         back = parse_knot_table("0 1\n2 -1\n")
         assert back.bound == 4.0
@@ -331,6 +341,15 @@ class TestKnotTables:
         path = tmp_path / "knots.txt"
         save_knot_table(str(path), proto, "x", 0)
         assert load_knot_table(str(path)).values == proto.values
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 1000])
+def test_packet_quantiles_are_scipys(n):
+    from scipy.stats import norm
+    want = norm.ppf((np.arange(n) + 0.5) / n, scale=0.05)
+    got = strategies.packet_quantiles(n, 0.05)
+    assert len(got) == n
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-16
 
 
 class TestIntegratedEfficiency:

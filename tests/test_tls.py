@@ -7,6 +7,8 @@ from scipy.integrate import solve_ivp
 
 from dbdsim import tls
 from dbdsim.exceptions import IntegratorFailure, PoleProximity
+from dbdsim.multilevel import build_hamiltonian
+from dbdsim.strategies import builtin_strategy
 from dbdsim.tls import (
     TlsState,
     ac_stark_coefficients,
@@ -66,6 +68,23 @@ class TestHamiltonian:
             alone = tls_hamiltonian(t[idx], env, prot, 0.05)
             assert alone.shape == (2, 2)
             assert np.array_equal(alone, h[idx])
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("pulse", ["sweep", "oct_mirror"])
+    def test_is_the_ladder_drive_and_the_stark_shifts(self, pulse, eps):
+        # the coupling is the n_max = 1 ladder's drive element in the
+        # frame of the +-2 orders; the diagonal, the shifts at Delta = 0
+        env, prot = ((PulseEnvelope("gaussian", 2.0, 0.47),
+                      LinearDetuning(0.37, 0.315, width=0.47))
+                     if pulse == "sweep" else
+                     builtin_strategy("oct_hybrid").mirror)
+        t = np.linspace(*env.support, 41)
+        for ti, h in zip(t, tls_hamiltonian(t, env, prot, eps)):
+            drive = build_hamiltonian(1, 0.0, ti, env, prot, eps)[0, 1]
+            assert h[0, 1] == drive * np.exp(-4j * ti)
+            shifts = ac_stark_coefficients(float(env.evaluate(ti)), 0.0, eps)
+            assert h[0, 0] == shifts.shift00
+            assert h[1, 1] == shifts.shift11
 
 
 class TestEvolve:
