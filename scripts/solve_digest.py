@@ -8,11 +8,14 @@ when that of the composition kernel changes, the tscan and ideal
 digests alone may; when the nodes of t_scan's pulse surrogates change,
 the tscan digest alone may.  An edit of the ladder table itself
 (multilevel._bands or port_offsets) moves the hamiltonian digest and
-the digests of the families that solve pulses with it.  An edit of the
-knot spline (units._natural_spline) moves every family that solves an
-oct_hybrid mirror or an optimizer candidate: propagate_unitaries,
-hamiltonian, tscan, optimize, polish and warm; one of
-strategies.packet_quantiles moves warm.  The families:
+the digests of the families that solve pulses with it.  An edit of
+the n_max = 1 Stark-shift band (the stark table of multilevel._bands,
+or multilevel._shifts) moves propagate_unitaries, hamiltonian, tls and
+escan, and no other family.  An edit of the knot spline
+(units._natural_spline) moves every family that solves an oct_hybrid
+mirror or an optimizer candidate: propagate_unitaries, hamiltonian,
+tscan, optimize, polish and warm; one of strategies.packet_quantiles
+moves warm.  The families:
 
 - propagate_unitaries: the bs and mirror pulses of the four built-in
   strategies at n_max 1, 2 and 3, in both bases, each pulse alone on a
@@ -36,10 +39,10 @@ strategies.packet_quantiles moves warm.  The families:
   quantiles at seed 7, ranked with the knot table's two warm starts
   (regenerate_knot_table.WARM_STARTS): the warm-start path of the
   knot-table recipe in seconds rather than minutes;
-- tls: the final amplitudes of tls.evolve_tls at rtol 1e-10, for the
-  bs pulse of every built-in strategy at epsilon 0 and 0.05, and for a
-  5 x 5 grid of Gaussian pulses (tau 0.3 to 0.6, peak 1 to 3) at
-  constant detuning 0;
+- tls: the final amplitudes of tls.evolve_tls, which solves the
+  n_max = 1 ladder at p = 0, at rtol 1e-10, for the bs pulse of every
+  built-in strategy at epsilon 0 and 0.05, and for a 5 x 5 grid of
+  Gaussian pulses (tau 0.3 to 0.6, peak 1 to 3) at constant detuning 0;
 - escan: what `dbdsim efficiency-scan` writes for a tau x omega scan of
   the multilevel model on a packet (source.sigma_p), the same on a
   plane wave at source.p0, and a tau x omega scan of the two-level

@@ -68,7 +68,6 @@ from .tls import (
     pulse_area_probability,
     rwa_hamiltonian,
     rwa_probability,
-    tls_hamiltonian,
 )
 from .units import (
     ConstantDetuning,

@@ -9,11 +9,17 @@ C(t) = cos[(4 + Delta(t)) t] + epsilon the non-zero matrix elements are
     <p|H|1,+>      = sqrt(2) Omega C <n,s|H|n+1,s>   = Omega C
     <n,+|H|n,->    = 4 n p
 
-(all in recoil units).  Integration runs in the interaction picture with
-the diagonal kinetic part removed, which leaves slow coupling phases
-exp(-i 4 t) and exp(-i 4 (2n+1) t) and keeps adaptive steps large.  A
-common phase exp(-i p**2 dt) on all channels is dropped; it is global at
-fixed quasi-momentum and cancels from every population and from every
+(all in recoil units).  At n_max = 1 the diagonal also carries the
+two-level model's Stark shifts at Delta = 0 (_shifts):
+
+    <p|H|p>     += Omega**2 (eps/4 - eps**2/2)
+    <1,s|H|1,s> += Omega**2 (-3/64 - eps/4 + 5 eps**2/12)   (s = +, -)
+
+Integration runs in the interaction picture with the diagonal kinetic
+part removed, which leaves slow coupling phases exp(-i 4 t) and
+exp(-i 4 (2n+1) t) and keeps adaptive steps large.  A common phase
+exp(-i p**2 dt) on all channels is dropped; it is global at fixed
+quasi-momentum and cancels from every population and from every
 relative phase the interferometer module consumes.
 """
 
@@ -89,21 +95,25 @@ def build_hamiltonian(n_max, p, t, envelope, protocol, epsilon=0.0):
     t = float(t)
     omega = envelope.evaluate(t)
     c = carrier_factor(t, protocol.evaluate(t, check=False), epsilon)
-    drive, doppler = _bands(n_max)
+    drive, doppler, stark = _bands(n_max)
     for i, j, wgt, _ in drive:
         h[i, j] = h[j, i] = wgt * omega * c
     for i, j, rate in doppler:
         h[i, j] = h[j, i] = rate * p
+    for i, level in stark:
+        h[i, i] += omega * omega * _shifts(1.0, 0.0, epsilon)[level]
     return h
 
 
 def _bands(n_max):
-    """Upper-triangle couplings of the symmetric basis.
+    """Couplings and shifts of the symmetric basis.
 
-    drive holds (row, col, weight, phase_rate): the element is
-    weight * Omega C(t), and it turns at exp(-i phase_rate t) once the
-    kinetic offsets are removed.  doppler holds (row, col, rate): the
-    constant element rate * p between |n,+> and |n,->.
+    drive holds (row, col, weight, phase_rate) of the upper triangle:
+    the element is weight * Omega C(t), and it turns at
+    exp(-i phase_rate t) once the kinetic offsets are removed.  doppler
+    holds (row, col, rate): the constant element rate * p between |n,+>
+    and |n,->.  stark holds (row, level), n_max = 1 only: the diagonal
+    Omega(t)**2 * _shifts(1, 0, eps)[level], level 0 on |p>, 1 on |1,+->.
     """
     drive = [(0, 1, np.sqrt(2.0), 4.0)]
     for n in range(1, n_max):
@@ -111,7 +121,16 @@ def _bands(n_max):
         drive.append((2 * n - 1, 2 * n + 1, 1.0, rate))
         drive.append((2 * n, 2 * n + 2, 1.0, rate))
     doppler = [(2 * n - 1, 2 * n, 4.0 * n) for n in range(1, n_max + 1)]
-    return drive, doppler
+    stark = [(0, 0), (1, 1), (2, 1)] if n_max == 1 else []
+    return drive, doppler, stark
+
+
+def _shifts(omega, delta, epsilon):
+    """ac_stark_coefficients' shifts of |0> and |1>, unchecked; omega *
+    omega keeps its bits in any array, which omega**2 need not."""
+    return (omega * omega * (epsilon / 4.0 - epsilon**2 / 2.0),
+            omega * omega * (6.0 / ((delta - 8.0) * (delta + 16.0))
+                             - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0))
 
 
 def _load_dop853_tableau():
@@ -410,9 +429,11 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
             raise IntegratorFailure(
                 f"non-finite momentum, epsilon or drive in group {g}")
 
-    bands, doppler = _bands(n_max)
+    bands, doppler, stark = _bands(n_max)
     flat = np.array([i * d + j for i, j, *_ in bands]
-                    + [j * d + i for i, j, *_ in bands])
+                    + [j * d + i for i, j, *_ in bands]
+                    + [i * d + i for i, _ in stark])
+    coefs = np.stack(_shifts(1.0, 0.0, eps), -1)[..., [k for _, k in stark]]
     weights = np.array([w for _, _, w, _ in bands] * 2)
     turn = -1j * np.array([rate for *_, rate in bands])
 
@@ -429,8 +450,8 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
             The work matrix holds the momentum batch innermost, (d, d, B);
             its constant Doppler couplings go in once per set of running
             groups, and the drive entries, every band's upper element and
-            then its mirror image, are written with one put() at fixed
-            indices.
+            then its mirror image, and then the Stark shifts, are written
+            with one put() at fixed indices.
             """
             if work["size"] != live.size:
                 groups = rows[live]
@@ -439,6 +460,7 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                 for i, j, rate in doppler:
                     a[i, j] = a[j, i] = rate * p_live
                 work.update(size=live.size, a=a, eps=eps[groups],
+                            coefs=coefs[groups],
                             product=_ladder_product(a, live.size),
                             slots=(np.arange(p_live.size)[:, None]
                                    + flat * p_live.size).ravel(),
@@ -453,12 +475,16 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                 cols[:, :, None], delta[:, :, None], work["eps"][:, None])
             ph = np.exp(turn * times[:, :, None])
             ph = np.concatenate((ph, ph.conj()), axis=2)  # [j, i]
+            if stark:  # [i, j, b, k]: shift k of system b at row j
+                shift = (amp * amp)[:, :, None, None] * work["coefs"][:, None]
             # (G, B, d, d) keeps the strided out a view; (-1, d, d) copies
             per_group = (live.size, -1, d, d)
 
             def deriv(j, y, out):
-                a.put(slots,
-                      (drive[:, j, :, None] * weights) * ph[j, :, None])
+                entries = (drive[:, j, :, None] * weights) * ph[j, :, None]
+                if stark:
+                    entries = np.concatenate((entries, shift[:, j]), axis=2)
+                a.put(slots, entries)
                 product(y.view(complex).reshape(per_group),
                         out.view(complex).reshape(per_group))
             return deriv

@@ -2,8 +2,9 @@
 
 Basis: |0> is the resting atom, |1> the symmetric superposition of the
 +-2 hbar k_L diffraction orders.  The second-order effective Hamiltonian
-carries drive-induced level shifts on the diagonal and a three-tone
-coupling on the off-diagonal; its rotating-wave reduction yields Rabi's
+is the n_max = 1 ladder of the multilevel module with its Stark-shift
+band: drive-induced level shifts on the diagonal, the drive
+sqrt2 Omega C(t) off it.  Its rotating-wave reduction yields Rabi's
 formula and, for slowly varying Gaussian drives, the pulse-area law.
 All quantities in recoil units.
 """
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import IntegratorFailure, PoleProximity
-from .multilevel import _einsum, solve_ivp
-from .units import RESONANCE, PulseEnvelope, _require_finite, carrier_factor
+from .multilevel import _shifts, propagate_unitaries
+from .units import RESONANCE, PulseEnvelope, _require_finite
 
 POLE_GUARD = 1e-6
 _S2H = math.sqrt(2.0) / 2.0
@@ -40,68 +41,27 @@ class AcStarkCoefficients:
     shift11: float
 
 
-def tls_hamiltonian(t, env, protocol, epsilon=0.0):
-    """2x2 effective matrices at the times t, of any shape: (..., 2, 2).
-
-    Diagonal: the level shifts of ac_stark_coefficients at Delta = 0.
-    Off-diagonal: sqrt2 Omega(t) C(t) exp(-4 i t), the n_max = 1 ladder's
-    drive element in the frame of the +-2 orders, and its conjugate,
-    with Delta(t) read from the detuning protocol.
-    """
-    t = np.asarray(t, dtype=float)
-    if not (np.isfinite(t).all() and math.isfinite(epsilon)):
-        raise ValueError("time and epsilon must be finite")
-    return _hamiltonian(t, env, protocol, epsilon)
-
-
-def _hamiltonian(t, env, protocol, epsilon):
-    """tls_hamiltonian unchecked: the solver reports its failed steps."""
-    om, de = env.evaluate(t), protocol.evaluate(t, check=False)
-    d0, d1 = _shifts(om, 0.0, epsilon)
-    coupling = (math.sqrt(2.0) * om * carrier_factor(t, de, epsilon)
-                * np.exp(-1j * RESONANCE * t))
-    return np.stack((d0, coupling, coupling.conj(), d1),
-                    axis=-1).reshape(t.shape + (2, 2))
-
-
 def evolve_tls(initial, env, protocol, epsilon=0.0, rtol=1e-10):
-    """Integrate i dpsi/dt = H(t) psi over the envelope support, with
-    multilevel.solve_ivp's tolerance rule (atol = rtol * 1e-2).
-
-    Returns the final TlsState.  Sequences of G envelopes and G
-    protocols give a list of G final states from one lockstep solve of
-    multilevel.solve_ivp, each bit for bit what its pulse gives alone.
-    A failed group raises IntegratorFailure naming it, and so does a
-    non-finite drive, epsilon or initial state, before any solve.
+    """Final TlsState of the n_max = 1 ladder at p = 0 (|1,-> stays dark),
+    in the frame of the +-2 orders: propagate_unitaries' kinetic phases
+    come back off.  Sequences of G envelopes and G protocols give G
+    states from one grouped call, each bit for bit as alone.  A
+    non-finite initial state raises IntegratorFailure before any solve,
+    as propagate_unitaries does, naming the group, for a non-finite
+    drive or epsilon and for a failed solve.
     """
     grouped = not isinstance(env, PulseEnvelope)
     envs, protocols = (env, protocol) if grouped else ([env], [protocol])
-    pulses = list(zip(envs, protocols, strict=True))
-    windows = np.array([e.support for e, _ in pulses])
-    # One vectorized pass per window trips any protocol bound violation
-    # and refuses non-finite input, naming its group, before any solve.
-    for g, ((env_g, prot), (lo, hi)) in enumerate(zip(pulses, windows)):
-        grid = np.linspace(lo, hi, 257)
-        given = (env_g.evaluate(grid), prot.evaluate(grid), epsilon,
-                 initial.c0, initial.c1)
-        if not all(np.isfinite(x).all() for x in given):
-            raise IntegratorFailure("non-finite drive, epsilon or initial "
-                                    f"state in two-level group {g}")
-
-    def prepare(times, live):
-        """deriv(j, y, out) of the running groups at the rows of times."""
-        h = -1j * np.stack([_hamiltonian(times[:, i], *pulses[g], epsilon)
-                            for i, g in enumerate(live.tolist())], axis=1)
-
-        def deriv(j, y, out):
-            _einsum("gij,gj->gi", h[j], y.view(complex), out=out.view(complex))
-        return deriv
-
-    y0 = np.array([[initial.c0, initial.c1]] * len(pulses), complex)
-    sol = solve_ivp(prepare, *windows.T, y0.view(float), rtol)
-    if sol.failed is not None:
-        raise IntegratorFailure(f"two-level group {sol.failed}: {sol.message}")
-    states = [TlsState(*y) for y in sol.y.view(complex)]
+    if not np.isfinite([initial.c0, initial.c1]).all():
+        raise IntegratorFailure("non-finite two-level initial state")
+    u = propagate_unitaries(np.zeros((len(envs), 1)), envs, protocols,
+                            epsilon, n_max=1, rtol=rtol,
+                            basis="symmetric")[:, 0, :2, :2]
+    states = []
+    for m, e in zip(u, envs):  # per group: complex loops round by shape
+        t0, t1 = e.support
+        c0, c1 = m @ [initial.c0, initial.c1 * np.exp(-1j * RESONANCE * t0)]
+        states.append(TlsState(c0, c1 * np.exp(1j * RESONANCE * t1)))
     return states if grouped else states[0]
 
 
@@ -163,11 +123,3 @@ def ac_stark_coefficients(omega, delta=0.0, epsilon=0.0):
         raise PoleProximity(
             f"Delta={delta} is within {POLE_GUARD} of a shift resonance")
     return AcStarkCoefficients(*_shifts(omega, delta, epsilon))
-
-
-def _shifts(omega, delta, epsilon):
-    """ac_stark_coefficients' shifts, unchecked; omega * omega has the
-    same bits in any array, which an array's omega**2 need not have."""
-    return (omega * omega * (epsilon / 4.0 - epsilon**2 / 2.0),
-            omega * omega * (6.0 / ((delta - 8.0) * (delta + 16.0))
-                             - epsilon / 4.0 + 5.0 * epsilon**2 / 12.0))

@@ -94,7 +94,7 @@ class TestHamiltonian:
         assert np.allclose(np.diag(h), 0.25**2 + port_offsets(2) ** 2)
 
 
-    @pytest.mark.parametrize("n_max", [2, 3])
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
     @pytest.mark.parametrize("name,pulse", [("ds_dbd", "bs"),
                                             ("oct_hybrid", "mirror")])
     def test_solver_integrates_the_hamiltonian(self, name, pulse, n_max):
@@ -156,6 +156,23 @@ class TestPropagation:
                 d = np.abs(np.abs(u2[:3, :3]) ** 2
                            - np.abs(u3[:3, :3]) ** 2).max()
                 assert d <= 3e-3
+
+    def test_two_level_shifts_on_both_first_orders(self):
+        # the n_max = 1 ladder against n_max = 3 off p = 0, where |1,->
+        # couples in: with both first orders shifted the worst port is
+        # off by 0.051; shifting |1,+> alone detunes the Doppler pair
+        # (0.27), and shifting neither reads 0.14
+        p = np.array([0.0, 0.1, 0.2])
+        worst = 0.0
+        for name in ("ds_dbd", "c_dbd", "oct_hybrid"):
+            for pulse in ("bs", "mirror"):
+                env, protocol = getattr(builtin_strategy(name), pulse)
+                for eps in (0.0, 0.05):
+                    u1 = propagate_unitaries(p, env, protocol, eps, n_max=1)
+                    u3 = propagate_unitaries(p, env, protocol, eps, n_max=3)
+                    worst = max(worst, np.abs(np.abs(u1) ** 2 - np.abs(
+                        u3[:, :3, :3]) ** 2).max())
+        assert worst <= 0.07
 
     def test_batch_matches_scalar(self):
         ps = np.array([-0.1, 0.05, 0.3])
@@ -220,7 +237,8 @@ def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     nsys, d = p_arr.size, 2 * n_max + 1
     eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (nsys,))
     t0, t1 = window if window is not None else envelope.support
-    bands, doppler = multilevel._bands(n_max)
+    bands, doppler, stark = multilevel._bands(n_max)
+    shifts = multilevel._shifts(1.0, 0.0, eps)
     a = np.zeros((nsys, d, d), dtype=complex)
     for i, j, rate in doppler:
         a[:, i, j] = a[:, j, i] = rate * p_arr
@@ -228,11 +246,14 @@ def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     def rhs(t, y):
         u = y.view(complex).reshape(nsys, d, d)
         c = carrier_factor(t, protocol.evaluate(t, check=False), eps)
-        drive = envelope.evaluate(t) * c
+        omega = envelope.evaluate(t)
+        drive = omega * c
         for (i, j, wgt, rate) in bands:
             ph = np.exp(-1j * rate * t)
             a[:, i, j] = wgt * drive * ph
             a[:, j, i] = wgt * drive * np.conj(ph)
+        for i, level in stark:
+            a[:, i, i] = omega * omega * shifts[level]
         du = -1j * np.einsum("bij,bjk->bik", a, u)
         return du.reshape(-1).view(float)
 
@@ -609,10 +630,12 @@ class TestLadderProduct:
         def draw(*shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        bands, doppler = multilevel._bands(n_max)
+        bands, doppler, stark = multilevel._bands(n_max)
         banded = np.zeros((batch, d, d), dtype=complex)
         for i, j, *_ in bands + doppler:
             banded[:, i, j], banded[:, j, i] = draw(batch), draw(batch)
+        for i, _ in stark:
+            banded[:, i, i] = draw(batch)
         u = draw(batch, d, d)
         for a in (banded, draw(batch, d, d)):
             expected = -1j * np.einsum("bij,bjk->bik", a, u)

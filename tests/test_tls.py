@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from dbdsim import tls
+from dbdsim import multilevel
 from dbdsim.exceptions import IntegratorFailure, PoleProximity
 from dbdsim.multilevel import build_hamiltonian
 from dbdsim.strategies import builtin_strategy
@@ -17,7 +17,6 @@ from dbdsim.tls import (
     pulse_area_probability,
     rwa_hamiltonian,
     rwa_probability,
-    tls_hamiltonian,
 )
 from dbdsim.units import ConstantDetuning, LinearDetuning, PulseEnvelope
 
@@ -31,60 +30,83 @@ def flat(delta=0.0):
 
 
 class TestHamiltonian:
+    """The two-level model is build_hamiltonian's n_max = 1 ladder."""
+
     def test_ground_shift_vanishes_without_polarization_error(self):
         env = box(2.0, 1.0)
         for t in (0.0, 0.3, 0.9):
-            h = tls_hamiltonian(t, env, flat(), 0.0)
+            h = build_hamiltonian(1, 0.0, t, env, flat(), 0.0)
             assert h[0, 0] == 0.0
 
     def test_excited_shift_value(self):
-        h = tls_hamiltonian(0.2, box(2.0, 1.0), flat(), 0.0)
-        assert h[1, 1].real == pytest.approx(-0.1875, abs=1e-15)
+        h = build_hamiltonian(1, 0.0, 0.2, box(2.0, 1.0), flat(), 0.0)
+        assert h[1, 1] - 4.0 == pytest.approx(-0.1875, abs=1e-15)
 
     def test_ground_shift_with_polarization_error(self):
-        h = tls_hamiltonian(0.2, box(2.0, 1.0), flat(), 0.1)
-        assert h[0, 0].real == pytest.approx(0.08, rel=1e-12)
+        h = build_hamiltonian(1, 0.0, 0.2, box(2.0, 1.0), flat(), 0.1)
+        assert h[0, 0] == pytest.approx(0.08, rel=1e-12)
 
     def test_coupling_at_t0(self):
-        # all three phase factors equal 1 at t=0
-        h = tls_hamiltonian(0.0, box(2.0, 1.0), flat(0.3), 0.05)
-        expected = (math.sqrt(2) / 2) * 2.0 * (1 + 1 + 2 * 0.05)
-        assert h[0, 1] == pytest.approx(expected)
+        h = build_hamiltonian(1, 0.0, 0.0, box(2.0, 1.0), flat(0.3), 0.05)
+        assert h[0, 1] == pytest.approx(math.sqrt(2) * 2.0 * (1 + 0.05))
 
     @given(st.floats(0.0, 5.0), st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
            st.floats(0.0, 0.3))
     @settings(max_examples=60)
     def test_hermitian(self, t, omega, delta, eps):
-        h = tls_hamiltonian(t, box(omega, 5.0), flat(delta), eps)
+        h = build_hamiltonian(1, 0.0, t, box(omega, 5.0), flat(delta), eps)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-14
-
-    def test_times_of_any_shape(self):
-        env = PulseEnvelope("gaussian", 2.0, 0.47)
-        prot = LinearDetuning(0.37, 0.315, width=0.47)
-        t = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
-        h = tls_hamiltonian(t, env, prot, 0.05)
-        assert h.shape == (3, 4, 2, 2)
-        for idx in np.ndindex(t.shape):
-            alone = tls_hamiltonian(t[idx], env, prot, 0.05)
-            assert alone.shape == (2, 2)
-            assert np.array_equal(alone, h[idx])
 
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
     @pytest.mark.parametrize("pulse", ["sweep", "oct_mirror"])
     def test_is_the_ladder_drive_and_the_stark_shifts(self, pulse, eps):
-        # the coupling is the n_max = 1 ladder's drive element in the
-        # frame of the +-2 orders; the diagonal, the shifts at Delta = 0
+        # the drive of the wider ladders, and the shifts at Delta = 0 on
+        # |0> and on both |1,+> and |1,->, over the kinetic offsets 0, 4
         env, prot = ((PulseEnvelope("gaussian", 2.0, 0.47),
                       LinearDetuning(0.37, 0.315, width=0.47))
                      if pulse == "sweep" else
                      builtin_strategy("oct_hybrid").mirror)
-        t = np.linspace(*env.support, 41)
-        for ti, h in zip(t, tls_hamiltonian(t, env, prot, eps)):
-            drive = build_hamiltonian(1, 0.0, ti, env, prot, eps)[0, 1]
-            assert h[0, 1] == drive * np.exp(-4j * ti)
-            shifts = ac_stark_coefficients(float(env.evaluate(ti)), 0.0, eps)
+        for t in np.linspace(*env.support, 41):
+            h = build_hamiltonian(1, 0.0, t, env, prot, eps)
+            wider = build_hamiltonian(2, 0.0, t, env, prot, eps)
+            assert h[0, 1] == h[1, 0] == wider[0, 1]
+            shifts = ac_stark_coefficients(float(env.evaluate(t)), 0.0, eps)
             assert h[0, 0] == shifts.shift00
-            assert h[1, 1] == shifts.shift11
+            assert h[1, 1] == h[2, 2] == 4.0 + shifts.shift11
+
+
+def two_level_reference(initial, env, protocol, epsilon):
+    """The paper's effective two-level model on scipy's DOP853 at rtol
+    1e-12: the drive-induced shifts at Delta = 0 on the diagonal and
+    sqrt2 Omega C(t) exp(-4 i t) off it, in the frame of the +-2 orders."""
+    def rhs(t, y):
+        omega = env.evaluate(t)
+        c = np.cos((4.0 + protocol.evaluate(t, check=False)) * t) + epsilon
+        coupling = math.sqrt(2.0) * omega * c * np.exp(-4j * t)
+        h = np.array([
+            [omega**2 * (epsilon / 4 - epsilon**2 / 2), coupling],
+            [np.conj(coupling),
+             omega**2 * (-3 / 64 - epsilon / 4 + 5 * epsilon**2 / 12)]])
+        return -1j * (h @ y)
+
+    sol = solve_ivp(rhs, env.support, np.array([initial.c0, initial.c1]),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    return sol.y[:, -1]
+
+
+def test_evolve_is_the_papers_two_level_model():
+    # the bs pulse of every built-in strategy and a grid of Gaussians
+    pulses = [(*builtin_strategy(name).bs, eps)
+              for name in ("c_dbd", "cd_dbd", "ds_dbd", "oct_hybrid")
+              for eps in (0.0, 0.05)]
+    pulses += [(PulseEnvelope("gaussian", omega, tau), flat(), 0.0)
+               for tau in np.linspace(0.3, 0.6, 5)
+               for omega in np.linspace(1.0, 3.0, 5)]
+    initial = TlsState(0.6, 0.8j)
+    for env, prot, eps in pulses:
+        final = evolve_tls(initial, env, prot, eps, rtol=1e-12)
+        ref = two_level_reference(initial, env, prot, eps)
+        assert np.max(np.abs([final.c0 - ref[0], final.c1 - ref[1]])) <= 1e-10
 
 
 class TestEvolve:
@@ -156,23 +178,23 @@ class NanEnvelope:
         return np.full(np.shape(t), np.nan)
 
 
-@pytest.mark.parametrize("initial, second, epsilon, group", [
-    (TlsState(1.0, 0.0), box(2.0, 0.47), math.inf, 0),
-    (TlsState(1.0, 0.0), box(2.0, 0.47), math.nan, 0),
-    (TlsState(math.nan, 0.0), box(2.0, 0.47), 0.0, 0),
-    (TlsState(1.0, complex(0.0, math.inf)), box(2.0, 0.47), 0.0, 0),
-    (TlsState(1.0, 0.0), NanEnvelope(), 0.0, 1),
+@pytest.mark.parametrize("initial, second, epsilon, message", [
+    (TlsState(1.0, 0.0), box(2.0, 0.47), math.inf, "drive in group 0"),
+    (TlsState(1.0, 0.0), box(2.0, 0.47), math.nan, "drive in group 0"),
+    (TlsState(math.nan, 0.0), box(2.0, 0.47), 0.0, "initial state"),
+    (TlsState(1.0, complex(0.0, math.inf)), box(2.0, 0.47), 0.0,
+     "initial state"),
+    (TlsState(1.0, 0.0), NanEnvelope(), 0.0, "drive in group 1"),
 ], ids=["epsilon=inf", "epsilon=nan", "c0=nan", "c1=inf", "nan-drive"])
 def test_evolve_refuses_non_finite_input_up_front(monkeypatch, initial,
-                                                  second, epsilon, group):
-    # named as propagate_unitaries names it, before the integrator runs
+                                                  second, epsilon, message):
+    # a bad initial state in evolve_tls, a bad drive or epsilon named as
+    # propagate_unitaries names it, before the integrator runs
     def refuse_to_solve(*args, **kwargs):
         raise AssertionError("non-finite input must stop before the solve")
 
-    monkeypatch.setattr(tls, "solve_ivp", refuse_to_solve)
-    with pytest.raises(IntegratorFailure,
-                       match="non-finite drive, epsilon or initial state "
-                             f"in two-level group {group}"):
+    monkeypatch.setattr(multilevel, "solve_ivp", refuse_to_solve)
+    with pytest.raises(IntegratorFailure, match=f"non-finite .*{message}"):
         evolve_tls(initial, [box(2.0, 0.47), second], [flat(), flat()],
                    epsilon)
 
@@ -202,9 +224,6 @@ class TestRwa:
         (pulse_area_probability, 1.0, math.inf),
         (differential_detuning, math.nan, 0.0),
         (rwa_hamiltonian, math.nan, 0.0),
-        (tls_hamiltonian, math.nan, box(2.0, 1.0), flat(), 0.0),
-        (tls_hamiltonian, [0.0, math.inf], box(2.0, 1.0), flat(), 0.0),
-        (tls_hamiltonian, 0.2, box(2.0, 1.0), flat(), math.nan),
     ])
     def test_non_finite_input_refused(self, args):
         # not a transfer probability, detuning or matrix of NaN
