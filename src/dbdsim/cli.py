@@ -363,7 +363,7 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
         diffs = np.abs(model - oracle)
         table = ResultTable(("T", "model_psum", "oracle_psum", "abs_diff"),
                             zip(t_grid, model, oracle, diffs))
-        return table, {"scenario": scenario,
+        return table, {"scenario": scenario, "grid_dt": grid_mod.GridSpec.dt,
                        "max_abs_diff": float(max(diffs))}, 0
 
     epsilon = _epsilon_from(cfg)
@@ -385,6 +385,7 @@ def _cmd_oracle_compare(cfg, args, seed, workers):
     table = ResultTable(("port", "model", "oracle", "abs_diff"),
                         zip(ports, model, oracle, diffs))
     return table, {"scenario": scenario, "oracle_residual": hist.residual,
+                   "grid_dt": grid_mod.GridSpec.dt,
                    "max_abs_diff": float(max(diffs))}, 0
 
 

@@ -329,11 +329,12 @@ def test_09_structural_invariants():
     state = grid_mod.prepare_wavepacket(
         grid_mod.GridSpec(2048),
         GaussianWavePacket(0.0, SIGMA))
-    out = grid_mod.split_step_pulse(state, PulseEnvelope("box", 2.0, 2.0),
-                                    FLAT)
+    box = PulseEnvelope("box", 2.0, 2.0)
+    out = grid_mod.split_step_pulse(state, box, FLAT)
+    steps = int(np.ceil(np.ptp(box.support) / grid_mod.GridSpec.dt))
     drift = abs(out.norm() - 1.0)
     clauses.append(_clause("norm drift", drift <= 1e-9,
-                           f"2000 steps, |norm-1|={drift:.1e} <= 1e-9"))
+                           f"{steps} steps, |norm-1|={drift:.1e} <= 1e-9"))
 
     u = multilevel.propagate_unitaries(0.0, env, FLAT, 0.2)
     parity = max(abs(abs(u[1, 0]) ** 2 - abs(u[2, 0]) ** 2),

@@ -10,6 +10,7 @@ import pytest
 import dbdsim
 from dbdsim import cli, interferometer
 from dbdsim.cli import main
+from dbdsim.grid import GridSpec
 from dbdsim.io import ResultTable
 from dbdsim.units import ConstantDetuning, PulseEnvelope
 
@@ -489,6 +490,7 @@ source.sigma_p = 0.05
         table = ResultTable.read(str(out))
         assert table.column("T") == list(expected)
         assert float(table.provenance["max_abs_diff"]) == 0.0
+        assert float(table.provenance["grid_dt"]) == GridSpec.dt
 
     def test_mz_bounds_without_points(self, tmp_path, monkeypatch):
         seen = []
@@ -557,6 +559,7 @@ n_nodes = 16
         table = ResultTable.read(str(out))
         assert table.column("port") == [0.0, 2.0, -2.0, 4.0, -4.0]
         assert abs(float(table.provenance["oracle_residual"])) < 1e-12
+        assert float(table.provenance["grid_dt"]) == GridSpec.dt
         # the mirror sends the boosted input from port +1 to port -1
         assert table.column("oracle")[2] > 0.9
 

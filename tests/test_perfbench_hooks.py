@@ -75,5 +75,6 @@ def test_tracer_counts_a_grid_pulse():
         grid.split_step_pulse(state, env, protocol)
     t0, t1 = env.support
     assert tracer.count["grid.split_step.calls"] == 1
-    assert tracer.count["grid.steps"] == math.ceil((t1 - t0) / 0.001)
+    dt = grid.GridSpec.dt
+    assert tracer.count["grid.steps"] == math.ceil((t1 - t0) / dt)
     assert tracer.count["grid.points"] == 1024
