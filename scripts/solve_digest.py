@@ -15,7 +15,10 @@ escan, and no other family.  An edit of the knot spline
 (units._natural_spline) moves every family that solves an oct_hybrid
 mirror or an optimizer candidate: propagate_unitaries, hamiltonian,
 tscan, optimize, polish and warm; one of strategies.packet_quantiles
-moves warm.  The families:
+moves warm.  An edit of the arithmetic of the ladder product (the
+right-hand side of propagate_unitaries) moves every family that solves
+the ladder: propagate_unitaries, tscan, optimize, polish, warm, tls,
+escan, pescan and oracle, but not hamiltonian or ideal.  The families:
 
 - propagate_unitaries: the bs and mirror pulses of the four built-in
   strategies at n_max 1, 2 and 3, in both bases, each pulse alone on a

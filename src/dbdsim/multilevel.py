@@ -35,11 +35,6 @@ import scipy
 from .exceptions import IntegratorFailure
 from .units import _require_finite, carrier_factor
 
-try:  # what np.einsum calls without `optimize`, minus about 3 us of wrapper
-    from numpy._core.einsumfunc import c_einsum as _einsum
-except ImportError:  # numpy < 2
-    _einsum = np.einsum
-
 DEFAULT_RTOL = 1e-10
 
 
@@ -318,31 +313,6 @@ def solve_ivp(fun, t0, t1, y0, rtol, atol=None):
     return GroupSolution(out, nfev)
 
 
-def _ladder_product(a, groups):
-    """product(u, out) that writes -1j a u for every system into out.
-
-    a holds the momentum batch innermost, (d, d, B); u and out are
-    (groups, B / groups, d, d) in scipy's component order, and out may
-    be strided.  u is copied into a (d, d, B) buffer, so that einsum
-    runs its inner loop over the batch instead of over rows of length d.
-    The bits are those of -1j * np.einsum("bij,bjk->bik", a_b, u) with
-    the batch outermost: einsum adds the products of each output element
-    in ascending j whatever loop nest its iterator picks, and its complex
-    sum-of-products is the same formula in the contiguous and the
-    strided kernels.
-    """
-    d = a.shape[0]
-    u_t, prod = np.empty_like(a), np.empty_like(a)
-    u_in = u_t.reshape(d, d, groups, -1)
-    prod_out = prod.reshape(d, d, groups, -1).transpose(2, 3, 0, 1)
-
-    def product(u, out):
-        np.copyto(u_in, u.transpose(2, 3, 0, 1))
-        _einsum("ijb,jkb->ikb", a, u_t, out=prod)
-        np.multiply(-1j, prod_out, out=out)
-    return product
-
-
 def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                         rtol=DEFAULT_RTOL, atol=None, basis="bare",
                         window=None):
@@ -366,13 +336,17 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     lockstep through solve_ivp, and group g comes out bit for bit as it
     does alone, whatever the other groups of the call.
 
-    The right-hand side keeps the momentum batch innermost in its work
-    matrix, (d, d, B), and copies the states into that layout for the
-    product (_ladder_product says why the bits do not change); the
-    states, stage sums and norms stay in scipy's order, whose BLAS bits
-    depend on it.  On one core, copies included, the 5 x 5 product went
-    from 76 to 47 us at B = 65, 149 to 82 us at B = 129 and 926 to
-    504 us at B = 837, and stayed at about 15 us at B = 9.
+    The right-hand side is a shared-drive product: every momentum of a
+    pulse sees the same drive bands, so -i A_b U_b is s_b (M U_b) +
+    (-i 4 n p_b) (U_b with rows 2n-1 and 2n swapped), plus the Stark
+    rows at n_max = 1, with M the band matrix of the group's stage time
+    and s_b = Omega C_b.  The states are copied into a (G, d, d, B)
+    buffer, batch innermost, and one np.matmul makes one BLAS product of
+    one shape per group, so a group's bits do not depend on the other
+    groups; the states, stage sums and norms stay in scipy's order,
+    whose BLAS bits depend on it.  On one core, copies included, a
+    5 x 5 derivative takes about 10, 19 and 29 us at B = 9, 65 and 129,
+    where the dense batched product took 13, 36 and 59 us.
 
     Parameters
     ----------
@@ -430,12 +404,10 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                 f"non-finite momentum, epsilon or drive in group {g}")
 
     bands, doppler, stark = _bands(n_max)
-    flat = np.array([i * d + j for i, j, *_ in bands]
-                    + [j * d + i for i, j, *_ in bands]
-                    + [i * d + i for i, _ in stark])
+    upper, lower, weights, rates = (np.array(x) for x in zip(*bands))
+    scale, turn = -1j * weights, -1j * rates
+    pair_rates = -1j * np.array([rate for *_, rate in doppler])
     coefs = np.stack(_shifts(1.0, 0.0, eps), -1)[..., [k for _, k in stark]]
-    weights = np.array([w for _, _, w, _ in bands] * 2)
-    turn = -1j * np.array([rate for *_, rate in bands])
 
     def rhs(rows):
         """prepare(times, live) for solve_ivp over the groups rows."""
@@ -446,26 +418,24 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
 
             The drive of every row is formed at once: one evaluate() of
             each group's envelope and detuning over its own times, then
-            the carrier and band phases of all rows in one array each.
-            The work matrix holds the momentum batch innermost, (d, d, B);
-            its constant Doppler couplings go in once per set of running
-            groups, and the drive entries, every band's upper element and
-            then its mirror image, and then the Stark shifts, are written
-            with one put() at fixed indices.
+            the drive scales Omega C of all rows and momenta in one
+            array and the band matrices of all rows, -i w exp(-+i rate t)
+            on the upper and lower bands, in another.  The work buffers
+            and the Doppler factors -i rate p are made once per set of
+            running groups.
             """
             if work["size"] != live.size:
                 groups = rows[live]
-                p_live = p_arr[groups].ravel()
-                a = np.zeros((d, d, p_live.size), dtype=complex)
-                for i, j, rate in doppler:
-                    a[i, j] = a[j, i] = rate * p_live
-                work.update(size=live.size, a=a, eps=eps[groups],
-                            coefs=coefs[groups],
-                            product=_ladder_product(a, live.size),
-                            slots=(np.arange(p_live.size)[:, None]
-                                   + flat * p_live.size).ravel(),
-                            pulses=[pulses[g] for g in groups.tolist()])
-            a, slots, product = work["a"], work["slots"], work["product"]
+                u_t = np.empty((live.size, d, d, n_sys), dtype=complex)
+                work.update(
+                    size=live.size, u_t=u_t, prod=np.empty_like(u_t),
+                    swap=np.empty((live.size, n_max, 2, d, n_sys), complex),
+                    pair=(pair_rates[:, None, None, None]
+                          * p_arr[groups][:, None, None, None]),
+                    eps=eps[groups], coefs=coefs[groups],
+                    pulses=[pulses[g] for g in groups.tolist()])
+            u_t, prod, swap, pair = (work[k] for k in ("u_t", "prod", "swap",
+                                                       "pair"))
             cols = np.ascontiguousarray(times.T)  # [i, j]: group i, row j
             amp, delta = np.empty_like(cols), np.empty_like(cols)
             for i, (env, prot) in enumerate(work["pulses"]):
@@ -473,20 +443,32 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                 delta[i] = prot.evaluate(cols[i], check=False)
             drive = amp[:, :, None] * carrier_factor(
                 cols[:, :, None], delta[:, :, None], work["eps"][:, None])
-            ph = np.exp(turn * times[:, :, None])
-            ph = np.concatenate((ph, ph.conj()), axis=2)  # [j, i]
-            if stark:  # [i, j, b, k]: shift k of system b at row j
-                shift = (amp * amp)[:, :, None, None] * work["coefs"][:, None]
+            drive = drive.transpose(1, 0, 2)[:, :, None, None]  # [j, i]
+            ph = np.exp(turn * times[:, :, None])  # [j, i]
+            band = np.zeros(times.shape + (d, d), dtype=complex)
+            band[:, :, upper, lower] = scale * ph
+            band[:, :, lower, upper] = scale * ph.conj()
+            if stark:  # [j, i, row, 0, b]; n_max = 1 shifts every row
+                shift = (-1j * (amp * amp)).T[:, :, None, None, None] \
+                    * work["coefs"].transpose(0, 2, 1)[None, :, :, None]
             # (G, B, d, d) keeps the strided out a view; (-1, d, d) copies
             per_group = (live.size, -1, d, d)
+            flat = (live.size, d, -1)
+            pairs = (live.size, n_max, 2, d, n_sys)
+            prod_pairs = prod[:, 1:].reshape(pairs)
+            swapped = u_t[:, 1:].reshape(pairs)[:, :, ::-1]
 
             def deriv(j, y, out):
-                entries = (drive[:, j, :, None] * weights) * ph[j, :, None]
+                np.copyto(u_t, y.view(complex).reshape(per_group)
+                          .transpose(0, 2, 3, 1))
+                np.matmul(band[j], u_t.reshape(flat), out=prod.reshape(flat))
+                np.multiply(prod, drive[j], out=prod)
+                np.multiply(pair, swapped, out=swap)
+                np.add(prod_pairs, swap, out=prod_pairs)
                 if stark:
-                    entries = np.concatenate((entries, shift[:, j]), axis=2)
-                a.put(slots, entries)
-                product(y.view(complex).reshape(per_group),
-                        out.view(complex).reshape(per_group))
+                    np.add(prod, shift[j] * u_t, out=prod)
+                np.copyto(out.view(complex).reshape(per_group),
+                          prod.transpose(0, 3, 1, 2))
             return deriv
         return prepare
 

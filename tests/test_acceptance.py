@@ -94,10 +94,10 @@ def test_01_pulse_efficiency_table():
         spec = strategies.builtin_strategy(name)
         bs = multilevel.integrated_efficiency(
             packet, "beam_splitter", checks.bs_envelope(spec),
-            checks.bs_protocol(spec), rtol=1e-9, atol=1e-11)
+            checks.bs_protocol(spec), rtol=1e-9)
         mirror = multilevel.integrated_efficiency(
             packet, "mirror_plus", checks.mirror_envelope(spec),
-            checks.mirror_protocol(spec), rtol=1e-9, atol=1e-11)
+            checks.mirror_protocol(spec), rtol=1e-9)
         clauses.append(_clause(
             f"{name} splitter", abs(bs - bs_ref) <= EFFICIENCY_TOL,
             f"{bs:.4f} vs {bs_ref:.4f} +-{EFFICIENCY_TOL}"))
@@ -247,8 +247,7 @@ def test_07_solver_vs_grid_oracle():
 
         nodes, weights = packet.momentum_quadrature(64)
         u = multilevel.propagate_unitaries(nodes, env, protocol, epsilon,
-                                           rtol=1e-9, atol=1e-11,
-                                           basis="bare")
+                                           rtol=1e-9, basis="bare")
         model = weights @ (np.abs(u[:, :, 0]) ** 2)
 
         state = grid_mod.prepare_wavepacket(spec, packet)

@@ -230,32 +230,38 @@ class TestPropagation:
 def reference_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
                         rtol=1e-10, atol=1e-12, basis="bare", window=None):
     """propagate_unitaries written plainly on scipy's solve_ivp: the rhs
-    calls evaluate() and carrier_factor() at one 0-d time and takes one
-    exp per band, where the package reads the drive in columns of stage
-    times."""
+    calls evaluate() and carrier_factor() at one 0-d time and builds one
+    band matrix per call, where the package reads the drive in columns of
+    stage times.  The product is the package's: the band matrix times the
+    states with the momentum batch innermost, scaled by Omega C, plus the
+    pair-swapped Doppler term and the n_max = 1 Stark rows."""
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     nsys, d = p_arr.size, 2 * n_max + 1
     eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (nsys,))
     t0, t1 = window if window is not None else envelope.support
     bands, doppler, stark = multilevel._bands(n_max)
-    shifts = multilevel._shifts(1.0, 0.0, eps)
-    a = np.zeros((nsys, d, d), dtype=complex)
-    for i, j, rate in doppler:
-        a[:, i, j] = a[:, j, i] = rate * p_arr
+    upper, lower, weights, rates = (np.array(x) for x in zip(*bands))
+    pair_rates = -1j * np.array([rate for *_, rate in doppler])
+    pairs = (n_max, 2, d, nsys)
+    dop = pair_rates[:, None, None, None] * p_arr
+    coefs = np.stack(multilevel._shifts(1.0, 0.0, eps), -1)[
+        ..., [k for _, k in stark]].T[:, None]
 
     def rhs(t, y):
-        u = y.view(complex).reshape(nsys, d, d)
-        c = carrier_factor(t, protocol.evaluate(t, check=False), eps)
+        u = np.ascontiguousarray(
+            y.view(complex).reshape(nsys, d, d).transpose(1, 2, 0))
         omega = envelope.evaluate(t)
-        drive = omega * c
-        for (i, j, wgt, rate) in bands:
-            ph = np.exp(-1j * rate * t)
-            a[:, i, j] = wgt * drive * ph
-            a[:, j, i] = wgt * drive * np.conj(ph)
-        for i, level in stark:
-            a[:, i, i] = omega * omega * shifts[level]
-        du = -1j * np.einsum("bij,bjk->bik", a, u)
-        return du.reshape(-1).view(float)
+        drive = omega * carrier_factor(t, protocol.evaluate(t, check=False),
+                                       eps)
+        ph = np.exp(-1j * rates * t)
+        band = np.zeros((d, d), dtype=complex)
+        band[upper, lower] = -1j * weights * ph
+        band[lower, upper] = -1j * weights * ph.conj()
+        du = (band @ u.reshape(d, -1)).reshape(d, d, nsys) * drive
+        du[1:] += (dop * u[1:].reshape(pairs)[:, ::-1]).reshape(du[1:].shape)
+        if stark:
+            du += (-1j * (omega * omega)) * coefs * u
+        return du.transpose(2, 0, 1).ravel().view(float)
 
     y0 = np.ascontiguousarray(np.broadcast_to(np.eye(d, dtype=complex),
                                               (nsys, d, d)))
@@ -601,7 +607,7 @@ class TestGroups:
     @pytest.mark.parametrize("n_max", [1, 3])
     def test_groups_dropping_out_rebuild_the_work_arrays(self, n_max):
         # four groups whose windows end at four different times: each
-        # finish compacts the running groups and rebuilds the (d, d, B)
+        # finish compacts the running groups and rebuilds the (G, d, d, B)
         # work arrays, and every stage row of k is a strided view
         pulses = builtin_pulses()[:4]
         rng = np.random.default_rng(n_max)
@@ -619,35 +625,99 @@ class TestGroups:
 
 
 class TestLadderProduct:
-    """The batch-innermost product is the batch-outermost einsum."""
+    """The shared-drive derivative is the batch-outermost dense einsum."""
+
+    class RandomDrive:
+        """A smooth envelope or detuning with random coefficients."""
+        support = (0.0, 1.0)
+
+        def __init__(self, rng):
+            self.c = rng.uniform(0.5, 3.0, 3)
+
+        def evaluate(self, t, check=True):
+            return self.c[0] + self.c[1] * np.sin(7.0 * self.c[2] * t)
+
+    @staticmethod
+    def dense(n_max, p, epsilon, t, envelope, protocol):
+        """A_b of every momentum, (B, d, d), from the ladder table."""
+        d = 2 * n_max + 1
+        bands, doppler, stark = multilevel._bands(n_max)
+        omega = envelope.evaluate(t)
+        drive = omega * carrier_factor(t, protocol.evaluate(t), epsilon)
+        a = np.zeros((p.size, d, d), dtype=complex)
+        for i, j, wgt, rate in bands:
+            a[:, i, j] = wgt * drive * np.exp(-1j * rate * t)
+            a[:, j, i] = wgt * drive * np.exp(1j * rate * t)
+        for i, j, rate in doppler:
+            a[:, i, j] = a[:, j, i] = rate * p
+        for i, level in stark:
+            a[:, i, i] = omega * omega * multilevel._shifts(
+                1.0, 0.0, epsilon)[level]
+        return a
 
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     @pytest.mark.parametrize("batch", [1, 2, 9, 64, 65, 128, 129, 837])
-    def test_matches_the_batch_outermost_einsum(self, batch, n_max):
+    def test_matches_the_batch_outermost_einsum(self, batch, n_max,
+                                                monkeypatch):
         d = 2 * n_max + 1
         rng = np.random.default_rng(10 * batch + n_max)
 
-        def draw(*shape):
-            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        class Captured(Exception):
+            pass
 
-        bands, doppler, stark = multilevel._bands(n_max)
-        banded = np.zeros((batch, d, d), dtype=complex)
-        for i, j, *_ in bands + doppler:
-            banded[:, i, j], banded[:, j, i] = draw(batch), draw(batch)
-        for i, _ in stark:
-            banded[:, i, i] = draw(batch)
-        u = draw(batch, d, d)
-        for a in (banded, draw(batch, d, d)):
-            expected = -1j * np.einsum("bij,bjk->bik", a, u)
-            a_t = np.ascontiguousarray(a.transpose(1, 2, 0))
-            for groups in (1, 3):
-                if batch % groups:
-                    continue
-                shape = (groups, batch // groups, d, d)
-                # out strided as a stage row of solve_ivp's k
-                k = np.zeros((groups, 3, 2 * u[0].size * shape[1]))
-                out = k[:, 1].view(complex).reshape(shape)
-                product = multilevel._ladder_product(a_t, groups)
-                product(u.reshape(shape), out)
-                assert np.array_equal(out.reshape(u.shape), expected), groups
-                assert not k[:, 0].any() and not k[:, 2].any()
+        def capture(fun, *args):
+            raise Captured(fun)
+
+        # every group in one lockstep solve, whose prepare is kept
+        monkeypatch.setattr(multilevel, "_LOCKSTEP_SYSTEMS", 3 * batch)
+        monkeypatch.setattr(multilevel, "solve_ivp", capture)
+        for groups in (1, 3):
+            pulses = [(self.RandomDrive(rng), self.RandomDrive(rng))
+                      for _ in range(groups)]
+            p = rng.uniform(-0.9, 0.9, (groups, batch))
+            eps = rng.uniform(-0.1, 0.1, (groups, batch))
+            with pytest.raises(Captured) as got:
+                multilevel.propagate_unitaries(p, *zip(*pulses), eps,
+                                               n_max=n_max)
+            times = rng.uniform(0.0, 1.0, (4, groups))
+            deriv = got.value.args[0](times, np.arange(groups))
+            u = rng.normal(size=(groups, batch, d, d, 2)).view(complex)
+            # out strided as a stage row of solve_ivp's k
+            k = np.zeros((groups, 4, 2 * batch * d * d))
+            deriv(2, u.view(float).reshape(groups, -1), k[:, 1])
+            out = k[:, 1].view(complex).reshape(groups, batch, d, d)
+            for g, (env, protocol) in enumerate(pulses):
+                a = self.dense(n_max, p[g], eps[g], times[2, g], env,
+                               protocol)
+                expected = -1j * np.einsum("bij,bjk->bik", a, u[g, ..., 0])
+                bound = 1e-14 * np.abs(expected).max()
+                assert np.abs(out[g] - expected).max() <= bound, groups
+            assert not k[:, 0].any() and not k[:, 2:].any()
+
+    @pytest.mark.parametrize("name,pulse,n_max", [
+        ("ds_dbd", "bs", 2), ("c_dbd", "mirror", 3),
+        ("oct_hybrid", "mirror", 1)])
+    def test_solve_matches_a_dense_einsum_solve(self, name, pulse, n_max):
+        env, protocol = getattr(builtin_strategy(name), pulse)
+        d = 2 * n_max + 1
+        t0, t1 = env.support
+        rng = np.random.default_rng(n_max)
+        p = rng.uniform(-0.3, 0.3, 9)
+        eps = rng.uniform(0.0, 0.05, 9)
+
+        def rhs(t, y):
+            a = self.dense(n_max, p, eps, t, env, protocol)
+            u = y.view(complex).reshape(-1, d, d)
+            return (-1j * np.einsum("bij,bjk->bik", a, u)).ravel().view(float)
+
+        y0 = np.tile(np.eye(d, dtype=complex), (p.size, 1, 1))
+        sol = solve_ivp(rhs, (t0, t1), y0.ravel().view(float),
+                        method="DOP853", t_eval=[t1], rtol=1e-9,
+                        atol=1e-9 * 1e-2)
+        dense = sol.y[:, -1].copy().view(complex).reshape(-1, d, d)
+        offsets = port_offsets(n_max) ** 2
+        u = propagate_unitaries(p, env, protocol, eps, n_max=n_max,
+                                rtol=1e-9, basis="symmetric")
+        u_int = np.exp(1j * offsets[:, None] * t1) * u \
+            * np.exp(-1j * offsets * t0)
+        assert np.abs(u_int - dense).max() <= 1e-12
