@@ -345,7 +345,7 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
     one shape per group, so a group's bits do not depend on the other
     groups; the states, stage sums and norms stay in scipy's order,
     whose BLAS bits depend on it.  On one core, copies included, a
-    5 x 5 derivative takes about 10, 19 and 29 us at B = 9, 65 and 129,
+    5 x 5 derivative takes about 10, 18 and 27 us at B = 9, 65 and 129,
     where the dense batched product took 13, 36 and 59 us.
 
     Parameters
@@ -454,21 +454,22 @@ def propagate_unitaries(p, envelope, protocol, epsilon=0.0, n_max=2,
             # (G, B, d, d) keeps the strided out a view; (-1, d, d) copies
             per_group = (live.size, -1, d, d)
             flat = (live.size, d, -1)
+            u_flat, prod_flat = u_t.reshape(flat), prod.reshape(flat)
             pairs = (live.size, n_max, 2, d, n_sys)
             prod_pairs = prod[:, 1:].reshape(pairs)
             swapped = u_t[:, 1:].reshape(pairs)[:, :, ::-1]
+            prod_out = prod.transpose(0, 3, 1, 2)  # scipy's order
 
             def deriv(j, y, out):
                 np.copyto(u_t, y.view(complex).reshape(per_group)
                           .transpose(0, 2, 3, 1))
-                np.matmul(band[j], u_t.reshape(flat), out=prod.reshape(flat))
+                np.matmul(band[j], u_flat, out=prod_flat)
                 np.multiply(prod, drive[j], out=prod)
                 np.multiply(pair, swapped, out=swap)
                 np.add(prod_pairs, swap, out=prod_pairs)
                 if stark:
                     np.add(prod, shift[j] * u_t, out=prod)
-                np.copyto(out.view(complex).reshape(per_group),
-                          prod.transpose(0, 3, 1, 2))
+                np.copyto(out.view(complex).reshape(per_group), prod_out)
             return deriv
         return prepare
 
